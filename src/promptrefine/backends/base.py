@@ -10,10 +10,12 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import re
 import tempfile
 import threading
 import time
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
@@ -198,6 +200,26 @@ def request_digest(req) -> str:
     return sha256_hex(canonical_json(req.canonical()))
 
 
+def embed_digest(payload: Union[str, ImageRef]) -> str:
+    """Digest of an embedding request: the text, or the image's locator."""
+    key = payload if isinstance(payload, str) else payload.locator()
+    return sha256_hex(canonical_json({"kind": "embed", "payload": key}))
+
+
+def write_file_atomic(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a temp file in the same directory and
+    ``os.replace``, so a reader or a concurrent writer never sees a partial file."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 @dataclass(frozen=True)
 class BackendConfig:
     endpoint: str = ""
@@ -209,8 +231,6 @@ class BackendConfig:
     backoff_base: float = 0.5
     embed_dim: Optional[int] = None
     supports_embedding: bool = False
-    min_dim: int = 16
-    max_dim: int = 4096
 
     def __post_init__(self):
         if self.timeout <= 0:
@@ -292,6 +312,24 @@ class _RateLimiter:
 
 _FIRST_WORD = re.compile(r"[A-Za-z]+")
 _STRICT_SUFFIX = ' Answer strictly with the single word "yes" or "no".'
+MIN_IMAGE_DIM, MAX_IMAGE_DIM = 16, 4096
+
+
+class _ImageDir:
+    """Where generated images are stored, shared by a backend and all its
+    journal views. Without a configured path, one temp directory is made the
+    first time an image is written."""
+
+    def __init__(self, path: Optional[Union[str, Path]]):
+        self._path = Path(path) if path else None
+        self._lock = threading.Lock()
+
+    def path(self) -> Path:
+        with self._lock:
+            if self._path is None:
+                self._path = Path(tempfile.mkdtemp(prefix="promptrefine-img-"))
+            self._path.mkdir(parents=True, exist_ok=True)
+            return self._path
 
 
 class Backend:
@@ -304,7 +342,7 @@ class Backend:
 
     def __init__(self, config: BackendConfig, image_dir: Optional[Union[str, Path]] = None):
         self.config = config
-        self._image_dir = Path(image_dir) if image_dir else None
+        self._images = _ImageDir(image_dir)
         self.journal = CallJournal()
         self._limiter = _RateLimiter(config.rate_limit)
 
@@ -323,19 +361,13 @@ class Backend:
 
     # -- shared machinery -------------------------------------------------
     def with_journal(self, journal: CallJournal) -> "Backend":
-        """Shallow view of this backend writing to a different journal."""
+        """Shallow view of this backend writing to a different journal; it
+        shares the transport state and the image directory."""
         import copy
 
         view = copy.copy(self)
         view.journal = journal
         return view
-
-    @property
-    def image_dir(self) -> Path:
-        if self._image_dir is None:
-            self._image_dir = Path(tempfile.mkdtemp(prefix="promptrefine-img-"))
-        self._image_dir.mkdir(parents=True, exist_ok=True)
-        return self._image_dir
 
     def _run(self, op: str, digest: str, send):
         """Execute one operation with retry/backoff and journal the outcome."""
@@ -410,26 +442,22 @@ class Backend:
         return parsed
 
     def generate_image(self, req: ImageGenRequest) -> ImageRef:
-        if not self.config.min_dim <= req.width <= self.config.max_dim or not (
-            self.config.min_dim <= req.height <= self.config.max_dim
-        ):
+        if not all(MIN_IMAGE_DIM <= d <= MAX_IMAGE_DIM for d in (req.width, req.height)):
             raise ValueError(
                 f"image dims {req.width}x{req.height} outside backend bounds "
-                f"[{self.config.min_dim}, {self.config.max_dim}]"
+                f"[{MIN_IMAGE_DIM}, {MAX_IMAGE_DIM}]"
             )
         data = self._run("generate_image", request_digest(req), lambda: self._send_image(req))
         digest = sha256_hex(data)
-        path = self.image_dir / f"{digest[:24]}.png"
+        path = self._images.path() / f"{digest[:24]}.png"
         if not path.exists():
-            path.write_bytes(data)
+            write_file_atomic(path, data)
         return ImageRef(path=str(path), digest=digest)
 
     def embed(self, payload: Union[str, ImageRef]) -> List[float]:
         if not self.config.supports_embedding:
             raise CapabilityMissing(f"backend {self.config.model or type(self).__name__} does not embed")
-        key = payload if isinstance(payload, str) else payload.locator()
-        digest = sha256_hex(canonical_json({"kind": "embed", "payload": key}))
-        vector = self._run("embed", digest, lambda: self._send_embed(payload))
+        vector = self._run("embed", embed_digest(payload), lambda: self._send_embed(payload))
         vector = [float(v) for v in vector]
         if self.config.embed_dim is not None and len(vector) != self.config.embed_dim:
             raise TransportError(

@@ -29,6 +29,14 @@ from promptrefine.backends.base import (
 )
 
 
+def _image_url(image: ImageRef) -> str:
+    """A local image as a base64 data URL; a remote image by its identifier."""
+    if image.path is None:
+        return image.remote_id
+    b64 = base64.b64encode(image.read_bytes()).decode("ascii")
+    return f"data:{image.media_type};base64,{b64}"
+
+
 class HttpBackend(Backend):
     def __init__(self, config: BackendConfig, image_dir=None, session=None):
         if not config.endpoint:
@@ -92,16 +100,11 @@ class HttpBackend(Backend):
         return self._chat(messages, req.temperature, req.max_tokens)
 
     def _send_vqa(self, req: VqaRequest) -> str:
-        if req.image.path is not None:
-            b64 = base64.b64encode(req.image.read_bytes()).decode("ascii")
-            url = f"data:{req.image.media_type};base64,{b64}"
-        else:
-            url = req.image.remote_id
         messages = [
             {
                 "role": "user",
                 "content": [
-                    {"type": "image_url", "image_url": {"url": url}},
+                    {"type": "image_url", "image_url": {"url": _image_url(req.image)}},
                     {"type": "text", "text": req.question},
                 ],
             }
@@ -129,14 +132,7 @@ class HttpBackend(Backend):
             raise TransportError("image payload is not valid base64") from exc
 
     def _send_embed(self, payload: Union[str, ImageRef]) -> List[float]:
-        if isinstance(payload, ImageRef):
-            if payload.path is not None:
-                b64 = base64.b64encode(payload.read_bytes()).decode("ascii")
-                text = f"data:{payload.media_type};base64,{b64}"
-            else:
-                text = payload.remote_id
-        else:
-            text = payload
+        text = _image_url(payload) if isinstance(payload, ImageRef) else payload
         data = self._post("/embeddings", {"model": self.config.model, "input": text})
         try:
             return [float(v) for v in data["data"][0]["embedding"]]

@@ -32,6 +32,7 @@ from promptrefine.backends.base import (
     TextGenRequest,
     TransportError,
     VqaRequest,
+    embed_digest,
     request_digest,
 )
 
@@ -103,9 +104,7 @@ class MockBackend(Backend):
         return self
 
     def script_embed(self, match: str, response) -> "MockBackend":
-        if isinstance(response, list) and all(isinstance(v, (int, float)) for v in response):
-            response = [response]
-        self._embed.append(_Entry(match, response if isinstance(response, list) else [response]))
+        self._embed.append(_Entry(match, _as_list(response)))
         if not self.config.supports_embedding:
             self.config = replace(self.config, supports_embedding=True)
         return self
@@ -146,9 +145,7 @@ class MockBackend(Backend):
 
     def _send_embed(self, payload: Union[str, ImageRef]) -> List[float]:
         primary = payload if isinstance(payload, str) else payload.locator()
-        from promptrefine.backends.base import canonical_json, sha256_hex
-
-        digest = sha256_hex(canonical_json({"kind": "embed", "payload": primary}))
+        digest = embed_digest(payload)
         value = self._lookup(self._embed, "embed", digest, primary)
         if not isinstance(value, list):
             raise MockMiss("embed", digest, hint="scripted value is not a vector")
@@ -197,5 +194,4 @@ def _decode(item: dict, kind: str):
         return [_decode_one(v, kind) for v in item["responses"]]
     if "response" not in item:
         raise ValueError(f"script entry {item.get('match')!r} has no response")
-    decoded = _decode_one(item["response"], kind)
-    return [decoded] if kind == "embed" else decoded
+    return _decode_one(item["response"], kind)

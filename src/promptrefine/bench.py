@@ -10,7 +10,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from promptrefine import scene_graph as sg
 from promptrefine.backends.base import ImageGenRequest, ImageRef
@@ -51,7 +51,6 @@ class ItemResult:
     baseline_score: Optional[float] = None
     optimized_score: Optional[float] = None
     clip: Dict[str, float] = field(default_factory=dict)
-    aesthetic: Dict[str, float] = field(default_factory=dict)
     error: Optional[str] = None
 
     @property
@@ -160,7 +159,6 @@ def run_benchmark(
     dataset: Sequence[DatasetItem],
     cfg: PipelineConfig,
     mode: str = "both",
-    aesthetic_scorer: Optional[Callable[[ImageRef], float]] = None,
 ) -> BenchReport:
     """Score every dataset item; failures are recorded and excluded from means.
 
@@ -190,13 +188,6 @@ def run_benchmark(
                 if record.image_refs:
                     baseline_ref = record.image_refs[0][1]
             _clip_pairings(result, item, record, baseline_ref, cfg)
-            if aesthetic_scorer is not None:
-                if baseline_ref is not None:
-                    result.aesthetic["baseline"] = float(aesthetic_scorer(baseline_ref))
-                if record is not None and record.image_refs:
-                    result.aesthetic["optimized"] = float(
-                        aesthetic_scorer(record.image_refs[-1][1])
-                    )
         except Exception as exc:  # noqa: BLE001 - one bad item must not sink the run
             result.error = f"{type(exc).__name__}: {exc}"
             logger.warning("item %s failed: %s", item.item_id, result.error)

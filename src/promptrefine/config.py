@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import os
 import re
+from dataclasses import fields
 from pathlib import Path
 from typing import Optional, Union
 
@@ -60,17 +61,7 @@ def _build_backend(section: dict, role: str, image_dir: Optional[Path], base_dir
     if not isinstance(section, dict):
         raise ConfigError(f"backends.{role} must be a mapping")
     kind = section.get("type", "http")
-    known = {
-        "endpoint",
-        "model",
-        "auth_token",
-        "timeout",
-        "max_retries",
-        "rate_limit",
-        "backoff_base",
-        "embed_dim",
-        "supports_embedding",
-    }
+    known = {f.name for f in fields(BackendConfig)}
     cfg_kwargs = {k: v for k, v in section.items() if k in known}
     if role == "embed":
         cfg_kwargs.setdefault("supports_embedding", True)

@@ -261,6 +261,23 @@ def select_keywords(raw_line: str, prompt: str, table: KeywordClassTable) -> Lis
     return chosen
 
 
+def _parse_keyword_line(raw: str) -> str:
+    line = raw.strip()
+    if "\n" in line:
+        raise ValueError("keyword list must be a single line")
+    return line
+
+
+def _parse_inline_decoration(raw: str) -> str:
+    text = raw.strip()
+    if not text or "\n" in text or "|" in text:
+        raise ValueError("inline decoration must be one clean line")
+    return text
+
+
+_DECORATION_PARSERS = {"append": _parse_keyword_line, "inline": _parse_inline_decoration}
+
+
 def decorate_prompt(
     prompt: str,
     llm: Backend,
@@ -278,38 +295,18 @@ def decorate_prompt(
     """
     if not prompt.strip():
         raise ValueError("prompt must be non-empty")
-    if mode not in ("append", "inline"):
+    if mode not in _DECORATION_PARSERS:
         raise ValueError(f"unknown decoration mode {mode!r}")
-
-    if mode == "inline":
-        def parse_inline(raw: str) -> str:
-            text = raw.strip()
-            if not text or "\n" in text or "|" in text:
-                raise ValueError("inline decoration must be one clean line")
-            return text
-
-        text, _ = run_stage(
-            llm,
-            templates.stage("decoration"),
-            render_decoration_input(prompt, keyword_table),
-            parse_inline,
-            max_attempts=max_attempts,
-        )
-        return text
-
-    def parse_keyword_line(raw: str) -> str:
-        line = raw.strip()
-        if "\n" in line:
-            raise ValueError("keyword list must be a single line")
-        return line
 
     line, _ = run_stage(
         llm,
         templates.stage("decoration"),
         render_decoration_input(prompt, keyword_table),
-        parse_keyword_line,
+        _DECORATION_PARSERS[mode],
         max_attempts=max_attempts,
     )
+    if mode == "inline":
+        return line
     keywords = select_keywords(line, prompt, keyword_table)
     if not keywords:
         return prompt

@@ -26,6 +26,7 @@ from promptrefine.backends.base import (
     CallJournal,
     ImageGenRequest,
     ImageRef,
+    write_file_atomic,
 )
 from promptrefine.optimizer import (
     EmptyExpansion,
@@ -166,8 +167,10 @@ def run_single(prompt: str, cfg: PipelineConfig, graph: Optional[sg.SceneGraph] 
     @contextmanager
     def timed(label: str):
         start = time.perf_counter()
-        yield
-        timings[label] = time.perf_counter() - start
+        try:
+            yield
+        finally:
+            timings[label] = time.perf_counter() - start
 
     prompt_history: List[Tuple[str, str]] = [("user", prompt)]
     image_refs: List[Tuple[str, ImageRef, int]] = []
@@ -473,7 +476,8 @@ def persist_record(record: RunRecord, out_dir: Union[str, Path]) -> Path:
     """Write a run directory: record.json, graph.json, images/, transcripts/.
 
     Image files are copied into the run directory and referenced by paths
-    relative to it. Returns the record.json path.
+    relative to it. record.json is replaced whole, so a failed write leaves
+    the previous one intact. Returns the record.json path.
     """
     try:
         run_dir = Path(out_dir) / record.run_id
@@ -504,7 +508,11 @@ def persist_record(record: RunRecord, out_dir: Union[str, Path]) -> Path:
             [label, _image_ref_to_doc(ref), seed] for label, ref, seed in rebased
         ]
         path = run_dir / "record.json"
-        path.write_text(json.dumps(doc, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+        try:
+            text = json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+        except (TypeError, ValueError) as exc:
+            raise IoFailure(f"could not serialize record: {exc}") from exc
+        write_file_atomic(path, text.encode("utf-8"))
         return path
     except OSError as exc:
         raise IoFailure(f"could not persist record: {exc}") from exc

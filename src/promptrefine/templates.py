@@ -52,14 +52,8 @@ class StageTemplate:
     preamble: str
     exemplars: Tuple[Tuple[str, str], ...]
 
-    def request(self, input_text: str, temperature: float = 0.0, max_tokens: int = 1024) -> TextGenRequest:
-        return TextGenRequest(
-            preamble=self.preamble,
-            exemplars=self.exemplars,
-            input=input_text,
-            temperature=temperature,
-            max_tokens=max_tokens,
-        )
+    def request(self, input_text: str) -> TextGenRequest:
+        return TextGenRequest(preamble=self.preamble, exemplars=self.exemplars, input=input_text)
 
 
 @dataclass(frozen=True)
@@ -126,8 +120,6 @@ def run_stage(
     input_text: str,
     parse: Callable[[str], T],
     max_attempts: int = 3,
-    temperature: float = 0.0,
-    max_tokens: int = 1024,
 ) -> Tuple[T, str]:
     """Invoke a stage until its output parses, up to max_attempts.
 
@@ -136,7 +128,7 @@ def run_stage(
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
-    request = stage.request(input_text, temperature=temperature, max_tokens=max_tokens)
+    request = stage.request(input_text)
     last_error: Optional[Exception] = None
     for attempt in range(1, max_attempts + 1):
         raw = llm.complete(request)

@@ -1,4 +1,6 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -212,8 +214,10 @@ class TestImageGeneration:
 
     def test_dim_bounds_checked(self, tmp_path):
         backend = MockBackend(image_dir=tmp_path).script_image("*", PNG_WHITE)
-        with pytest.raises(ValueError):
-            backend.generate_image(ImageGenRequest(prompt="x", width=8, height=64))
+        for width, height in [(8, 64), (8, 8), (5000, 5000)]:
+            with pytest.raises(ValueError):
+                backend.generate_image(ImageGenRequest(prompt="x", width=width, height=height))
+        assert len(backend.journal) == 0
 
 
 class TestEmbed:
@@ -248,13 +252,26 @@ class TestJournal:
             "generate_image",
         ]
 
-    def test_with_journal_shares_scripts(self):
+    def test_with_journal_shares_scripts(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("TMPDIR", str(tmp_path))
+        monkeypatch.setattr(tempfile, "tempdir", None)
         backend = MockBackend().script_text("*", "ok")
         mine = CallJournal()
         view = backend.with_journal(mine)
         view.complete(text_req("x"))
         assert len(mine) == 1
         assert len(backend.journal) == 0
+        assert list(tmp_path.glob("promptrefine-img-*")) == []  # text only: no image dir
+
+        backend.script_image("*", PNG_WHITE)
+        refs = [
+            backend.with_journal(CallJournal()).generate_image(ImageGenRequest(prompt=f"p{i}"))
+            for i in range(5)
+        ]
+        dirs = list(tmp_path.glob("promptrefine-img-*"))
+        assert len(dirs) <= 1
+        assert {Path(ref.path).parent for ref in refs} <= set(dirs)
+        assert [p.name for p in dirs[0].iterdir()] == [Path(refs[0].path).name]
 
     def test_summaries_redact_response_bodies(self):
         backend = MockBackend().script_text("*", "secret payload")
@@ -266,8 +283,6 @@ class TestJournal:
 
 class TestScriptFile:
     def test_documented_fixture_loads(self, tmp_path):
-        from pathlib import Path
-
         path = Path(__file__).parent / "data" / "mock_script.json"
         backend = MockBackend.from_file(path, image_dir=tmp_path)
         assert backend.complete(text_req("x", preamble="Decompose this")).startswith("1 | entity")

@@ -185,12 +185,6 @@ class TestRunBenchmark:
         report = run_benchmark(items[:1], cfg, mode="baseline")
         assert report.items[0].clip["baseline"] == pytest.approx(100.0)
 
-    def test_aesthetic_passthrough(self, tmp_path):
-        items, vqa = four_item_dataset()
-        cfg = bench_cfg(tmp_path, vqa)
-        report = run_benchmark(items[:1], cfg, mode="baseline", aesthetic_scorer=lambda ref: 5.5)
-        assert report.items[0].aesthetic["baseline"] == 5.5
-
     def test_unknown_mode(self, tmp_path):
         items, vqa = four_item_dataset()
         with pytest.raises(ValueError):

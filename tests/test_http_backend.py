@@ -54,12 +54,12 @@ class StubSession:
         return result
 
 
-def backend(responses, **cfg):
+def backend(responses, image_dir=None, **cfg):
     cfg.setdefault("endpoint", "http://models.test/v1")
     cfg.setdefault("model", "test-model")
     cfg.setdefault("backoff_base", 0.0)
     session = StubSession(responses)
-    return HttpBackend(BackendConfig(**cfg), session=session), session
+    return HttpBackend(BackendConfig(**cfg), image_dir=image_dir, session=session), session
 
 
 def chat_payload(content):
@@ -158,8 +158,7 @@ class TestVqaWire:
 class TestImagesWire:
     def test_generation_payload_and_decode(self, tmp_path):
         payload = {"data": [{"b64_json": base64.b64encode(PNG_WHITE).decode()}]}
-        be, session = backend([FakeResponse(payload=payload)])
-        be._image_dir = tmp_path
+        be, session = backend([FakeResponse(payload=payload)], image_dir=tmp_path)
         ref = be.generate_image(
             ImageGenRequest(prompt="a fox", seed=9, width=512, height=256, extra=(("steps", "20"),))
         )
@@ -174,9 +173,9 @@ class TestImagesWire:
 
     def test_content_policy_rejection(self, tmp_path):
         be, _ = backend(
-            [FakeResponse(status_code=400, body=b'{"error": "content_policy_violation"}')]
+            [FakeResponse(status_code=400, body=b'{"error": "content_policy_violation"}')],
+            image_dir=tmp_path,
         )
-        be._image_dir = tmp_path
         with pytest.raises(ContentRejected):
             be.generate_image(ImageGenRequest(prompt="x", width=64, height=64))
 
@@ -188,6 +187,25 @@ class TestEmbeddingsWire:
         assert be.embed("a fox") == [0.5, 0.5]
         assert session.calls[0]["url"].endswith("/embeddings")
         assert session.calls[0]["json"]["input"] == "a fox"
+
+    def test_image_embedding_sends_the_vqa_data_url(self, tmp_path):
+        p = tmp_path / "img.png"
+        p.write_bytes(PNG_WHITE)
+        ref = ImageRef.from_file(p)
+        be, session = backend(
+            [
+                FakeResponse(payload=chat_payload("yes")),
+                FakeResponse(payload={"data": [{"embedding": [0.5, 0.5]}]}),
+            ],
+            supports_embedding=True,
+        )
+        be.answer_binary(VqaRequest(image=ref, question="Q?"))
+        assert be.embed(ref) == [0.5, 0.5]
+        vqa_url = session.calls[0]["json"]["messages"][0]["content"][0]["image_url"]["url"]
+        embed_input = session.calls[1]["json"]["input"]
+        assert embed_input.startswith("data:image/png;base64,")
+        assert embed_input == vqa_url
+        assert base64.b64decode(embed_input.split(",", 1)[1]) == PNG_WHITE
 
     def test_declared_dimension_enforced(self):
         payload = {"data": [{"embedding": [0.5, 0.5, 0.5]}]}

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 
 import pytest
 
@@ -104,6 +105,7 @@ class TestRunSingle:
         assert record.failed_stage == "generate"
         assert record.error_kind == "backend"
         assert record.prompt_history == [("user", MOTORCYCLE_PROMPT)]
+        assert "round-1.generate" in record.timings
 
     def test_stage_exhausted_marks_build_failed(self, tmp_path):
         backends = motorcycle_backends(tmp_path / "images")
@@ -285,6 +287,28 @@ class TestPersistence:
         blocker.write_text("a file, not a directory")
         with pytest.raises(IoFailure):
             persist_record(record, blocker)
+
+    def test_failed_write_keeps_previous_record(self, tmp_path, monkeypatch):
+        record = self._record(tmp_path)
+        path = persist_record(record, tmp_path / "runs")
+        before = path.read_bytes()
+        listing = sorted(p.name for p in path.parent.iterdir())
+        assert listing == ["graph.json", "images", "record.json", "transcripts"]
+
+        bad = dataclasses.replace(record, backend_journal=[{"op": object()}])
+        with pytest.raises(IoFailure):
+            persist_record(bad, tmp_path / "runs")
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in path.parent.iterdir()) == listing
+
+        def failing_replace(src, dst):
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(IoFailure):
+            persist_record(dataclasses.replace(record, error="changed"), tmp_path / "runs")
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in path.parent.iterdir()) == listing
 
 
 class TestConfigValidation:
