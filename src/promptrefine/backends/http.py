@@ -10,7 +10,10 @@ come from BackendConfig.
 from __future__ import annotations
 
 import base64
-from typing import List, Union
+import json
+import threading
+from collections import OrderedDict
+from typing import List, Optional, Tuple, Union
 
 import requests
 
@@ -28,13 +31,54 @@ from promptrefine.backends.base import (
     VqaRequest,
 )
 
+# Two runs evaluating at once each keep their image encoded; 1 MiB is ~1.4 MB of base64.
+ENCODED_IMAGES = 2
+# Stands in for a local image's data URL in a payload until _ImageBody fills it.
+_URL_SLOT = "\x00image-url\x00"
+
 
 def _image_url(image: ImageRef) -> str:
-    """A local image as a base64 data URL; a remote image by its identifier."""
-    if image.path is None:
-        return image.remote_id
-    b64 = base64.b64encode(image.read_bytes()).decode("ascii")
-    return f"data:{image.media_type};base64,{b64}"
+    """A remote image's identifier, or the slot for a local image's data URL."""
+    return image.remote_id if image.path is None else _URL_SLOT
+
+
+class _EncodedImages:
+    """The last ENCODED_IMAGES local images as base64, each read and encoded
+    once and shared by every request that sends it."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._cache: "OrderedDict[ImageRef, Tuple[bytes, bytes]]" = OrderedDict()
+
+    def get(self, image: ImageRef) -> Tuple[bytes, bytes]:
+        """The JSON-escaped ``data:`` URL prefix and the base64 bytes."""
+        with self._lock:
+            encoded = self._cache.get(image)
+            if encoded is None:
+                prefix = json.dumps(f"data:{image.media_type};base64,")[1:-1].encode("ascii")
+                encoded = (prefix, base64.b64encode(image.read_bytes()))
+                self._cache[image] = encoded
+                if len(self._cache) > ENCODED_IMAGES:
+                    self._cache.popitem(last=False)
+            else:
+                self._cache.move_to_end(image)
+            return encoded
+
+
+class _ImageBody:
+    """A JSON body whose _URL_SLOT is the image's data URL, sent in parts so
+    concurrent requests share one encoded copy. ``len()`` lets requests set
+    Content-Length; each iteration yields the whole body again."""
+
+    def __init__(self, payload: dict, encoded: Tuple[bytes, bytes]):
+        head, _, tail = json.dumps(payload).partition(json.dumps(_URL_SLOT))
+        self._parts = (head.encode("ascii") + b'"', *encoded, b'"' + tail.encode("ascii"))
+
+    def __len__(self) -> int:
+        return sum(len(part) for part in self._parts)
+
+    def __iter__(self):
+        return iter(self._parts)
 
 
 class HttpBackend(Backend):
@@ -43,14 +87,20 @@ class HttpBackend(Backend):
             raise ValueError("HttpBackend requires an endpoint")
         super().__init__(config, image_dir=image_dir)
         self._session = session or requests.Session()
+        self._encoded = _EncodedImages()
 
-    def _post(self, path: str, payload: dict) -> dict:
+    def _post(self, path: str, payload: dict, image: Optional[ImageRef] = None) -> dict:
+        """POST ``payload`` as JSON; a local ``image`` fills its _URL_SLOT."""
         url = self.config.endpoint.rstrip("/") + path
         headers = {"Content-Type": "application/json"}
         if self.config.auth_token:
             headers["Authorization"] = f"Bearer {self.config.auth_token}"
+        if image is not None and image.path is not None:
+            body = {"data": _ImageBody(payload, self._encoded.get(image))}
+        else:
+            body = {"json": payload}
         try:
-            resp = self._session.post(url, json=payload, headers=headers, timeout=self.config.timeout)
+            resp = self._session.post(url, headers=headers, timeout=self.config.timeout, **body)
         except requests.Timeout as exc:
             raise BackendTimeout(f"request to {path} timed out") from exc
         except requests.RequestException as exc:
@@ -73,7 +123,9 @@ class HttpBackend(Backend):
         except ValueError as exc:
             raise TransportError(f"{path} returned non-JSON body") from exc
 
-    def _chat(self, messages: list, temperature: float, max_tokens: int) -> str:
+    def _chat(
+        self, messages: list, temperature: float, max_tokens: int, image: Optional[ImageRef] = None
+    ) -> str:
         data = self._post(
             "/chat/completions",
             {
@@ -82,6 +134,7 @@ class HttpBackend(Backend):
                 "temperature": temperature,
                 "max_tokens": max_tokens,
             },
+            image,
         )
         try:
             content = data["choices"][0]["message"]["content"]
@@ -109,7 +162,7 @@ class HttpBackend(Backend):
                 ],
             }
         ]
-        return self._chat(messages, temperature=0.0, max_tokens=16)
+        return self._chat(messages, temperature=0.0, max_tokens=16, image=req.image)
 
     def _send_image(self, req: ImageGenRequest) -> bytes:
         payload = {
@@ -132,8 +185,9 @@ class HttpBackend(Backend):
             raise TransportError("image payload is not valid base64") from exc
 
     def _send_embed(self, payload: Union[str, ImageRef]) -> List[float]:
-        text = _image_url(payload) if isinstance(payload, ImageRef) else payload
-        data = self._post("/embeddings", {"model": self.config.model, "input": text})
+        image = payload if isinstance(payload, ImageRef) else None
+        text = payload if image is None else _image_url(image)
+        data = self._post("/embeddings", {"model": self.config.model, "input": text}, image)
         try:
             return [float(v) for v in data["data"][0]["embedding"]]
         except (KeyError, IndexError, TypeError, ValueError) as exc:

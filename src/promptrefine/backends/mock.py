@@ -6,6 +6,13 @@ prompt, embedding payload). Entries are tried in insertion order; a list of
 responses is consumed call by call (the last one repeats). A response may be a
 ``BackendError`` instance, which is raised at the transport layer and is
 therefore subject to the normal retry policy.
+
+When VQA fans out (a subclass whose ``_send_vqa`` takes 1 ms or more, see
+``reflection.evaluate_image``), the questions of one DAG level are asked
+concurrently. A ``responses`` list under a glob that matches several questions
+of one level is then consumed in the order the requests arrive, not in
+question id order; script such questions by their exact text to keep answers
+fixed.
 """
 
 from __future__ import annotations

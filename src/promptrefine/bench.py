@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
 from promptrefine import scene_graph as sg
-from promptrefine.backends.base import ImageGenRequest, ImageRef
+from promptrefine.backends.base import CallJournal, ImageGenRequest, ImageRef
 from promptrefine.pipeline import PipelineConfig, RunRecord, run_single
 from promptrefine.reflection import build_dsg, evaluate_image
 
@@ -114,28 +114,33 @@ def load_dataset(path: Union[str, Path]) -> List[DatasetItem]:
 
 
 def _baseline_only(item: DatasetItem, cfg: PipelineConfig):
-    """Generate from the raw prompt and score it; no optimization pass."""
+    """Generate from the raw prompt and score it; no optimization pass.
+
+    The calls are journaled to a per-item journal, as in ``run_single``, so
+    the configured backends' journals do not grow with every item.
+    """
+    journal = CallJournal()
     graph = item.graph
     if graph is None:
         graph = build_dsg(
             item.prompt,
-            cfg.backends.llm,
+            cfg.backends.llm.with_journal(journal),
             cfg.template_set(),
             max_attempts=cfg.build_attempts,
             max_questions=cfg.max_questions,
         )
-    ref = cfg.backends.t2i.generate_image(
+    ref = cfg.backends.t2i.with_journal(journal).generate_image(
         ImageGenRequest(prompt=item.prompt, seed=cfg.seed, width=cfg.width, height=cfg.height)
     )
-    report = evaluate_image(ref, graph, cfg.backends.vqa)
+    report = evaluate_image(ref, graph, cfg.backends.vqa.with_journal(journal))
     return report.score, ref
 
 
 def _clip_pairings(result: ItemResult, item: DatasetItem, record: Optional[RunRecord],
                    baseline_ref: Optional[ImageRef], cfg: PipelineConfig) -> None:
-    embedder = cfg.backends.embed
-    if embedder is None:
+    if cfg.backends.embed is None:
         return
+    embedder = cfg.backends.embed.with_journal(CallJournal())
     try:
         if baseline_ref is not None:
             result.clip["baseline"] = clip_relevance(

@@ -390,29 +390,36 @@ def build_graph(
     return graph
 
 
-def topological_order(graph: SceneGraph) -> List[int]:
-    """Question ids with every parent before its children.
+def topological_levels(graph: SceneGraph) -> List[List[int]]:
+    """Question ids in Kahn generations: the roots first, then each question
+    once all its parents are in earlier generations; ascending id within each.
 
-    Deterministic: ready nodes are emitted generation by generation, ascending
-    id within each generation.
+    No question depends on another of its own generation, so a generation's
+    questions can be asked in any order, or all at once.
     """
     ids = graph.question_ids()
     indegree = {i: 0 for i in ids}
     children = graph.children()
     for e in graph.edges:
         indegree[e.child] += 1
-    order: List[int] = []
+    levels: List[List[int]] = []
     ready = sorted(i for i in ids if indegree[i] == 0)
     while ready:
+        levels.append(ready)
         next_ready: List[int] = []
         for node in ready:
-            order.append(node)
             for child in children[node]:
                 indegree[child] -= 1
                 if indegree[child] == 0:
                     next_ready.append(child)
         ready = sorted(next_ready)
-    return order
+    return levels
+
+
+def topological_order(graph: SceneGraph) -> List[int]:
+    """Question ids with every parent before its children: the generations of
+    ``topological_levels`` in turn."""
+    return [qid for level in topological_levels(graph) for qid in level]
 
 
 def descendants(graph: SceneGraph, qid: int) -> Set[int]:

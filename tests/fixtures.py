@@ -2,6 +2,10 @@
 
 import base64
 import random
+import threading
+import time
+
+from promptrefine.backends import MockBackend
 
 from promptrefine.scene_graph import (
     DependencyEdge,
@@ -104,10 +108,35 @@ STAGE_MARKERS = {
 }
 
 
+class SlowVqa(MockBackend):
+    """Mock VQA whose requests take about 3 ms, slow enough for evaluate_image
+    to fan a level's questions out.
+
+    Each question text gets its own fixed delay between 2 and 4 ms, or the
+    one given in ``delays``, so requests finish out of id order. ``gauge``
+    counts requests in flight and is shared by journal views.
+    """
+
+    def __init__(self, *args, delays=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.delays = dict(delays or {})
+        self.gauge = {"now": 0, "peak": 0, "lock": threading.Lock()}
+
+    def _send_vqa(self, req):
+        gauge = self.gauge
+        with gauge["lock"]:
+            gauge["now"] += 1
+            gauge["peak"] = max(gauge["peak"], gauge["now"])
+        try:
+            time.sleep(self.delays.get(req.question, random.Random(req.question).uniform(0.002, 0.004)))
+            return super()._send_vqa(req)
+        finally:
+            with gauge["lock"]:
+                gauge["now"] -= 1
+
+
 def stage_llm(**stage_responses):
     """Mock text backend scripted per stage via preamble markers."""
-    from promptrefine.backends import MockBackend
-
     backend = MockBackend(name="llm")
     for stage, response in stage_responses.items():
         backend.script_text("*", response, preamble=STAGE_MARKERS[stage])
@@ -120,7 +149,6 @@ def motorcycle_backends(image_dir, fence_answers=("no", "yes")):
     Round 1 finds the fence missing (prunes 4 and 5), optimization yields the
     decorated prompt, and the regenerated image answers all-yes.
     """
-    from promptrefine.backends import MockBackend
     from promptrefine.pipeline import Backends
 
     llm = stage_llm(

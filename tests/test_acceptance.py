@@ -50,6 +50,7 @@ from fixtures import (
     PNG_WHITE,
     REGENERATED_MOTORCYCLE,
     STAGE_MARKERS,
+    SlowVqa,
     chain_graph,
     motorcycle_backends,
     random_dag,
@@ -67,8 +68,8 @@ def image_ref(tmp_path):
     return ImageRef.from_file(p)
 
 
-def vqa_for(script):
-    backend = MockBackend(name="vqa")
+def vqa_for(script, cls=MockBackend):
+    backend = cls(name="vqa")
     for qid, value in script.items():
         backend.script_vqa(f"Is there thing {qid}?", value)
     return backend
@@ -103,6 +104,28 @@ def test_pruning_oracle_equivalence_and_call_count_law(tmp_path):
         assert report.vqa_call_count == len(ids) - len(got_pruned)
     done("pruning oracle equivalence over 500 random DAGs (criterion 1)")
     done("vqa_call_count == journal length == questions - pruned (criterion 2)")
+
+
+def test_fan_out_changes_timing_only(tmp_path):
+    """Concurrency law: asking a DAG level's questions at once gives the same
+    report (answer order included) and the same journal as asking one at a time."""
+    rng = random.Random(20240601)
+    img = image_ref(tmp_path)
+    peaks = []
+    for case in range(50):
+        ids, pairs = random_dag(rng, max_nodes=12)
+        graph = chain_graph(f"case {case}", len(ids), pairs)
+        script = {i: rng.choice(["yes", "no"]) for i in ids}
+        serial_vqa, slow_vqa = vqa_for(script), vqa_for(script, SlowVqa)
+        serial = evaluate_image(img, graph, serial_vqa)
+        fanned = evaluate_image(img, graph, slow_vqa)
+        assert fanned == serial
+        assert list(fanned.answers.items()) == list(serial.answers.items())
+        journal = [(r.op, r.digest, r.ok) for r in slow_vqa.journal.records()]
+        assert journal == [(r.op, r.digest, r.ok) for r in serial_vqa.journal.records()]
+        peaks.append(slow_vqa.gauge["peak"])
+    assert max(peaks) > 1  # some levels really were asked at once
+    done("fan-out keeps reports and journal order over 50 random DAGs")
 
 
 def test_score_arithmetic():

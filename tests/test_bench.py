@@ -29,7 +29,14 @@ from promptrefine.scene_graph import (
     parse_tuples,
 )
 
-from fixtures import PNG_WHITE
+from fixtures import (
+    MOTORCYCLE_DEPENDENCIES,
+    MOTORCYCLE_PROMPT,
+    MOTORCYCLE_QUESTIONS,
+    MOTORCYCLE_TUPLES,
+    PNG_WHITE,
+    stage_llm,
+)
 from oracles import bf_mean
 
 
@@ -61,9 +68,9 @@ def four_item_dataset():
     return items, vqa
 
 
-def bench_cfg(tmp_path, vqa, embed=None, t2i=None):
+def bench_cfg(tmp_path, vqa, embed=None, t2i=None, llm=None):
     backends = Backends(
-        llm=MockBackend(name="llm"),
+        llm=llm or MockBackend(name="llm"),
         vqa=vqa,
         t2i=t2i or MockBackend(name="t2i", image_dir=tmp_path / "img").script_image("*", PNG_WHITE),
         embed=embed,
@@ -184,6 +191,21 @@ class TestRunBenchmark:
         cfg = bench_cfg(tmp_path, vqa, embed=embed)
         report = run_benchmark(items[:1], cfg, mode="baseline")
         assert report.items[0].clip["baseline"] == pytest.approx(100.0)
+
+    def test_baseline_leaves_the_configured_journals_empty(self, tmp_path):
+        items, vqa = four_item_dataset()
+        items.append(DatasetItem(item_id="moto", category="road", prompt=MOTORCYCLE_PROMPT))
+        vqa.script_vqa("*", "yes")
+        embed = MockBackend(name="embed").script_embed("*", [1.0, 0.0])
+        llm = stage_llm(
+            tuples=MOTORCYCLE_TUPLES, questions=MOTORCYCLE_QUESTIONS, dependencies=MOTORCYCLE_DEPENDENCIES
+        )
+        cfg = bench_cfg(tmp_path, vqa, embed=embed, llm=llm)
+        report = run_benchmark(items, cfg, mode="baseline")
+        assert [i.baseline_score for i in report.items] == [1.0, 0.5, 0.75, 0.75, 1.0]
+        assert all("baseline" in i.clip for i in report.items)
+        b = cfg.backends
+        assert [len(be.journal) for be in (b.llm, b.vqa, b.t2i, b.embed)] == [0, 0, 0, 0]
 
     def test_unknown_mode(self, tmp_path):
         items, vqa = four_item_dataset()

@@ -2,6 +2,8 @@
 
 import base64
 import json
+import sys
+import threading
 
 import pytest
 import requests
@@ -39,15 +41,29 @@ class FakeResponse:
         return self._payload
 
 
+def _decode_body(body: bytes):
+    return json.loads(body)
+
+
 class StubSession:
-    """Records posts and replays canned responses (exceptions included)."""
+    """Records posts and replays canned responses (exceptions included).
+
+    A ``data=`` body is joined and decoded, so ``json`` holds the payload
+    however it was sent; ``body`` and ``body_len`` keep the raw bytes and the
+    length the body declared.
+    """
 
     def __init__(self, responses):
         self.responses = list(responses)
         self.calls = []
 
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.calls.append({"url": url, "json": json, "headers": headers, "timeout": timeout})
+    def post(self, url, json=None, data=None, headers=None, timeout=None):
+        call = {"url": url, "json": json, "headers": headers, "timeout": timeout, "body": None}
+        if data is not None:
+            call["body"] = b"".join(data)
+            call["body_len"] = len(data)
+            call["json"] = _decode_body(call["body"])
+        self.calls.append(call)
         result = self.responses.pop(0) if len(self.responses) > 1 else self.responses[0]
         if isinstance(result, Exception):
             raise result
@@ -60,6 +76,19 @@ def backend(responses, image_dir=None, **cfg):
     cfg.setdefault("backoff_base", 0.0)
     session = StubSession(responses)
     return HttpBackend(BackendConfig(**cfg), image_dir=image_dir, session=session), session
+
+
+def counting(monkeypatch, owner, name):
+    """Wrap ``owner.name`` to count its calls; returns a reader of the count."""
+    original = getattr(owner, name)
+    count = [0]
+
+    def wrapper(*args, **kwargs):
+        count[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return lambda: count[0]
 
 
 def chat_payload(content):
@@ -153,6 +182,62 @@ class TestVqaWire:
         assert be.answer_binary(VqaRequest(image=ref, question="Q?")) is False
         content = session.calls[0]["json"]["messages"][0]["content"]
         assert content[0]["image_url"]["url"] == "https://img.test/1.png"
+        assert session.calls[0]["body"] is None  # sent as a plain json= payload
+
+    def test_questions_about_one_image_read_and_encode_it_once(self, tmp_path, monkeypatch):
+        p = tmp_path / "img.png"
+        p.write_bytes(PNG_WHITE)
+        ref = ImageRef.from_file(p)
+        reads, encodes = counting(monkeypatch, ImageRef, "read_bytes"), counting(monkeypatch, base64, "b64encode")
+        be, session = backend([FakeResponse(payload=chat_payload("yes"))])
+        for i in range(5):
+            assert be.answer_binary(VqaRequest(image=ref, question=f"Q{i}?")) is True
+        assert (reads(), encodes()) == (1, 1)
+        urls = {c["json"]["messages"][0]["content"][0]["image_url"]["url"] for c in session.calls}
+        assert urls == {"data:image/png;base64," + base64.b64encode(PNG_WHITE).decode()}
+        assert [c["json"]["messages"][0]["content"][1]["text"] for c in session.calls] == [
+            f"Q{i}?" for i in range(5)
+        ]
+
+    def test_concurrent_questions_share_one_encoding(self, tmp_path, monkeypatch):
+        p = tmp_path / "img.png"
+        p.write_bytes(PNG_WHITE)
+        ref = ImageRef.from_file(p)
+        reads = counting(monkeypatch, ImageRef, "read_bytes")
+        be, session = backend([FakeResponse(payload=chat_payload("yes"))])
+        results = []
+
+        def ask(i):
+            results.append(be.answer_binary(VqaRequest(image=ref, question=f"Q{i}?")))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=ask, args=(i,)) for i in range(16)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [True] * 16
+        assert reads() == 1
+        assert len(session.calls) == 16 and len(be.journal) == 16
+
+    def test_body_length_is_the_bytes_sent(self, tmp_path):
+        p = tmp_path / "img.png"
+        p.write_bytes(PNG_WHITE)
+        ref = ImageRef.from_file(p, media_type='image/"png"')
+        be, session = backend([FakeResponse(payload=chat_payload("yes"))], model="m\u00e9")
+        be.answer_binary(VqaRequest(image=ref, question='Is the caf\u00e9 "open"?'))
+        call = session.calls[0]
+        assert call["body_len"] == len(call["body"])
+        assert call["headers"]["Content-Type"] == "application/json"
+        assert call["json"]["model"] == "m\u00e9"
+        content = call["json"]["messages"][0]["content"]
+        assert content[0]["image_url"]["url"].startswith('data:image/"png";base64,')
+        assert content[1]["text"] == 'Is the caf\u00e9 "open"?'
 
 
 class TestImagesWire:
@@ -188,7 +273,7 @@ class TestEmbeddingsWire:
         assert session.calls[0]["url"].endswith("/embeddings")
         assert session.calls[0]["json"]["input"] == "a fox"
 
-    def test_image_embedding_sends_the_vqa_data_url(self, tmp_path):
+    def test_image_embedding_sends_the_vqa_data_url(self, tmp_path, monkeypatch):
         p = tmp_path / "img.png"
         p.write_bytes(PNG_WHITE)
         ref = ImageRef.from_file(p)
@@ -199,8 +284,11 @@ class TestEmbeddingsWire:
             ],
             supports_embedding=True,
         )
+        reads = counting(monkeypatch, ImageRef, "read_bytes")
         be.answer_binary(VqaRequest(image=ref, question="Q?"))
         assert be.embed(ref) == [0.5, 0.5]
+        assert reads() == 1
+        assert session.calls[1]["body_len"] == len(session.calls[1]["body"])
         vqa_url = session.calls[0]["json"]["messages"][0]["content"][0]["image_url"]["url"]
         embed_input = session.calls[1]["json"]["input"]
         assert embed_input.startswith("data:image/png;base64,")

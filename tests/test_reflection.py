@@ -1,8 +1,18 @@
+import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
-from promptrefine.backends import MockBackend, UnparseableAnswer
+from promptrefine import reflection
+from promptrefine.backends import (
+    AuthFailure,
+    ContentRejected,
+    MockBackend,
+    UnparseableAnswer,
+    VqaRequest,
+    request_digest,
+)
 from promptrefine.reflection import (
     NO,
     PRUNED_NO,
@@ -29,6 +39,7 @@ from fixtures import (
     MOTORCYCLE_QUESTIONS,
     MOTORCYCLE_TUPLES,
     PNG_WHITE,
+    SlowVqa,
     chain_graph,
     motorcycle_graph,
     random_dag,
@@ -265,6 +276,46 @@ class TestEvaluateImage:
         vqa = MockBackend(name="vqa").script_vqa("*", "hard to say")
         with pytest.raises(UnparseableAnswer):
             evaluate_image(image(tmp_path), g, vqa)
+
+
+class TestFanOut:
+    def test_wide_level_overlaps_within_the_worker_bound(self, tmp_path):
+        g = chain_graph("p", 24, set())  # one level of 24 questions
+        vqa = SlowVqa(name="vqa").script_vqa("*", "yes")
+        report = evaluate_image(image(tmp_path), g, vqa)
+        assert report.score == 1.0 and len(vqa.journal) == 24
+        assert 1 < vqa.gauge["peak"] <= reflection.VQA_WORKERS
+
+    def test_lowest_failing_id_raises_after_the_level_completes(self, tmp_path):
+        # Roots 1-6 form one level; 7 depends on 1. Questions 3 and 5 fail
+        # with errors that are not retried, 5 first.
+        g = chain_graph("p", 7, {(1, 7)})
+        vqa = (
+            SlowVqa(name="vqa", delays={"Is there thing 3?": 0.02})
+            .script_vqa("Is there thing 5?", ContentRejected("five"))
+            .script_vqa("Is there thing 3?", AuthFailure("three"))
+            .script_vqa("*", "yes")
+        )
+        img = image(tmp_path)
+        with pytest.raises(AuthFailure, match="three"):
+            evaluate_image(img, g, vqa)
+        records = vqa.journal.records()
+        asked = [VqaRequest(image=img, question=f"Is there thing {i}?") for i in range(1, 7)]
+        # every call made is journaled, in id order; 7 waits on level 1 and is never asked
+        assert [r.digest for r in records] == [request_digest(q) for q in asked]
+        assert [r.ok for r in records] == [True, True, False, True, False, True]
+
+    def test_first_call_under_the_gate_keeps_the_evaluation_serial(self, tmp_path, monkeypatch):
+        def no_pool():
+            raise AssertionError("a call under FAN_OUT_MIN_S must not fan out")
+
+        # A fake clock makes the first call read half the gate, however loaded the host.
+        clock = itertools.count(0.0, reflection.FAN_OUT_MIN_S / 2)
+        monkeypatch.setattr(reflection, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+        monkeypatch.setattr(reflection, "_vqa_pool", no_pool)
+        g = chain_graph("p", 12, set())
+        vqa = MockBackend(name="vqa").script_vqa("*", "yes")
+        assert evaluate_image(image(tmp_path), g, vqa).vqa_call_count == 12
 
 
 class TestAlignmentScore:

@@ -30,6 +30,7 @@ from promptrefine.scene_graph import (
     render_questions,
     render_tuples,
     serialize_graph,
+    topological_levels,
     topological_order,
 )
 
@@ -244,6 +245,25 @@ class TestTopologicalOrder:
             order = topological_order(g)
             assert bf_is_valid_topo(order, ids, pairs)
             assert order == topological_order(g)
+
+    def test_levels_reference_example(self):
+        assert topological_levels(motorcycle_graph()) == [[1, 3], [2, 4, 5]]
+        assert topological_levels(chain_graph("p", 0, set())) == []
+
+    def test_levels_are_longest_path_depths(self):
+        # A question's level is 1 + the deepest level among its parents, so no
+        # two questions of one level depend on each other.
+        rng = random.Random(12)
+        for _ in range(150):
+            ids, pairs = random_dag(rng, max_nodes=9)
+            g = chain_graph("p", len(ids), pairs)
+            levels = topological_levels(g)
+            depth = {}
+            for child in ids:  # random_dag edges go from lower to higher id
+                depth[child] = max((depth[p] + 1 for p, c in pairs if c == child), default=0)
+            assert [sorted(lv) for lv in levels] == levels
+            assert {qid: i for i, lv in enumerate(levels) for qid in lv} == depth
+            assert [qid for lv in levels for qid in lv] == topological_order(g)
 
 
 class TestDescendants:
