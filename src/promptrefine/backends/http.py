@@ -10,9 +10,8 @@ come from BackendConfig.
 from __future__ import annotations
 
 import base64
+import functools
 import json
-import threading
-from collections import OrderedDict
 from typing import List, Optional, Tuple, Union
 
 import requests
@@ -31,8 +30,9 @@ from promptrefine.backends.base import (
     VqaRequest,
 )
 
-# Two runs evaluating at once each keep their image encoded; 1 MiB is ~1.4 MB of base64.
-ENCODED_IMAGES = 2
+# A run evaluates one image at a time, so only that image's questions reuse
+# its encoding; 1 MiB is ~1.4 MB of base64.
+ENCODED_IMAGES = 1
 # Stands in for a local image's data URL in a payload until _ImageBody fills it.
 _URL_SLOT = "\x00image-url\x00"
 
@@ -42,27 +42,12 @@ def _image_url(image: ImageRef) -> str:
     return image.remote_id if image.path is None else _URL_SLOT
 
 
-class _EncodedImages:
-    """The last ENCODED_IMAGES local images as base64, each read and encoded
-    once and shared by every request that sends it."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._cache: "OrderedDict[ImageRef, Tuple[bytes, bytes]]" = OrderedDict()
-
-    def get(self, image: ImageRef) -> Tuple[bytes, bytes]:
-        """The JSON-escaped ``data:`` URL prefix and the base64 bytes."""
-        with self._lock:
-            encoded = self._cache.get(image)
-            if encoded is None:
-                prefix = json.dumps(f"data:{image.media_type};base64,")[1:-1].encode("ascii")
-                encoded = (prefix, base64.b64encode(image.read_bytes()))
-                self._cache[image] = encoded
-                if len(self._cache) > ENCODED_IMAGES:
-                    self._cache.popitem(last=False)
-            else:
-                self._cache.move_to_end(image)
-            return encoded
+@functools.lru_cache(maxsize=ENCODED_IMAGES)
+def _encoded(image: ImageRef) -> Tuple[bytes, bytes]:
+    """A local image's JSON-escaped ``data:`` URL prefix and base64 bytes,
+    shared by every request that sends it."""
+    prefix = json.dumps(f"data:{image.media_type};base64,")[1:-1].encode("ascii")
+    return prefix, base64.b64encode(image.read_bytes())
 
 
 class _ImageBody:
@@ -87,7 +72,6 @@ class HttpBackend(Backend):
             raise ValueError("HttpBackend requires an endpoint")
         super().__init__(config, image_dir=image_dir)
         self._session = session or requests.Session()
-        self._encoded = _EncodedImages()
 
     def _post(self, path: str, payload: dict, image: Optional[ImageRef] = None) -> dict:
         """POST ``payload`` as JSON; a local ``image`` fills its _URL_SLOT."""
@@ -96,7 +80,7 @@ class HttpBackend(Backend):
         if self.config.auth_token:
             headers["Authorization"] = f"Bearer {self.config.auth_token}"
         if image is not None and image.path is not None:
-            body = {"data": _ImageBody(payload, self._encoded.get(image))}
+            body = {"data": _ImageBody(payload, _encoded(image))}
         else:
             body = {"json": payload}
         try:

@@ -4,7 +4,6 @@ generated image against it with entailment-based pruning."""
 from __future__ import annotations
 
 import logging
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
@@ -144,22 +143,14 @@ def build_dsg(
     return graph
 
 
-# Below urllib3's 10 pooled connections per host, so no request waits for a socket.
+# At most 8 VQA requests in flight per process; one run's evaluation thus
+# stays under urllib3's 10 pooled connections per host.
 VQA_WORKERS = 8
 # A thread handoff costs ~50 us of CPU per question; only slower calls gain from overlap.
 FAN_OUT_MIN_S = 0.001
 
-_pool: Optional[ThreadPoolExecutor] = None
-_pool_lock = threading.Lock()
-
-
-def _vqa_pool() -> ThreadPoolExecutor:
-    """The process-wide VQA worker pool, made on first use."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=VQA_WORKERS, thread_name_prefix="promptrefine-vqa")
-        return _pool
+# Threads start on the first submit, so an unused pool costs nothing.
+_VQA_POOL = ThreadPoolExecutor(max_workers=VQA_WORKERS, thread_name_prefix="promptrefine-vqa")
 
 
 def _ask(vqa: Backend, image: ImageRef, graph: sg.SceneGraph, qid: int) -> bool:
@@ -175,8 +166,7 @@ def _ask_together(vqa: Backend, image: ImageRef, graph: sg.SceneGraph, qids: Seq
     order raises its error.
     """
     views = [vqa.with_journal(CallJournal()) for _ in qids]
-    pool = _vqa_pool()
-    futures = [pool.submit(_ask, view, image, graph, qid) for view, qid in zip(views, qids)]
+    futures = [_VQA_POOL.submit(_ask, view, image, graph, qid) for view, qid in zip(views, qids)]
     wait(futures)
     for view in views:
         for record in view.journal.records():

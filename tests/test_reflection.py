@@ -306,13 +306,13 @@ class TestFanOut:
         assert [r.ok for r in records] == [True, True, False, True, False, True]
 
     def test_first_call_under_the_gate_keeps_the_evaluation_serial(self, tmp_path, monkeypatch):
-        def no_pool():
+        def no_submit(*args):
             raise AssertionError("a call under FAN_OUT_MIN_S must not fan out")
 
         # A fake clock makes the first call read half the gate, however loaded the host.
         clock = itertools.count(0.0, reflection.FAN_OUT_MIN_S / 2)
         monkeypatch.setattr(reflection, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
-        monkeypatch.setattr(reflection, "_vqa_pool", no_pool)
+        monkeypatch.setattr(reflection, "_VQA_POOL", SimpleNamespace(submit=no_submit))
         g = chain_graph("p", 12, set())
         vqa = MockBackend(name="vqa").script_vqa("*", "yes")
         assert evaluate_image(image(tmp_path), g, vqa).vqa_call_count == 12
