@@ -66,9 +66,6 @@ class BenchReport:
     overall: Dict[str, Optional[float]]
     failed_count: int
 
-    def failed_items(self) -> List[ItemResult]:
-        return [i for i in self.items if i.failed]
-
 
 def load_dataset(path: Union[str, Path]) -> List[DatasetItem]:
     """Load a line-delimited dataset: one JSON record per line.
@@ -122,13 +119,7 @@ def _baseline_only(item: DatasetItem, cfg: PipelineConfig):
     journal = CallJournal()
     graph = item.graph
     if graph is None:
-        graph = build_dsg(
-            item.prompt,
-            cfg.backends.llm.with_journal(journal),
-            cfg.template_set(),
-            max_attempts=cfg.build_attempts,
-            max_questions=cfg.max_questions,
-        )
+        graph = build_dsg(item.prompt, cfg.backends.llm.with_journal(journal), cfg.template_set())
     ref = cfg.backends.t2i.with_journal(journal).generate_image(
         ImageGenRequest(prompt=item.prompt, seed=cfg.seed, width=cfg.width, height=cfg.height)
     )

@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 config error, 3 backend failure, 4 stage exhausted.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -16,7 +17,7 @@ from promptrefine import bench as bench_mod
 from promptrefine.backends.base import BackendError, ImageRef
 from promptrefine.config import ConfigError, load_config
 from promptrefine.optimizer import EmptyExpansion
-from promptrefine.pipeline import RunRecord, run_single
+from promptrefine.pipeline import IoFailure, RunRecord, run_single
 from promptrefine.reflection import build_dsg, evaluate_image
 from promptrefine.scene_graph import GraphError, serialize_graph
 from promptrefine.templates import StageExhausted
@@ -53,12 +54,11 @@ def _print_record(record: RunRecord) -> None:
 
 def cmd_optimize(args) -> int:
     cfg = load_config(args.config, out_dir=Path(args.out) if args.out else None)
-    if args.rounds is not None:
-        cfg.rounds = args.rounds
-    if args.seed is not None:
-        cfg.seed = args.seed
+    overrides = {k: v for k, v in (("rounds", args.rounds), ("seed", args.seed)) if v is not None}
     if args.no_decorate:
-        cfg.decorate = False
+        overrides["decorate"] = False
+    # replace() re-runs PipelineConfig's checks on the overridden values.
+    cfg = dataclasses.replace(cfg, **overrides)
     record = run_single(args.prompt, cfg)
     _print_record(record)
     if cfg.out_dir is not None:
@@ -69,13 +69,7 @@ def cmd_optimize(args) -> int:
 def cmd_reflect(args) -> int:
     cfg = load_config(args.config)
     image = ImageRef.from_file(args.image)
-    graph = build_dsg(
-        args.prompt,
-        cfg.backends.llm,
-        cfg.template_set(),
-        max_attempts=cfg.build_attempts,
-        max_questions=cfg.max_questions,
-    )
+    graph = build_dsg(args.prompt, cfg.backends.llm, cfg.template_set())
     report = evaluate_image(image, graph, cfg.backends.vqa)
     print(f"score: {report.score:.3f}  ({report.vqa_call_count} questions asked)")
     for qid in sorted(report.answers):
@@ -86,13 +80,7 @@ def cmd_reflect(args) -> int:
 
 def cmd_dsg(args) -> int:
     cfg = load_config(args.config)
-    graph = build_dsg(
-        args.prompt,
-        cfg.backends.llm,
-        cfg.template_set(),
-        max_attempts=cfg.build_attempts,
-        max_questions=cfg.max_questions,
-    )
+    graph = build_dsg(args.prompt, cfg.backends.llm, cfg.template_set())
     print(serialize_graph(graph), end="")
     return EXIT_OK
 
@@ -182,7 +170,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (StageExhausted, EmptyExpansion) as exc:
         print(f"stage exhausted: {exc}", file=sys.stderr)
         return EXIT_STAGE
-    except (GraphError, OSError, ValueError) as exc:
+    except (GraphError, IoFailure, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_OTHER
 

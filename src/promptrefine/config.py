@@ -1,4 +1,4 @@
-"""Config file loading: backends, pipeline knobs, template dir, keyword file.
+"""Config file loading: backends, pipeline settings, template dir, keyword file.
 
 YAML (JSON works too), with ``${VAR}`` environment interpolation in string
 values so secrets stay out of config files::
@@ -16,6 +16,14 @@ values so secrets stay out of config files::
       dir: ./my-templates        # optional, bundled set used by default
     keywords:
       file: ./my-keywords.json   # optional
+
+A backend section takes ``type``, ``script`` (mock only) and the fields of
+``BackendConfig`` (endpoint, model, auth_token, timeout, max_retries,
+rate_limit, backoff_base, embed_dim, supports_embedding). The pipeline section
+takes ``workdir`` and the ``PipelineConfig`` fields rounds, seed, decorate,
+re_reflect_final, parallelism, width and height. Any other key in either is a
+ConfigError. The limits are fixed, not configured: 3 attempts per text stage,
+prompts of at most 480 characters, at most 200 questions per graph.
 """
 
 from __future__ import annotations
@@ -40,6 +48,20 @@ class ConfigError(Exception):
     pass
 
 
+_BACKEND_KEYS = {f.name for f in fields(BackendConfig)} | {"type", "script"}
+# backends, templates, keywords and out_dir come from other sections or the caller.
+_PIPELINE_KEYS = {f.name for f in fields(PipelineConfig)} - {
+    "backends", "templates", "keywords", "out_dir"
+}
+_PIPELINE_KEYS.add("workdir")
+
+
+def _reject_unknown(section: dict, allowed: set, where: str) -> None:
+    unknown = sorted(set(section) - allowed)
+    if unknown:
+        raise ConfigError(f"{where}: unknown key {', '.join(map(repr, unknown))}")
+
+
 def _interpolate(value, path: str):
     if isinstance(value, str):
 
@@ -60,9 +82,9 @@ def _interpolate(value, path: str):
 def _build_backend(section: dict, role: str, image_dir: Optional[Path], base_dir: Path):
     if not isinstance(section, dict):
         raise ConfigError(f"backends.{role} must be a mapping")
+    _reject_unknown(section, _BACKEND_KEYS, f"backends.{role}")
     kind = section.get("type", "http")
-    known = {f.name for f in fields(BackendConfig)}
-    cfg_kwargs = {k: v for k, v in section.items() if k in known}
+    cfg_kwargs = {k: v for k, v in section.items() if k not in ("type", "script")}
     if role == "embed":
         cfg_kwargs.setdefault("supports_embedding", True)
     try:
@@ -109,6 +131,7 @@ def load_config(path: Union[str, Path], out_dir: Optional[Path] = None) -> Pipel
     pipeline_doc = doc.get("pipeline", {}) or {}
     if not isinstance(pipeline_doc, dict):
         raise ConfigError("'pipeline' section must be a mapping")
+    _reject_unknown(pipeline_doc, _PIPELINE_KEYS, "pipeline")
     workdir = pipeline_doc.pop("workdir", None)
     image_dir = Path(workdir) / "images" if workdir else None
 

@@ -100,18 +100,6 @@ class OptimizationOutcome:
                 raise ValueError("unmodified outcome must carry the original prompt only")
 
 
-@dataclass
-class OptimizeConfig:
-    decorate: bool = True
-    max_attempts: int = 3
-    max_prompt_chars: int = MAX_PROMPT_CHARS
-    decoration_mode: str = "append"  # or "inline"
-    keywords: Optional[KeywordClassTable] = None
-
-    def keyword_table(self) -> KeywordClassTable:
-        return self.keywords if self.keywords is not None else default_keyword_table()
-
-
 def _status_text(answer_value: AnswerValue) -> str:
     if answer_value is AnswerValue.YES:
         return "yes"
@@ -202,7 +190,6 @@ def regenerate_prompt(
     llm: Backend,
     templates: TemplateSet,
     max_attempts: int = 3,
-    max_chars: int = MAX_PROMPT_CHARS,
 ) -> str:
     """Compose a single-line prompt from the full concept set."""
 
@@ -214,8 +201,8 @@ def regenerate_prompt(
             raise ValueError("prompt must be a single line")
         if "|" in text:
             raise ValueError("prompt contains tuple-grammar artifacts")
-        if len(text) > max_chars:
-            raise ValueError(f"prompt length {len(text)} exceeds cap {max_chars}")
+        if len(text) > MAX_PROMPT_CHARS:
+            raise ValueError(f"prompt length {len(text)} exceeds cap {MAX_PROMPT_CHARS}")
         return text
 
     text, _ = run_stage(
@@ -268,45 +255,28 @@ def _parse_keyword_line(raw: str) -> str:
     return line
 
 
-def _parse_inline_decoration(raw: str) -> str:
-    text = raw.strip()
-    if not text or "\n" in text or "|" in text:
-        raise ValueError("inline decoration must be one clean line")
-    return text
-
-
-_DECORATION_PARSERS = {"append": _parse_keyword_line, "inline": _parse_inline_decoration}
-
-
 def decorate_prompt(
     prompt: str,
     llm: Backend,
     keyword_table: KeywordClassTable,
     templates: TemplateSet,
     max_attempts: int = 3,
-    mode: str = "append",
 ) -> str:
     """Append model-selected aesthetic keywords to the prompt.
 
-    In the default append mode the result is the prompt verbatim followed by
-    the selected keywords, comma-separated; with no keywords the prompt is
-    returned unchanged. In inline mode the model's (validated) single-line
-    rewrite is returned as-is.
+    The result is the prompt verbatim followed by the selected keywords,
+    comma-separated; with no keywords the prompt is returned unchanged.
     """
     if not prompt.strip():
         raise ValueError("prompt must be non-empty")
-    if mode not in _DECORATION_PARSERS:
-        raise ValueError(f"unknown decoration mode {mode!r}")
 
     line, _ = run_stage(
         llm,
         templates.stage("decoration"),
         render_decoration_input(prompt, keyword_table),
-        _DECORATION_PARSERS[mode],
+        _parse_keyword_line,
         max_attempts=max_attempts,
     )
-    if mode == "inline":
-        return line
     keywords = select_keywords(line, prompt, keyword_table)
     if not keywords:
         return prompt
@@ -319,14 +289,15 @@ def optimize(
     report: ReflectionReport,
     llm: Backend,
     templates: TemplateSet,
-    config: Optional[OptimizeConfig] = None,
+    keywords: Optional[KeywordClassTable] = None,
+    decorate: bool = True,
 ) -> OptimizationOutcome:
     """Expansion, regeneration, then optional decoration.
 
     With no missing concepts nothing is modified and the original prompt is
-    returned in every field.
+    returned in every field. Decoration uses the bundled keyword table unless
+    ``keywords`` is given.
     """
-    config = config or OptimizeConfig()
     if report.graph != graph:
         raise ValueError("report was produced from a different graph")
 
@@ -339,29 +310,14 @@ def optimize(
             modified=False,
         )
 
-    expansion = expand_concepts(
-        prompt, graph, report, llm, templates, max_attempts=config.max_attempts
-    )
+    expansion = expand_concepts(prompt, graph, report, llm, templates)
     all_tuples = list(graph.tuples) + list(expansion.new_tuples)
-    regenerated = regenerate_prompt(
-        prompt,
-        all_tuples,
-        llm,
-        templates,
-        max_attempts=config.max_attempts,
-        max_chars=config.max_prompt_chars,
-    )
+    regenerated = regenerate_prompt(prompt, all_tuples, llm, templates)
     transcripts = {"expansion": expansion.raw_transcript, "regeneration": regenerated}
     decorated = regenerated
-    if config.decorate:
-        decorated = decorate_prompt(
-            regenerated,
-            llm,
-            config.keyword_table(),
-            templates,
-            max_attempts=config.max_attempts,
-            mode=config.decoration_mode,
-        )
+    if decorate:
+        table = keywords if keywords is not None else default_keyword_table()
+        decorated = decorate_prompt(regenerated, llm, table, templates)
         transcripts["decoration"] = decorated
     return OptimizationOutcome(
         original_prompt=prompt,

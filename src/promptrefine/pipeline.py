@@ -33,7 +33,6 @@ from promptrefine.optimizer import (
     ExpansionResult,
     KeywordClassTable,
     OptimizationOutcome,
-    OptimizeConfig,
     optimize,
 )
 from promptrefine.reflection import (
@@ -67,17 +66,12 @@ class Backends:
 class PipelineConfig:
     backends: Backends
     rounds: int = 1
-    build_attempts: int = 3
-    stage_attempts: int = 3
     seed: int = 0
     decorate: bool = True
     re_reflect_final: bool = True
     parallelism: int = 1
     width: int = 1024
     height: int = 1024
-    max_prompt_chars: int = 480
-    max_questions: int = sg.MAX_QUESTIONS
-    decoration_mode: str = "append"
     templates: Optional[TemplateSet] = None
     keywords: Optional[KeywordClassTable] = None
     out_dir: Optional[Path] = None
@@ -85,8 +79,6 @@ class PipelineConfig:
     def __post_init__(self):
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
-        if self.build_attempts < 1 or self.stage_attempts < 1:
-            raise ValueError("attempt counts must be >= 1")
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
 
@@ -94,15 +86,6 @@ class PipelineConfig:
         if self.templates is None:
             object.__setattr__(self, "templates", default_template_set())
         return self.templates
-
-    def optimize_config(self) -> OptimizeConfig:
-        return OptimizeConfig(
-            decorate=self.decorate,
-            max_attempts=self.stage_attempts,
-            max_prompt_chars=self.max_prompt_chars,
-            decoration_mode=self.decoration_mode,
-            keywords=self.keywords,
-        )
 
 
 @dataclass
@@ -132,9 +115,6 @@ class RunRecord:
 
     def final_prompt(self) -> str:
         return self.prompt_history[-1][1]
-
-    def final_score(self) -> Optional[float]:
-        return self.reports[-1].score if self.reports else None
 
 
 def _error_kind(exc: Exception) -> str:
@@ -194,13 +174,7 @@ def run_single(prompt: str, cfg: PipelineConfig, graph: Optional[sg.SceneGraph] 
             if graph is None:
                 stage = "build_dsg"
                 with timed("build_dsg"):
-                    graph = build_dsg(
-                        prompt,
-                        llm,
-                        templates,
-                        max_attempts=cfg.build_attempts,
-                        max_questions=cfg.max_questions,
-                    )
+                    graph = build_dsg(prompt, llm, templates)
 
             stage = "evaluate"
             with timed(f"round-{round_no}.evaluate"):
@@ -210,12 +184,16 @@ def run_single(prompt: str, cfg: PipelineConfig, graph: Optional[sg.SceneGraph] 
             if not report.missing_ids:
                 converged = True
                 if outcome is None:
-                    outcome = optimize(current, graph, report, llm, templates, cfg.optimize_config())
+                    outcome = optimize(
+                        current, graph, report, llm, templates, cfg.keywords, cfg.decorate
+                    )
                 break
 
             stage = "optimize"
             with timed(f"round-{round_no}.optimize"):
-                outcome = optimize(current, graph, report, llm, templates, cfg.optimize_config())
+                outcome = optimize(
+                    current, graph, report, llm, templates, cfg.keywords, cfg.decorate
+                )
             current = outcome.decorated_prompt
             prompt_history.append((f"round-{round_no}.optimized", current))
 

@@ -94,7 +94,6 @@ def build_dsg(
     llm: Backend,
     templates: TemplateSet,
     max_attempts: int = 3,
-    max_questions: int = sg.MAX_QUESTIONS,
 ) -> sg.SceneGraph:
     """Three staged text-model calls: tuples, then questions, then dependencies.
 
@@ -131,7 +130,7 @@ def build_dsg(
 
     def parse_and_assemble(raw: str):
         edges = sg.parse_dependencies(raw)
-        return sg.build_graph(prompt, tuples, questions, edges, max_questions=max_questions)
+        return sg.build_graph(prompt, tuples, questions, edges)
 
     graph, _ = run_stage(
         llm,

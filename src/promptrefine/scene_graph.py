@@ -168,12 +168,6 @@ class SceneGraph:
                 return q
         raise UnknownId(qid)
 
-    def tuple_by_id(self, tid: int) -> ConceptTuple:
-        for t in self.tuples:
-            if t.id == tid:
-                return t
-        raise UnknownId(tid)
-
     def children(self) -> Dict[int, List[int]]:
         adj: Dict[int, List[int]] = {q.id: [] for q in self.questions}
         for e in sorted(self.edges):
@@ -467,7 +461,7 @@ def _expect(doc: dict, key: str, kind, path: str):
     return value
 
 
-def graph_from_doc(doc: dict, max_questions: int = MAX_QUESTIONS) -> SceneGraph:
+def graph_from_doc(doc: dict) -> SceneGraph:
     if not isinstance(doc, dict):
         raise SchemaViolation("", "document is not an object")
     prompt = _expect(doc, "source_prompt", str, "")
@@ -510,13 +504,13 @@ def graph_from_doc(doc: dict, max_questions: int = MAX_QUESTIONS) -> SceneGraph:
             raise SchemaViolation(path, "expected [parent, child] integer pair")
         edges.add(DependencyEdge(parent=item[0], child=item[1]))
 
-    return build_graph(prompt, tuples, questions, edges, max_questions=max_questions)
+    return build_graph(prompt, tuples, questions, edges)
 
 
-def parse_graph(text: str, max_questions: int = MAX_QUESTIONS) -> SceneGraph:
+def parse_graph(text: str) -> SceneGraph:
     """Parse and validate a graph document. Inverse of serialize_graph."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaViolation("", f"invalid JSON: {exc}") from None
-    return graph_from_doc(doc, max_questions=max_questions)
+    return graph_from_doc(doc)

@@ -146,6 +146,28 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    def test_unknown_backend_key(self, tmp_path):
+        write_script(tmp_path)
+        doc = yaml.safe_load(write_config(tmp_path).read_text())
+        doc["backends"]["vqa"]["max_retires"] = 5
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        assert "backends.vqa" in str(exc.value)
+        assert "max_retires" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "key",
+        ["build_attempts", "stage_attempts", "max_prompt_chars", "max_questions", "decoration_mode"],
+    )
+    def test_removed_pipeline_key(self, tmp_path, key):
+        write_script(tmp_path)
+        path = write_config(tmp_path, pipeline={key: 3})
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        assert key in str(exc.value)
+
     def test_custom_templates_dir(self, tmp_path):
         write_script(tmp_path)
         tdir = tmp_path / "templates" / "tuples"
@@ -189,6 +211,30 @@ class TestCliOptimize:
         config = write_config(tmp_path)
         code = main(["optimize", "--prompt", MOTORCYCLE_PROMPT, "--config", str(config)])
         assert code == 4
+
+    def test_rounds_flag_is_validated(self, tmp_path, capsys):
+        write_script(tmp_path)
+        config = write_config(tmp_path)
+        out = tmp_path / "runs"
+        code = main(
+            ["optimize", "--prompt", MOTORCYCLE_PROMPT, "--config", str(config),
+             "--out", str(out), "--rounds", "0"]
+        )
+        assert code != 0
+        assert "rounds must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unwritable_out_dir(self, tmp_path, capsys):
+        write_script(tmp_path)
+        config = write_config(tmp_path)
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        code = main(
+            ["optimize", "--prompt", MOTORCYCLE_PROMPT, "--config", str(config),
+             "--out", str(blocker / "runs")]
+        )
+        assert code == 1
+        assert "error: could not persist record:" in capsys.readouterr().err
 
     def test_no_decorate_flag(self, tmp_path, capsys):
         script = json.loads(write_script(tmp_path).read_text())

@@ -5,7 +5,6 @@ from promptrefine.optimizer import (
     EmptyExpansion,
     KeywordClassTable,
     OptimizationOutcome,
-    OptimizeConfig,
     decorate_prompt,
     default_keyword_table,
     expand_concepts,
@@ -179,7 +178,7 @@ class TestRegeneratePrompt:
     def test_overlong_output_rejected(self, templates):
         g, _ = fence_missing_report()
         llm = regeneration_llm(["x" * 600, REGENERATED])
-        assert regenerate_prompt("orig", g.tuples, llm, templates, max_chars=480) == REGENERATED
+        assert regenerate_prompt("orig", g.tuples, llm, templates) == REGENERATED
 
     def test_exhaustion(self, templates):
         g, _ = fence_missing_report()
@@ -243,11 +242,6 @@ class TestDecoratePrompt:
         llm = decoration_llm(["4k\n8k", "4k"])
         assert decorate_prompt("a fox", llm, table, templates) == "a fox, 4k"
 
-    def test_inline_mode_returns_single_line(self, templates, table):
-        llm = decoration_llm("a fox rendered in soft lighting, best quality")
-        got = decorate_prompt("a fox", llm, table, templates, mode="inline")
-        assert got == "a fox rendered in soft lighting, best quality"
-
     def test_prefix_law(self, templates, table):
         prompt = "a quiet harbor at dawn"
         got = decorate_prompt(
@@ -300,8 +294,7 @@ class TestOptimize:
 
     def test_no_decorate_config(self, templates):
         g, report = fence_missing_report()
-        cfg = OptimizeConfig(decorate=False)
-        outcome = optimize(g.source_prompt, g, report, self.full_llm(), templates, cfg)
+        outcome = optimize(g.source_prompt, g, report, self.full_llm(), templates, decorate=False)
         assert outcome.decorated_prompt == REGENERATED
 
     def test_stage_error_propagates(self, templates):
