@@ -370,7 +370,7 @@ class Backend:
         return view
 
     def _run(self, op: str, digest: str, send):
-        """Execute one operation with retry/backoff and journal the outcome."""
+        """Run one operation with retry/backoff and journal it; return (response, its digest)."""
         start = time.monotonic()
         attempts = 0
         delay = self.config.backoff_base
@@ -418,11 +418,11 @@ class Backend:
                 response_excerpt=excerpt,
             )
         )
-        return result
+        return result, rdigest
 
     # -- operations --------------------------------------------------------
     def complete(self, req: TextGenRequest) -> str:
-        raw = self._run("complete", request_digest(req), lambda: self._send_text(req))
+        raw, _ = self._run("complete", request_digest(req), lambda: self._send_text(req))
         return raw.rstrip()
 
     def answer_binary(self, req: VqaRequest) -> bool:
@@ -431,11 +431,11 @@ class Backend:
         The first alphabetic token of the reply decides; an unrecognized reply
         is re-asked once with a stricter instruction before failing.
         """
-        raw = self._run("answer_binary", request_digest(req), lambda: self._send_vqa(req))
+        raw, _ = self._run("answer_binary", request_digest(req), lambda: self._send_vqa(req))
         parsed = _parse_binary(raw)
         if parsed is None:
             strict = VqaRequest(image=req.image, question=req.question + _STRICT_SUFFIX)
-            raw = self._run("answer_binary", request_digest(strict), lambda: self._send_vqa(strict))
+            raw, _ = self._run("answer_binary", request_digest(strict), lambda: self._send_vqa(strict))
             parsed = _parse_binary(raw)
             if parsed is None:
                 raise UnparseableAnswer(raw)
@@ -447,8 +447,7 @@ class Backend:
                 f"image dims {req.width}x{req.height} outside backend bounds "
                 f"[{MIN_IMAGE_DIM}, {MAX_IMAGE_DIM}]"
             )
-        data = self._run("generate_image", request_digest(req), lambda: self._send_image(req))
-        digest = sha256_hex(data)
+        data, digest = self._run("generate_image", request_digest(req), lambda: self._send_image(req))
         path = self._images.path() / f"{digest[:24]}.png"
         if not path.exists():
             write_file_atomic(path, data)
@@ -457,7 +456,7 @@ class Backend:
     def embed(self, payload: Union[str, ImageRef]) -> List[float]:
         if not self.config.supports_embedding:
             raise CapabilityMissing(f"backend {self.config.model or type(self).__name__} does not embed")
-        vector = self._run("embed", embed_digest(payload), lambda: self._send_embed(payload))
+        vector, _ = self._run("embed", embed_digest(payload), lambda: self._send_embed(payload))
         vector = [float(v) for v in vector]
         if self.config.embed_dim is not None and len(vector) != self.config.embed_dim:
             raise TransportError(

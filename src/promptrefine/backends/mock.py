@@ -160,10 +160,12 @@ class MockBackend(Backend):
 
     # -- script files -------------------------------------------------------
     @classmethod
-    def from_file(cls, path: Union[str, Path], image_dir=None, name: str = "mock") -> "MockBackend":
+    def from_file(
+        cls, path: Union[str, Path], config: Optional[BackendConfig] = None, image_dir=None
+    ) -> "MockBackend":
         """Load a JSON script document (see tests/data/mock_script.json)."""
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        backend = cls(image_dir=image_dir, name=name)
+        backend = cls(config, image_dir=image_dir)
         for item in doc.get("text", []):
             backend.script_text(item["match"], _decode(item, "text"), preamble=item.get("preamble"))
         for item in doc.get("vqa", []):

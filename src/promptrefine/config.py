@@ -19,11 +19,12 @@ values so secrets stay out of config files::
 
 A backend section takes ``type``, ``script`` (mock only) and the fields of
 ``BackendConfig`` (endpoint, model, auth_token, timeout, max_retries,
-rate_limit, backoff_base, embed_dim, supports_embedding). The pipeline section
-takes ``workdir`` and the ``PipelineConfig`` fields rounds, seed, decorate,
-re_reflect_final, parallelism, width and height. Any other key in either is a
-ConfigError. The limits are fixed, not configured: 3 attempts per text stage,
-prompts of at most 480 characters, at most 200 questions per graph.
+rate_limit, backoff_base, embed_dim, supports_embedding); a mock's model
+defaults to its role and its backoff_base to 0. The pipeline section takes
+``workdir`` and the ``PipelineConfig`` fields rounds, seed, decorate,
+parallelism, width and height. Any other key in either is a ConfigError. The
+limits are fixed, not configured: 3 attempts per text stage, prompts of at
+most 480 characters, at most 200 questions per graph.
 """
 
 from __future__ import annotations
@@ -87,6 +88,9 @@ def _build_backend(section: dict, role: str, image_dir: Optional[Path], base_dir
     cfg_kwargs = {k: v for k, v in section.items() if k not in ("type", "script")}
     if role == "embed":
         cfg_kwargs.setdefault("supports_embedding", True)
+    if kind == "mock":
+        cfg_kwargs.setdefault("model", role)
+        cfg_kwargs.setdefault("backoff_base", 0.0)
     try:
         cfg = BackendConfig(**cfg_kwargs)
     except (TypeError, ValueError) as exc:
@@ -101,10 +105,8 @@ def _build_backend(section: dict, role: str, image_dir: Optional[Path], base_dir
             script_path = Path(script)
             if not script_path.is_absolute():
                 script_path = base_dir / script_path
-            backend = MockBackend.from_file(script_path, image_dir=image_dir, name=role)
-            backend.config = cfg if cfg.model else backend.config
-            return backend
-        return MockBackend(image_dir=image_dir, name=role)
+            return MockBackend.from_file(script_path, cfg, image_dir=image_dir)
+        return MockBackend(cfg, image_dir=image_dir)
     raise ConfigError(f"backends.{role}: unknown type {kind!r}")
 
 

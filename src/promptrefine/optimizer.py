@@ -124,16 +124,6 @@ def render_decoration_input(prompt: str, table: KeywordClassTable) -> str:
     return f"Prompt: {prompt}\nKeyword classes:\n{table.render()}"
 
 
-def _parse_expansion_lines(raw: str) -> List[sg.ConceptTuple]:
-    """Tuple lines with arbitrary positive ids (renumbered by the caller)."""
-    out = []
-    for no, line in enumerate(raw.splitlines(), start=1):
-        if not line.strip():
-            continue
-        out.append(sg.parse_tuple_line(line, no))
-    return out
-
-
 def expand_concepts(
     prompt: str,
     graph: sg.SceneGraph,
@@ -159,7 +149,7 @@ def expand_concepts(
     for _ in range(max_attempts):
         raw = llm.complete(request)
         try:
-            emitted = _parse_expansion_lines(raw)
+            emitted = sg.parse_tuple_lines(raw)
         except ValueError as exc:
             last_error = exc
             continue

@@ -68,7 +68,6 @@ class PipelineConfig:
     rounds: int = 1
     seed: int = 0
     decorate: bool = True
-    re_reflect_final: bool = True
     parallelism: int = 1
     width: int = 1024
     height: int = 1024
@@ -130,8 +129,11 @@ def _error_kind(exc: Exception) -> str:
 def run_single(prompt: str, cfg: PipelineConfig, graph: Optional[sg.SceneGraph] = None) -> RunRecord:
     """Execute the full refinement loop for one prompt.
 
-    The concept graph is built from the original user prompt in round 1 and
-    reused across rounds; pass ``graph`` to skip construction entirely.
+    Each of ``cfg.rounds`` rounds generates an image, evaluates it and, unless
+    every question was answered yes (the run converged), optimizes the prompt.
+    If no round converged, a "final" step generates and evaluates the last
+    optimized prompt. The concept graph is built from the original user prompt
+    in round 1 and reused; pass ``graph`` to skip construction entirely.
     """
     if not prompt.strip():
         raise ValueError("prompt must be non-empty")
@@ -162,24 +164,28 @@ def run_single(prompt: str, cfg: PipelineConfig, graph: Optional[sg.SceneGraph] 
     current = prompt
     stage = "generate"
     try:
-        for round_no in range(1, cfg.rounds + 1):
-            seed = cfg.seed + round_no - 1
-            stage = "generate"
-            with timed(f"round-{round_no}.generate"):
+        for step in range(1, cfg.rounds + 2):
+            final = step > cfg.rounds
+            label = "final" if final else f"round-{step}"
+            seed = cfg.seed + step - 1
+            stage = "final_generate" if final else "generate"
+            with timed(f"{label}.generate"):
                 ref = t2i.generate_image(
                     ImageGenRequest(prompt=current, seed=seed, width=cfg.width, height=cfg.height)
                 )
-            image_refs.append((f"round-{round_no}", ref, seed))
+            image_refs.append((label, ref, seed))
 
             if graph is None:
                 stage = "build_dsg"
                 with timed("build_dsg"):
                     graph = build_dsg(prompt, llm, templates)
 
-            stage = "evaluate"
-            with timed(f"round-{round_no}.evaluate"):
+            stage = "final_evaluate" if final else "evaluate"
+            with timed(f"{label}.evaluate"):
                 report = evaluate_image(ref, graph, vqa)
             reports.append(report)
+            if final:
+                break
 
             if not report.missing_ids:
                 converged = True
@@ -190,25 +196,12 @@ def run_single(prompt: str, cfg: PipelineConfig, graph: Optional[sg.SceneGraph] 
                 break
 
             stage = "optimize"
-            with timed(f"round-{round_no}.optimize"):
+            with timed(f"{label}.optimize"):
                 outcome = optimize(
                     current, graph, report, llm, templates, cfg.keywords, cfg.decorate
                 )
             current = outcome.decorated_prompt
-            prompt_history.append((f"round-{round_no}.optimized", current))
-
-        if not converged and outcome is not None and outcome.modified:
-            seed = cfg.seed + cfg.rounds
-            stage = "final_generate"
-            with timed("final.generate"):
-                ref = t2i.generate_image(
-                    ImageGenRequest(prompt=current, seed=seed, width=cfg.width, height=cfg.height)
-                )
-            image_refs.append(("final", ref, seed))
-            if cfg.re_reflect_final:
-                stage = "final_evaluate"
-                with timed("final.evaluate"):
-                    reports.append(evaluate_image(ref, graph, vqa))
+            prompt_history.append((f"{label}.optimized", current))
     except Exception as exc:  # noqa: BLE001 - stage failures become failed records
         status = "failed"
         failed_stage = stage
@@ -264,11 +257,8 @@ def run_batch(prompts: List[str], cfg: PipelineConfig) -> List[RunRecord]:
                 timings={},
             )
 
-    if cfg.parallelism == 1:
-        records = [one(p) for p in prompts]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
-            records = list(pool.map(one, prompts))
+    with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
+        records = list(pool.map(one, prompts))
     summary = summarize_batch(records)
     logger.info("batch finished: %s", summary)
     return records
@@ -343,10 +333,7 @@ def _outcome_to_doc(outcome: OptimizationOutcome) -> dict:
     expansion = None
     if outcome.expansion is not None:
         expansion = {
-            "new_tuples": [
-                {"id": t.id, "category": t.category.value, "detail": t.detail, "content": t.content}
-                for t in outcome.expansion.new_tuples
-            ],
+            "new_tuples": [sg.tuple_to_doc(t) for t in outcome.expansion.new_tuples],
             "targeted_ids": sorted(outcome.expansion.targeted_ids),
             "raw_transcript": outcome.expansion.raw_transcript,
         }
@@ -367,13 +354,8 @@ def _outcome_from_doc(doc: dict, path: str) -> OptimizationOutcome:
             e = doc["expansion"]
             expansion = ExpansionResult(
                 new_tuples=tuple(
-                    sg.ConceptTuple(
-                        id=t["id"],
-                        category=sg.Category(t["category"]),
-                        detail=t["detail"],
-                        content=t["content"],
-                    )
-                    for t in e["new_tuples"]
+                    sg.tuple_from_doc(t, f"{path}.expansion.new_tuples[{i}]")
+                    for i, t in enumerate(e["new_tuples"])
                 ),
                 targeted_ids=frozenset(e["targeted_ids"]),
                 raw_transcript=e["raw_transcript"],

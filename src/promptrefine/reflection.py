@@ -77,15 +77,8 @@ def _score(answers: Dict[int, Answer]) -> float:
     return yes / len(answers)
 
 
-def render_tuples_stage_input(prompt: str) -> str:
-    return prompt
-
-
-def render_questions_stage_input(prompt: str, tuples: Iterable[sg.ConceptTuple]) -> str:
-    return f"Prompt: {prompt}\nTuples:\n{sg.render_tuples(tuples)}"
-
-
-def render_dependencies_stage_input(prompt: str, tuples: Iterable[sg.ConceptTuple]) -> str:
+def render_prompt_tuples_input(prompt: str, tuples: Iterable[sg.ConceptTuple]) -> str:
+    """The input of the questions and the dependencies stages."""
     return f"Prompt: {prompt}\nTuples:\n{sg.render_tuples(tuples)}"
 
 
@@ -106,7 +99,7 @@ def build_dsg(
     tuples, _ = run_stage(
         llm,
         templates.stage("tuples"),
-        render_tuples_stage_input(prompt),
+        prompt,
         sg.parse_tuples,
         max_attempts=max_attempts,
     )
@@ -120,10 +113,11 @@ def build_dsg(
             )
         return questions
 
+    prompt_and_tuples = render_prompt_tuples_input(prompt, tuples)
     questions, _ = run_stage(
         llm,
         templates.stage("questions"),
-        render_questions_stage_input(prompt, tuples),
+        prompt_and_tuples,
         parse_matching_questions,
         max_attempts=max_attempts,
     )
@@ -135,7 +129,7 @@ def build_dsg(
     graph, _ = run_stage(
         llm,
         templates.stage("dependencies"),
-        render_dependencies_stage_input(prompt, tuples),
+        prompt_and_tuples,
         parse_and_assemble,
         max_attempts=max_attempts,
     )

@@ -7,6 +7,10 @@ are the canonical interchange format emitted by the text-model stages:
     tuples:        <id> | <category> - <detail> (<content>)
     questions:     <id> | <question text>
     dependencies:  <child_id> | <parent_id>[, <parent_id>...]   (0 = no parents)
+
+Tuples and graphs are persisted as the JSON documents of ``tuple_to_doc`` and
+``graph_to_doc``, read back with checked types by ``tuple_from_doc`` and
+``graph_from_doc``.
 """
 
 from __future__ import annotations
@@ -187,17 +191,23 @@ def _split_lines(raw: str) -> List[Tuple[int, str]]:
     return out
 
 
-def parse_tuple_line(line: str, line_no: int = 0) -> ConceptTuple:
-    """Parse one `<id> | <category> - <detail> (<content>)` line."""
+def _split_id(line: str, line_no: int) -> Tuple[int, str]:
+    """Split a `<id> | <rest>` line into its positive integer id and the rest."""
     head, sep, rest = line.partition("|")
     if not sep:
         raise MalformedLine(line_no, line, "missing '|' separator")
     head = head.strip()
     if not head.isdigit():
         raise MalformedLine(line_no, line, "id is not a positive integer")
-    tid = int(head)
-    if tid < 1:
+    value = int(head)
+    if value < 1:
         raise MalformedLine(line_no, line, "id must be >= 1")
+    return value, rest
+
+
+def parse_tuple_line(line: str, line_no: int = 0) -> ConceptTuple:
+    """Parse one `<id> | <category> - <detail> (<content>)` line."""
+    tid, rest = _split_id(line, line_no)
     cat_part, dash, qualifier = rest.partition("-")
     if not dash:
         raise MalformedLine(line_no, line, "missing '-' between category and detail")
@@ -217,16 +227,19 @@ def parse_tuple_line(line: str, line_no: int = 0) -> ConceptTuple:
     return ConceptTuple(id=tid, category=category, detail=detail, content=content)
 
 
+def parse_tuple_lines(raw: str) -> List[ConceptTuple]:
+    """Parse every non-blank line as a tuple, keeping the ids as written."""
+    return [parse_tuple_line(line, no) for no, line in _split_lines(raw)]
+
+
 def parse_tuples(raw: str) -> List[ConceptTuple]:
     """Parse a tuple block. Ids must be unique and contiguous from 1."""
-    tuples = []
+    tuples = parse_tuple_lines(raw)
     seen: Set[int] = set()
-    for no, line in _split_lines(raw):
-        t = parse_tuple_line(line, no)
+    for t in tuples:
         if t.id in seen:
             raise DuplicateId(t.id)
         seen.add(t.id)
-        tuples.append(t)
     if tuples and sorted(seen) != list(range(1, len(tuples) + 1)):
         raise NonContiguousIds(seen)
     return tuples
@@ -237,15 +250,7 @@ def parse_questions(raw: str) -> List[Question]:
     questions = []
     seen: Set[int] = set()
     for no, line in _split_lines(raw):
-        head, sep, text = line.partition("|")
-        if not sep:
-            raise MalformedLine(no, line, "missing '|' separator")
-        head = head.strip()
-        if not head.isdigit():
-            raise MalformedLine(no, line, "id is not a positive integer")
-        qid = int(head)
-        if qid < 1:
-            raise MalformedLine(no, line, "id must be >= 1")
+        qid, text = _split_id(line, no)
         text = text.strip()
         if not text:
             raise MalformedLine(no, line, "empty question text")
@@ -260,15 +265,7 @@ def parse_dependencies(raw: str) -> Set[DependencyEdge]:
     """Parse a dependency block. `<id> | 0` declares a root (no parents)."""
     edges: Set[DependencyEdge] = set()
     for no, line in _split_lines(raw):
-        head, sep, rest = line.partition("|")
-        if not sep:
-            raise MalformedLine(no, line, "missing '|' separator")
-        head = head.strip()
-        if not head.isdigit():
-            raise MalformedLine(no, line, "child id is not a positive integer")
-        child = int(head)
-        if child < 1:
-            raise MalformedLine(no, line, "child id must be >= 1")
+        child, rest = _split_id(line, no)
         parts = [p.strip() for p in rest.split(",")]
         if not parts or any(not p.isdigit() for p in parts):
             raise MalformedLine(no, line, "parent list must be comma-separated integers")
@@ -303,39 +300,23 @@ def render_dependencies(question_ids: Iterable[int], edges: Iterable[DependencyE
     return "\n".join(lines)
 
 
-def _find_cycle(ids: Sequence[int], children: Dict[int, List[int]]) -> List[int]:
-    """Return one cycle path (first node repeated at the end), or []."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {i: WHITE for i in ids}
+def _cycle_among(unplaced: Set[int], edges: Iterable[DependencyEdge]) -> List[int]:
+    """One cycle through questions that a Kahn pass never placed, as a path
+    along edges with its first node repeated at the end.
+
+    Each such question keeps an unplaced parent, so walking from parent to
+    parent must come back to a question already walked.
+    """
     parent: Dict[int, int] = {}
-    for start in sorted(ids):
-        if color[start] != WHITE:
-            continue
-        stack: List[Tuple[int, Iterable[int]]] = [(start, iter(children[start]))]
-        color[start] = GRAY
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for child in it:
-                if color[child] == GRAY:
-                    # back edge: walk predecessors to recover the loop
-                    cycle = [child, node]
-                    cur = node
-                    while cur != child:
-                        cur = parent[cur]
-                        cycle.append(cur)
-                    cycle.reverse()
-                    return cycle
-                if color[child] == WHITE:
-                    color[child] = GRAY
-                    parent[child] = node
-                    stack.append((child, iter(children[child])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                stack.pop()
-    return []
+    for e in sorted(edges):
+        if e.child in unplaced and e.parent in unplaced:
+            parent.setdefault(e.child, e.parent)
+    node = min(unplaced)
+    walk: List[int] = []
+    while node not in walk:
+        walk.append(node)
+        node = parent[node]
+    return [node] + walk[walk.index(node):][::-1]
 
 
 def build_graph(
@@ -378,9 +359,9 @@ def build_graph(
                 raise DanglingEdge(endpoint)
 
     graph = SceneGraph(source_prompt=prompt, tuples=tuples, questions=questions, edges=edge_set)
-    cycle = _find_cycle(question_ids, graph.children())
-    if cycle:
-        raise CycleDetected(cycle)
+    placed = {qid for level in topological_levels(graph) for qid in level}
+    if len(placed) < len(question_ids):
+        raise CycleDetected(_cycle_among(id_set - placed, edge_set))
     return graph
 
 
@@ -432,13 +413,14 @@ def descendants(graph: SceneGraph, qid: int) -> Set[int]:
     return out
 
 
+def tuple_to_doc(t: ConceptTuple) -> dict:
+    return {"id": t.id, "category": t.category.value, "detail": t.detail, "content": t.content}
+
+
 def graph_to_doc(graph: SceneGraph) -> dict:
     return {
         "source_prompt": graph.source_prompt,
-        "tuples": [
-            {"id": t.id, "category": t.category.value, "detail": t.detail, "content": t.content}
-            for t in sorted(graph.tuples, key=lambda t: t.id)
-        ],
+        "tuples": [tuple_to_doc(t) for t in sorted(graph.tuples, key=lambda t: t.id)],
         "questions": [
             {"id": q.id, "text": q.text} for q in sorted(graph.questions, key=lambda q: q.id)
         ],
@@ -461,6 +443,21 @@ def _expect(doc: dict, key: str, kind, path: str):
     return value
 
 
+def tuple_from_doc(item, path: str) -> ConceptTuple:
+    """Read a ``tuple_to_doc`` object, checking every field's type."""
+    if not isinstance(item, dict):
+        raise SchemaViolation(path, "expected object")
+    tid = _expect(item, "id", int, path)
+    cat_text = _expect(item, "category", str, path)
+    detail = _expect(item, "detail", str, path)
+    content = _expect(item, "content", str, path)
+    try:
+        category = Category(cat_text.lower())
+    except ValueError:
+        raise UnknownCategory(cat_text) from None
+    return ConceptTuple(id=tid, category=category, detail=detail, content=content)
+
+
 def graph_from_doc(doc: dict) -> SceneGraph:
     if not isinstance(doc, dict):
         raise SchemaViolation("", "document is not an object")
@@ -469,21 +466,7 @@ def graph_from_doc(doc: dict) -> SceneGraph:
     raw_questions = _expect(doc, "questions", list, "")
     raw_edges = _expect(doc, "edges", list, "")
 
-    tuples = []
-    for i, item in enumerate(raw_tuples):
-        path = f"tuples[{i}]"
-        if not isinstance(item, dict):
-            raise SchemaViolation(path, "expected object")
-        tid = _expect(item, "id", int, path)
-        cat_text = _expect(item, "category", str, path)
-        detail = _expect(item, "detail", str, path)
-        content = _expect(item, "content", str, path)
-        try:
-            category = Category(cat_text.lower())
-        except ValueError:
-            raise UnknownCategory(cat_text) from None
-        tuples.append(ConceptTuple(id=tid, category=category, detail=detail, content=content))
-
+    tuples = [tuple_from_doc(item, f"tuples[{i}]") for i, item in enumerate(raw_tuples)]
     questions = []
     for i, item in enumerate(raw_questions):
         path = f"questions[{i}]"

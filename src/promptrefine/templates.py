@@ -26,10 +26,6 @@ logger = logging.getLogger(__name__)
 
 T = TypeVar("T")
 
-DSG_STAGES = ("tuples", "questions", "dependencies")
-OPTIMIZER_STAGES = ("expansion", "regeneration", "decoration")
-
-
 class TemplateError(Exception):
     pass
 

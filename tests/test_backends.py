@@ -18,6 +18,7 @@ from promptrefine.backends import (
     VqaRequest,
     request_digest,
 )
+from promptrefine.backends import base as backends_base
 from promptrefine.backends.base import RateLimited, sha256_hex
 
 from fixtures import PNG_BLACK, PNG_WHITE
@@ -211,6 +212,21 @@ class TestImageGeneration:
         b = backend.generate_image(req)
         assert a.digest == b.digest
         assert a.path == b.path
+
+    def test_image_bytes_hashed_once(self, tmp_path, monkeypatch):
+        hashed = []
+
+        def counting(data):
+            if isinstance(data, bytes):
+                hashed.append(data)
+            return sha256_hex(data)
+
+        monkeypatch.setattr(backends_base, "sha256_hex", counting)
+        backend = MockBackend(image_dir=tmp_path).script_image("*", PNG_WHITE)
+        ref = backend.generate_image(ImageGenRequest(prompt="a cat"))
+        assert hashed == [PNG_WHITE]
+        assert ref.digest == sha256_hex(PNG_WHITE)
+        assert backend.journal.records()[0].response_digest == ref.digest
 
     def test_dim_bounds_checked(self, tmp_path):
         backend = MockBackend(image_dir=tmp_path).script_image("*", PNG_WHITE)

@@ -1,5 +1,8 @@
 import base64
 import json
+import shutil
+from importlib import resources
+from pathlib import Path
 
 import pytest
 import yaml
@@ -75,12 +78,52 @@ def write_config(tmp_path, script_name="script.json", pipeline=None):
     return path
 
 
+def readme_config_block() -> str:
+    """The YAML example in the README's Configuration section."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    start = text.index("```yaml\n", text.index("## Configuration")) + len("```yaml\n")
+    return text[start : text.index("```", start)]
+
+
 class TestLoadConfig:
     def test_mock_backends_built(self, tmp_path):
         write_script(tmp_path)
         cfg = load_config(write_config(tmp_path))
         assert cfg.seed == 42
         assert cfg.backends.embed is None
+
+    @pytest.mark.parametrize("scripted", [True, False])
+    def test_mock_section_settings_applied(self, tmp_path, scripted):
+        write_script(tmp_path)
+        doc = yaml.safe_load(write_config(tmp_path).read_text())
+        for section in doc["backends"].values():
+            if not scripted:
+                del section["script"]
+            section.update(max_retries=5, rate_limit=2.0)
+        doc["backends"]["llm"]["model"] = "scripted-llm"
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        backends = load_config(path).backends
+        assert backends.llm.config.model == "scripted-llm"
+        assert backends.vqa.config.model == "vqa"
+        for backend in (backends.llm, backends.vqa, backends.t2i):
+            assert backend.config.max_retries == 5
+            assert backend.config.rate_limit == 2.0
+            assert backend.config.backoff_base == 0.0
+            assert backend._limiter._interval == 0.5
+
+    def test_readme_example_loads(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("LLM_TOKEN", "sekrit")
+        data = resources.files("promptrefine").joinpath("data")
+        shutil.copytree(Path(str(data.joinpath("templates"))), tmp_path / "my-templates")
+        shutil.copyfile(Path(str(data.joinpath("keywords.json"))), tmp_path / "keywords.json")
+        path = tmp_path / "config.yaml"
+        path.write_text(readme_config_block(), encoding="utf-8")
+        cfg = load_config(path)
+        for key, value in yaml.safe_load(readme_config_block())["pipeline"].items():
+            assert getattr(cfg, key) == value
+        assert cfg.backends.llm.config.auth_token == "sekrit"
+        assert cfg.backends.embed.config.embed_dim == 512
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -159,7 +202,14 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize(
         "key",
-        ["build_attempts", "stage_attempts", "max_prompt_chars", "max_questions", "decoration_mode"],
+        [
+            "build_attempts",
+            "stage_attempts",
+            "max_prompt_chars",
+            "max_questions",
+            "decoration_mode",
+            "re_reflect_final",
+        ],
     )
     def test_removed_pipeline_key(self, tmp_path, key):
         write_script(tmp_path)

@@ -126,12 +126,6 @@ class TestRunSingle:
         assert ops.count("answer_binary") == 8
         assert len(ops) == 16
 
-    def test_no_re_reflect_final(self, tmp_path):
-        cfg = pipeline_cfg(tmp_path, re_reflect_final=False)
-        record = run_single(MOTORCYCLE_PROMPT, cfg)
-        assert len(record.image_refs) == 2
-        assert len(record.reports) == 1
-
     def test_multi_round_halts_at_rounds_cap(self, tmp_path):
         # the fence never appears, so every round optimizes; the loop must
         # still stop after cfg.rounds optimization rounds
@@ -280,6 +274,17 @@ class TestPersistence:
         with pytest.raises(SchemaViolation) as exc:
             record_from_doc(doc)
         assert exc.value.path == "status"
+
+    @pytest.mark.parametrize("field, value", [("id", True), ("detail", None)])
+    def test_expansion_tuple_types_checked(self, tmp_path, field, value):
+        record = self._record(tmp_path)
+        path = persist_record(record, tmp_path / "runs")
+        doc = json.loads(path.read_text())
+        doc["outcome"]["expansion"]["new_tuples"][0][field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaViolation) as exc:
+            load_record(path)
+        assert f"expansion.new_tuples[0].{field}" in str(exc.value)
 
     def test_unwritable_destination(self, tmp_path):
         record = self._record(tmp_path)

@@ -24,7 +24,7 @@ from promptrefine.reflection import (
     alignment_score,
     build_dsg,
     evaluate_image,
-    render_questions_stage_input,
+    render_prompt_tuples_input,
 )
 from promptrefine.scene_graph import parse_questions, parse_tuples
 from promptrefine.templates import (
@@ -122,7 +122,7 @@ class TestBuildDsg:
         assert excerpts[2].startswith("1 | 0")
 
     def test_questions_stage_sees_prompt_and_tuples(self, templates):
-        seen = render_questions_stage_input(
+        seen = render_prompt_tuples_input(
             MOTORCYCLE_PROMPT, parse_tuples(MOTORCYCLE_TUPLES)
         )
         llm = (

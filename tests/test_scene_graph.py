@@ -200,6 +200,7 @@ class TestBuildGraph:
 
     def test_cycle_agrees_with_oracle_on_random_digraphs(self):
         rng = random.Random(7)
+        cyclic = 0
         for _ in range(200):
             n = rng.randint(1, 8)
             pairs = set()
@@ -213,10 +214,17 @@ class TestBuildGraph:
             questions = parse_questions("\n".join(f"{i} | Q{i}?" for i in range(1, n + 1)))
             edges = {DependencyEdge(p, c) for p, c in pairs}
             if bf_has_cycle(list(range(1, n + 1)), pairs):
-                with pytest.raises(CycleDetected):
+                with pytest.raises(CycleDetected) as exc:
                     build_graph("p", tuples, questions, edges)
+                # the reported cycle is a simple closed path along edges
+                cycle = exc.value.cycle
+                assert cycle[0] == cycle[-1]
+                assert len(set(cycle[:-1])) == len(cycle) - 1
+                assert all(pair in pairs for pair in zip(cycle, cycle[1:]))
+                cyclic += 1
             else:
                 build_graph("p", tuples, questions, edges)
+        assert cyclic > 0
 
 
 class TestTopologicalOrder:
