@@ -13,9 +13,8 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
 from promptrefine import scene_graph as sg
-from promptrefine.backends.base import CallJournal, ImageGenRequest, ImageRef
+from promptrefine.backends.base import CallJournal
 from promptrefine.pipeline import PipelineConfig, RunRecord, run_single
-from promptrefine.reflection import build_dsg, evaluate_image
 
 logger = logging.getLogger(__name__)
 
@@ -110,39 +109,21 @@ def load_dataset(path: Union[str, Path]) -> List[DatasetItem]:
     return items
 
 
-def _baseline_only(item: DatasetItem, cfg: PipelineConfig):
-    """Generate from the raw prompt and score it; no optimization pass.
-
-    The calls are journaled to a per-item journal, as in ``run_single``, so
-    the configured backends' journals do not grow with every item.
-    """
-    journal = CallJournal()
-    graph = item.graph
-    if graph is None:
-        graph = build_dsg(item.prompt, cfg.backends.llm.with_journal(journal), cfg.template_set())
-    ref = cfg.backends.t2i.with_journal(journal).generate_image(
-        ImageGenRequest(prompt=item.prompt, seed=cfg.seed, width=cfg.width, height=cfg.height)
-    )
-    report = evaluate_image(ref, graph, cfg.backends.vqa.with_journal(journal))
-    return report.score, ref
-
-
-def _clip_pairings(result: ItemResult, item: DatasetItem, record: Optional[RunRecord],
-                   baseline_ref: Optional[ImageRef], cfg: PipelineConfig) -> None:
+def _clip_pairings(result: ItemResult, item: DatasetItem, record: RunRecord,
+                   cfg: PipelineConfig, optimized: bool) -> None:
+    """Relevance of the user prompt to the round-1 image and, for an optimized
+    run, of both prompts to the final image."""
     if cfg.backends.embed is None:
         return
     embedder = cfg.backends.embed.with_journal(CallJournal())
     try:
-        if baseline_ref is not None:
-            result.clip["baseline"] = clip_relevance(
-                embedder.embed(item.prompt), embedder.embed(baseline_ref)
-            )
-        if record is not None and record.image_refs:
-            final_ref = record.image_refs[-1][1]
-            final_prompt = record.final_prompt()
-            image_vec = embedder.embed(final_ref)
+        result.clip["baseline"] = clip_relevance(
+            embedder.embed(item.prompt), embedder.embed(record.image_refs[0][1])
+        )
+        if optimized:
+            image_vec = embedder.embed(record.image_refs[-1][1])
             result.clip["optimized_prompt"] = clip_relevance(
-                embedder.embed(final_prompt), image_vec
+                embedder.embed(record.final_prompt()), image_vec
             )
             result.clip["original_prompt"] = clip_relevance(
                 embedder.embed(item.prompt), image_vec
@@ -158,32 +139,26 @@ def run_benchmark(
 ) -> BenchReport:
     """Score every dataset item; failures are recorded and excluded from means.
 
-    Baseline scores images generated from the raw prompts; optimized runs the
-    full pipeline and scores the final image. Items with embedded graphs skip
-    graph construction.
+    Every item runs through ``run_single``. Baseline stops after scoring the
+    image generated from the raw prompt; optimized runs the full pipeline and
+    also scores the final image. Items with embedded graphs skip graph
+    construction. With ``cfg.out_dir`` set, each item's run directory is
+    written there, in either mode.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
+    optimized = mode != "baseline"
     results: List[ItemResult] = []
     for item in dataset:
         result = ItemResult(item_id=item.item_id, category=item.category)
-        record = None
-        baseline_ref = None
         try:
-            if mode == "baseline":
-                result.baseline_score, baseline_ref = _baseline_only(item, cfg)
-            else:
-                record = run_single(item.prompt, cfg, graph=item.graph)
-                if record.status != "completed":
-                    raise RuntimeError(
-                        f"pipeline failed at {record.failed_stage}: {record.error}"
-                    )
-                if record.reports:
-                    result.baseline_score = record.reports[0].score
-                    result.optimized_score = record.reports[-1].score
-                if record.image_refs:
-                    baseline_ref = record.image_refs[0][1]
-            _clip_pairings(result, item, record, baseline_ref, cfg)
+            record = run_single(item.prompt, cfg, graph=item.graph, evaluate_only=not optimized)
+            if record.status != "completed":
+                raise RuntimeError(f"pipeline failed at {record.failed_stage}: {record.error}")
+            result.baseline_score = record.reports[0].score
+            if optimized:
+                result.optimized_score = record.reports[-1].score
+            _clip_pairings(result, item, record, cfg, optimized)
         except Exception as exc:  # noqa: BLE001 - one bad item must not sink the run
             result.error = f"{type(exc).__name__}: {exc}"
             logger.warning("item %s failed: %s", item.item_id, result.error)

@@ -7,8 +7,10 @@ partial state; run_single never raises for stage-level errors.
 
 from __future__ import annotations
 
+import errno
 import json
 import logging
+import os
 import shutil
 import time
 import uuid
@@ -39,6 +41,7 @@ from promptrefine.reflection import (
     Answer,
     AnswerSource,
     AnswerValue,
+    POOL,
     ReflectionReport,
     build_dsg,
     evaluate_image,
@@ -126,14 +129,35 @@ def _error_kind(exc: Exception) -> str:
     return "other"
 
 
-def run_single(prompt: str, cfg: PipelineConfig, graph: Optional[sg.SceneGraph] = None) -> RunRecord:
+def _timed_build(prompt: str, llm: Backend, templates: TemplateSet):
+    """build_dsg on a pool thread: (graph or None, its error or None, seconds)."""
+    start = time.perf_counter()
+    try:
+        return build_dsg(prompt, llm, templates), None, time.perf_counter() - start
+    except Exception as exc:  # noqa: BLE001 - run_single raises it once the generate is done
+        return None, exc, time.perf_counter() - start
+
+
+def run_single(
+    prompt: str,
+    cfg: PipelineConfig,
+    graph: Optional[sg.SceneGraph] = None,
+    *,
+    evaluate_only: bool = False,
+) -> RunRecord:
     """Execute the full refinement loop for one prompt.
 
     Each of ``cfg.rounds`` rounds generates an image, evaluates it and, unless
     every question was answered yes (the run converged), optimizes the prompt.
     If no round converged, a "final" step generates and evaluates the last
-    optimized prompt. The concept graph is built from the original user prompt
-    in round 1 and reused; pass ``graph`` to skip construction entirely.
+    optimized prompt. With ``evaluate_only`` the run stops after the round-1
+    evaluation.
+
+    The concept graph depends only on the user prompt, so it is built on the
+    shared pool while the round-1 image generates, and reused; pass ``graph``
+    to skip construction entirely. The build's journal entries follow the
+    generate's, as if the two ran one after the other. If the generate fails,
+    its error is the run's, and the build's calls are still journaled.
     """
     if not prompt.strip():
         raise ValueError("prompt must be non-empty")
@@ -161,6 +185,10 @@ def run_single(prompt: str, cfg: PipelineConfig, graph: Optional[sg.SceneGraph] 
     converged = False
     status, failed_stage, error, error_kind = "completed", None, None, None
 
+    build, build_error, build_journal = None, None, CallJournal()
+    if graph is None:
+        build = POOL.submit(_timed_build, prompt, llm.with_journal(build_journal), templates)
+
     current = prompt
     stage = "generate"
     try:
@@ -169,22 +197,27 @@ def run_single(prompt: str, cfg: PipelineConfig, graph: Optional[sg.SceneGraph] 
             label = "final" if final else f"round-{step}"
             seed = cfg.seed + step - 1
             stage = "final_generate" if final else "generate"
-            with timed(f"{label}.generate"):
-                ref = t2i.generate_image(
-                    ImageGenRequest(prompt=current, seed=seed, width=cfg.width, height=cfg.height)
-                )
+            try:
+                with timed(f"{label}.generate"):
+                    ref = t2i.generate_image(
+                        ImageGenRequest(prompt=current, seed=seed, width=cfg.width, height=cfg.height)
+                    )
+            finally:
+                if build is not None:
+                    graph, build_error, timings["build_dsg"] = build.result()
+                    build = None
+                    for call in build_journal.records():
+                        journal.append(call)
             image_refs.append((label, ref, seed))
-
-            if graph is None:
+            if build_error is not None:
                 stage = "build_dsg"
-                with timed("build_dsg"):
-                    graph = build_dsg(prompt, llm, templates)
+                raise build_error
 
             stage = "final_evaluate" if final else "evaluate"
             with timed(f"{label}.evaluate"):
                 report = evaluate_image(ref, graph, vqa)
             reports.append(report)
-            if final:
+            if final or evaluate_only:
                 break
 
             if not report.missing_ids:
@@ -432,12 +465,31 @@ def record_from_doc(doc: dict, base: Optional[Path] = None) -> RunRecord:
     )
 
 
+# What os.link raises when the filesystem cannot link these two paths.
+_NO_LINK = frozenset({errno.EXDEV, errno.EPERM, errno.EMLINK, errno.ENOTSUP})
+
+
+def _link_or_copy(src: str, dest: Path) -> None:
+    """Hard-link ``src`` at ``dest``, or copy it where the filesystem cannot link.
+
+    A run's images are content-addressed files that are only ever replaced
+    whole, never rewritten in place, so a link cannot change under a record.
+    """
+    try:
+        os.link(src, dest)
+    except OSError as exc:
+        if exc.errno not in _NO_LINK:
+            raise
+        shutil.copyfile(src, dest)
+
+
 def persist_record(record: RunRecord, out_dir: Union[str, Path]) -> Path:
     """Write a run directory: record.json, graph.json, images/, transcripts/.
 
-    Image files are copied into the run directory and referenced by paths
-    relative to it. record.json is replaced whole, so a failed write leaves
-    the previous one intact. Returns the record.json path.
+    Image files are hard-linked into the run directory, or copied where the
+    filesystem cannot link, and referenced by paths relative to it.
+    record.json is replaced whole, so a failed write leaves the previous one
+    intact. Returns the record.json path.
     """
     try:
         run_dir = Path(out_dir) / record.run_id
@@ -450,7 +502,7 @@ def persist_record(record: RunRecord, out_dir: Union[str, Path]) -> Path:
                 dest = run_dir / rel
                 dest.parent.mkdir(parents=True, exist_ok=True)
                 if not dest.exists():
-                    shutil.copyfile(ref.path, dest)
+                    _link_or_copy(ref.path, dest)
                 rebased.append((label, ImageRef(path=rel, digest=ref.digest, media_type=ref.media_type), seed))
             else:
                 rebased.append((label, ref, seed))

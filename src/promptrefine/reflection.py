@@ -136,14 +136,17 @@ def build_dsg(
     return graph
 
 
-# At most 8 VQA requests in flight per process; one run's evaluation thus
+# At most 8 pooled requests in flight per process; one run's evaluation thus
 # stays under urllib3's 10 pooled connections per host.
-VQA_WORKERS = 8
+POOL_WORKERS = 8
 # A thread handoff costs ~50 us of CPU per question; only slower calls gain from overlap.
 FAN_OUT_MIN_S = 0.001
 
-# Threads start on the first submit, so an unused pool costs nothing.
-_VQA_POOL = ThreadPoolExecutor(max_workers=VQA_WORKERS, thread_name_prefix="promptrefine-vqa")
+# Shared by the VQA fan-out and the question-graph build that run_single starts
+# beside the first generate. No task on it submits to it or waits on it, so
+# sharing cannot deadlock. Threads start on the first submit, so an unused
+# pool costs nothing.
+POOL = ThreadPoolExecutor(max_workers=POOL_WORKERS, thread_name_prefix="promptrefine-io")
 
 
 def _ask(vqa: Backend, image: ImageRef, graph: sg.SceneGraph, qid: int) -> bool:
@@ -159,7 +162,7 @@ def _ask_together(vqa: Backend, image: ImageRef, graph: sg.SceneGraph, qids: Seq
     order raises its error.
     """
     views = [vqa.with_journal(CallJournal()) for _ in qids]
-    futures = [_VQA_POOL.submit(_ask, view, image, graph, qid) for view, qid in zip(views, qids)]
+    futures = [POOL.submit(_ask, view, image, graph, qid) for view, qid in zip(views, qids)]
     wait(futures)
     for view in views:
         for record in view.journal.records():
@@ -173,7 +176,7 @@ def evaluate_image(image: ImageRef, graph: sg.SceneGraph, vqa: Backend) -> Refle
     A No answer marks every dependent question as missing without querying it.
     The first question is asked on the calling thread; if it took at least
     FAN_OUT_MIN_S, the unpruned questions of each level are then asked
-    together on the VQA pool. Answers, pruning, the call count and the
+    together on the shared pool. Answers, pruning, the call count and the
     journal order are the same either way.
     """
     answers: Dict[int, Answer] = {}

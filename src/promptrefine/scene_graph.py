@@ -197,7 +197,7 @@ def _split_id(line: str, line_no: int) -> Tuple[int, str]:
     if not sep:
         raise MalformedLine(line_no, line, "missing '|' separator")
     head = head.strip()
-    if not head.isdigit():
+    if not head.isdecimal():
         raise MalformedLine(line_no, line, "id is not a positive integer")
     value = int(head)
     if value < 1:
@@ -267,7 +267,7 @@ def parse_dependencies(raw: str) -> Set[DependencyEdge]:
     for no, line in _split_lines(raw):
         child, rest = _split_id(line, no)
         parts = [p.strip() for p in rest.split(",")]
-        if not parts or any(not p.isdigit() for p in parts):
+        if not parts or any(not p.isdecimal() for p in parts):
             raise MalformedLine(no, line, "parent list must be comma-separated integers")
         parents = [int(p) for p in parts]
         if 0 in parents:

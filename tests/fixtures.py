@@ -1,9 +1,11 @@
 """Shared fixture data: the motorcycle/fence graph and tiny PNG payloads."""
 
 import base64
+import collections
 import random
 import threading
 import time
+from contextlib import contextmanager
 
 from promptrefine.backends import MockBackend
 
@@ -108,50 +110,83 @@ STAGE_MARKERS = {
 }
 
 
-class SlowVqa(MockBackend):
-    """Mock VQA whose requests take about 3 ms, slow enough for evaluate_image
-    to fan a level's questions out.
+class Gauge:
+    """Requests in flight per op. Mocks that share one gauge record which ops
+    were ever in flight at the same time."""
 
-    Each question text gets its own fixed delay between 2 and 4 ms, or the
-    one given in ``delays``, so requests finish out of id order. ``gauge``
-    counts requests in flight and is shared by journal views.
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.now = collections.Counter()
+        self.peak = collections.Counter()
+        self.together = set()  # frozensets of two ops once in flight at once
+
+    @contextmanager
+    def tracking(self, op):
+        with self.lock:
+            busy = [other for other, n in self.now.items() if n and other != op]
+            self.together.update(frozenset((op, other)) for other in busy)
+            self.now[op] += 1
+            self.peak[op] = max(self.peak[op], self.now[op])
+        try:
+            yield
+        finally:
+            with self.lock:
+                self.now[op] -= 1
+
+
+class SlowMock(MockBackend):
+    """Mock whose requests sleep, slow enough for the pipeline to overlap them.
+
+    A VQA question sleeps a fixed 2 to 4 ms chosen by its text, or the time
+    given in ``delays``, so requests finish out of id order and
+    evaluate_image fans levels out. Other ops sleep ``op_delays.get(op, 0)``
+    seconds. ``gauge`` counts requests in flight; journal views share it, and
+    so do mocks given the same one.
     """
 
-    def __init__(self, *args, delays=None, **kwargs):
+    def __init__(self, *args, delays=None, op_delays=None, gauge=None, **kwargs):
         super().__init__(*args, **kwargs)
         self.delays = dict(delays or {})
-        self.gauge = {"now": 0, "peak": 0, "lock": threading.Lock()}
+        self.op_delays = dict(op_delays or {})
+        self.gauge = gauge or Gauge()
+
+    def _slow(self, op, seconds, send, req):
+        with self.gauge.tracking(op):
+            time.sleep(seconds)
+            return send(req)
+
+    def _send_text(self, req):
+        delay = self.op_delays.get("complete", 0)
+        return self._slow("complete", delay, super()._send_text, req)
+
+    def _send_image(self, req):
+        delay = self.op_delays.get("generate_image", 0)
+        return self._slow("generate_image", delay, super()._send_image, req)
 
     def _send_vqa(self, req):
-        gauge = self.gauge
-        with gauge["lock"]:
-            gauge["now"] += 1
-            gauge["peak"] = max(gauge["peak"], gauge["now"])
-        try:
-            time.sleep(self.delays.get(req.question, random.Random(req.question).uniform(0.002, 0.004)))
-            return super()._send_vqa(req)
-        finally:
-            with gauge["lock"]:
-                gauge["now"] -= 1
+        delay = self.delays.get(req.question, random.Random(req.question).uniform(0.002, 0.004))
+        return self._slow("answer_binary", delay, super()._send_vqa, req)
 
 
-def stage_llm(**stage_responses):
+def stage_llm(cls=MockBackend, **stage_responses):
     """Mock text backend scripted per stage via preamble markers."""
-    backend = MockBackend(name="llm")
+    backend = cls(name="llm")
     for stage, response in stage_responses.items():
         backend.script_text("*", response, preamble=STAGE_MARKERS[stage])
     return backend
 
 
-def motorcycle_backends(image_dir, fence_answers=("no", "yes")):
+def motorcycle_backends(image_dir, fence_answers=("no", "yes"), cls=MockBackend):
     """Fully scripted (llm, vqa, t2i) for the motorcycle/fence walkthrough.
 
     Round 1 finds the fence missing (prunes 4 and 5), optimization yields the
-    decorated prompt, and the regenerated image answers all-yes.
+    decorated prompt, and the regenerated image answers all-yes. ``cls``
+    makes each of the three mocks.
     """
     from promptrefine.pipeline import Backends
 
     llm = stage_llm(
+        cls,
         tuples=MOTORCYCLE_TUPLES,
         questions=MOTORCYCLE_QUESTIONS,
         dependencies=MOTORCYCLE_DEPENDENCIES,
@@ -160,12 +195,12 @@ def motorcycle_backends(image_dir, fence_answers=("no", "yes")):
         decoration="best quality, soft lighting",
     )
     vqa = (
-        MockBackend(name="vqa")
+        cls(name="vqa")
         .script_vqa("Is there a fence?", list(fence_answers))
         .script_vqa("*", "yes")
     )
     t2i = (
-        MockBackend(name="t2i", image_dir=image_dir)
+        cls(name="t2i", image_dir=image_dir)
         .script_image(MOTORCYCLE_PROMPT, PNG_WHITE)
         .script_image(DECORATED_MOTORCYCLE, PNG_BLACK)
     )

@@ -5,12 +5,15 @@ criterion.
 """
 
 import csv
+import functools
 import io
 import random
 import string
+from types import SimpleNamespace
 
 import pytest
 
+from promptrefine import pipeline, reflection
 from promptrefine import scene_graph as sg
 from promptrefine.backends import ImageRef, MockBackend
 from promptrefine.bench import clip_relevance, render_report, run_benchmark
@@ -50,7 +53,8 @@ from fixtures import (
     PNG_WHITE,
     REGENERATED_MOTORCYCLE,
     STAGE_MARKERS,
-    SlowVqa,
+    Gauge,
+    SlowMock,
     chain_graph,
     motorcycle_backends,
     random_dag,
@@ -116,16 +120,62 @@ def test_fan_out_changes_timing_only(tmp_path):
         ids, pairs = random_dag(rng, max_nodes=12)
         graph = chain_graph(f"case {case}", len(ids), pairs)
         script = {i: rng.choice(["yes", "no"]) for i in ids}
-        serial_vqa, slow_vqa = vqa_for(script), vqa_for(script, SlowVqa)
+        serial_vqa, slow_vqa = vqa_for(script), vqa_for(script, SlowMock)
         serial = evaluate_image(img, graph, serial_vqa)
         fanned = evaluate_image(img, graph, slow_vqa)
         assert fanned == serial
         assert list(fanned.answers.items()) == list(serial.answers.items())
         journal = [(r.op, r.digest, r.ok) for r in slow_vqa.journal.records()]
         assert journal == [(r.op, r.digest, r.ok) for r in serial_vqa.journal.records()]
-        peaks.append(slow_vqa.gauge["peak"])
+        peaks.append(slow_vqa.gauge.peak["answer_binary"])
     assert max(peaks) > 1  # some levels really were asked at once
     done("fan-out keeps reports and journal order over 50 random DAGs")
+
+
+class DeferredPool:
+    """Stands in for a thread pool: runs a task on the caller's thread when its
+    result is read, so the run makes its calls one after another."""
+
+    def submit(self, fn, *args):
+        return SimpleNamespace(result=lambda: fn(*args))
+
+
+def test_overlap_changes_timing_only(tmp_path, monkeypatch):
+    """Concurrency law: building the question graph while the first image
+    generates, and fanning VQA out, give the same records as running every
+    call one after another."""
+    gauge = Gauge()
+    slow = functools.partial(
+        SlowMock, gauge=gauge, op_delays={"complete": 0.002, "generate_image": 0.01}
+    )
+    cases = [(answers, rounds) for answers in [("no", "yes"), ("yes",), ("no",)] for rounds in (1, 2)]
+
+    def run_cases(cls):
+        records = []
+        for fence_answers, rounds in cases:
+            backends = motorcycle_backends(tmp_path / "images", fence_answers, cls=cls)
+            cfg = PipelineConfig(backends=backends, rounds=rounds, width=64, height=64, seed=1234)
+            records.append(run_single(MOTORCYCLE_PROMPT, cfg))
+        return records
+
+    overlapped = run_cases(slow)
+    with monkeypatch.context() as m:
+        m.setattr(pipeline, "POOL", DeferredPool())
+        m.setattr(reflection, "FAN_OUT_MIN_S", float("inf"))
+        serial = run_cases(MockBackend)
+
+    for got, want in zip(overlapped, serial):
+        assert got.status == "completed"
+        journal = [(e["op"], e["digest"], e["ok"]) for e in got.backend_journal]
+        assert journal == [(e["op"], e["digest"], e["ok"]) for e in want.backend_journal]
+        assert [list(r.answers.items()) for r in got.reports] == [
+            list(r.answers.items()) for r in want.reports
+        ]
+        assert got.prompt_history == want.prompt_history
+        assert normalized(got) == normalized(want)
+    assert frozenset({"complete", "generate_image"}) in gauge.together
+    assert gauge.peak["answer_binary"] > 1
+    done("graph build beside the first generate keeps records over 6 runs")
 
 
 def test_score_arithmetic():

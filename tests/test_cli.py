@@ -394,3 +394,5 @@ class TestCliRunBench:
         assert (out / "bench-report.csv").is_file()
         items = json.loads((out / "bench-items.json").read_text())
         assert len(items) == 1
+        # baseline runs write run directories too
+        assert len(list(out.glob("*/record.json"))) == 1

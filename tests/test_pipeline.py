@@ -1,6 +1,10 @@
 import dataclasses
+import errno
+import functools
 import json
 import os
+import sys
+import threading
 
 import pytest
 
@@ -24,6 +28,8 @@ from fixtures import (
     MOTORCYCLE_PROMPT,
     PNG_BLACK,
     PNG_WHITE,
+    Gauge,
+    SlowMock,
     motorcycle_backends,
     motorcycle_graph,
     stage_llm,
@@ -96,6 +102,17 @@ class TestRunSingle:
         assert record.status == "completed"
         assert "build_dsg" not in record.timings
 
+    def test_graph_builds_while_the_first_image_generates(self, tmp_path):
+        gauge = Gauge()
+        slow = functools.partial(
+            SlowMock, gauge=gauge, op_delays={"complete": 0.01, "generate_image": 0.05}
+        )
+        cfg = pipeline_cfg(tmp_path, backends=motorcycle_backends(tmp_path / "images", cls=slow))
+        record = run_single(MOTORCYCLE_PROMPT, cfg)
+        assert record.status == "completed"
+        # only the round-1 build can have a text call in flight during a generate
+        assert frozenset({"complete", "generate_image"}) in gauge.together
+
     def test_t2i_down_marks_generate_failed(self, tmp_path):
         backends = motorcycle_backends(tmp_path / "images")
         backends.t2i = MockBackend(name="t2i").script_image("*", TransportError("down"))
@@ -104,8 +121,13 @@ class TestRunSingle:
         assert record.status == "failed"
         assert record.failed_stage == "generate"
         assert record.error_kind == "backend"
+        assert record.error == "TransportError: down"
         assert record.prompt_history == [("user", MOTORCYCLE_PROMPT)]
         assert "round-1.generate" in record.timings
+        # the graph built beside the failed generate is paid for, so it is kept
+        calls = [(e["op"], e["ok"]) for e in record.backend_journal]
+        assert calls == [("generate_image", False)] + [("complete", True)] * 3
+        assert record.graph == motorcycle_graph()
 
     def test_stage_exhausted_marks_build_failed(self, tmp_path):
         backends = motorcycle_backends(tmp_path / "images")
@@ -115,6 +137,33 @@ class TestRunSingle:
         assert record.status == "failed"
         assert record.failed_stage == "build_dsg"
         assert record.error_kind == "stage_exhausted"
+        calls = [(e["op"], e["ok"]) for e in record.backend_journal]
+        assert calls == [("generate_image", True)] + [("complete", True)] * 3
+        assert [label for label, _, _ in record.image_refs] == ["round-1"]
+        assert "build_dsg" in record.timings
+
+    def test_generate_error_wins_over_build_error(self, tmp_path):
+        backends = motorcycle_backends(tmp_path / "images")
+        backends.t2i = MockBackend(name="t2i").script_image("*", TransportError("down"))
+        backends.llm = MockBackend(name="llm").script_text("*", "garbage")
+        cfg = pipeline_cfg(tmp_path, backends=backends)
+        record = run_single(MOTORCYCLE_PROMPT, cfg)
+        assert (record.failed_stage, record.error_kind) == ("generate", "backend")
+        assert record.error == "TransportError: down"
+        calls = [(e["op"], e["ok"]) for e in record.backend_journal]
+        assert calls == [("generate_image", False)] + [("complete", True)] * 3
+        assert record.graph is None
+
+    def test_evaluate_only_stops_after_round_one(self, tmp_path):
+        cfg = pipeline_cfg(tmp_path)
+        record = run_single(MOTORCYCLE_PROMPT, cfg, evaluate_only=True)
+        assert record.status == "completed"
+        assert [label for label, _, _ in record.image_refs] == ["round-1"]
+        assert [r.score for r in record.reports] == [pytest.approx(0.4)]
+        assert record.outcome is None
+        assert record.prompt_history == [("user", MOTORCYCLE_PROMPT)]
+        ops = [e["op"] for e in record.backend_journal]
+        assert ops == ["generate_image"] + ["complete"] * 3 + ["answer_binary"] * 3
 
     def test_every_backend_call_journaled_once(self, tmp_path):
         cfg = pipeline_cfg(tmp_path)
@@ -211,6 +260,27 @@ class TestRunBatch:
             "mean_score_after": 1.0,
         }
 
+    def test_concurrent_runs_keep_their_own_journals(self, tmp_path):
+        # more runs in flight than cores, each building its graph and fanning
+        # VQA out on the shared pool, with frequent thread switches
+        slow = functools.partial(SlowMock, op_delays={"complete": 0.001, "generate_image": 0.003})
+        backends = motorcycle_backends(tmp_path / "images", fence_answers=("yes",), cls=slow)
+        cfg = pipeline_cfg(tmp_path, backends=backends, parallelism=6)
+        reference = normalized(run_single(MOTORCYCLE_PROMPT, cfg))
+        batches = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            worker = threading.Thread(
+                target=lambda: batches.append(run_batch([MOTORCYCLE_PROMPT] * 24, cfg)), daemon=True
+            )
+            worker.start()
+            worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive()
+        assert [normalized(r) for r in batches[0]] == [reference] * 24
+
     def test_empty_batch_rejected(self, tmp_path):
         cfg = pipeline_cfg(tmp_path)
         with pytest.raises(ValueError):
@@ -244,6 +314,26 @@ class TestPersistence:
         loaded = load_record(path)
         assert loaded.image_refs[0][1].read_bytes() == PNG_WHITE
         assert loaded.image_refs[1][1].read_bytes() == PNG_BLACK
+
+    def test_images_hard_linked_on_one_filesystem(self, tmp_path):
+        record = self._record(tmp_path)
+        path = persist_record(record, tmp_path / "runs")
+        for label, ref, _ in record.image_refs:
+            stored = path.parent / "images" / f"{label}.png"
+            assert os.stat(stored).st_ino == os.stat(ref.path).st_ino
+
+    def test_images_copied_where_links_fail(self, tmp_path, monkeypatch):
+        record = self._record(tmp_path)
+
+        def cross_device(src, dst):
+            raise OSError(errno.EXDEV, "Invalid cross-device link")
+
+        monkeypatch.setattr(os, "link", cross_device)
+        path = persist_record(record, tmp_path / "runs")
+        loaded = load_record(path)
+        for (_, ref, _), (_, stored, _) in zip(record.image_refs, loaded.image_refs):
+            assert os.stat(stored.path).st_ino != os.stat(ref.path).st_ino
+            assert stored.read_bytes() == ref.read_bytes()
 
     def test_run_dir_layout(self, tmp_path):
         record = self._record(tmp_path)

@@ -39,7 +39,7 @@ from fixtures import (
     MOTORCYCLE_QUESTIONS,
     MOTORCYCLE_TUPLES,
     PNG_WHITE,
-    SlowVqa,
+    SlowMock,
     chain_graph,
     motorcycle_graph,
     random_dag,
@@ -281,17 +281,17 @@ class TestEvaluateImage:
 class TestFanOut:
     def test_wide_level_overlaps_within_the_worker_bound(self, tmp_path):
         g = chain_graph("p", 24, set())  # one level of 24 questions
-        vqa = SlowVqa(name="vqa").script_vqa("*", "yes")
+        vqa = SlowMock(name="vqa").script_vqa("*", "yes")
         report = evaluate_image(image(tmp_path), g, vqa)
         assert report.score == 1.0 and len(vqa.journal) == 24
-        assert 1 < vqa.gauge["peak"] <= reflection.VQA_WORKERS
+        assert 1 < vqa.gauge.peak["answer_binary"] <= reflection.POOL_WORKERS
 
     def test_lowest_failing_id_raises_after_the_level_completes(self, tmp_path):
         # Roots 1-6 form one level; 7 depends on 1. Questions 3 and 5 fail
         # with errors that are not retried, 5 first.
         g = chain_graph("p", 7, {(1, 7)})
         vqa = (
-            SlowVqa(name="vqa", delays={"Is there thing 3?": 0.02})
+            SlowMock(name="vqa", delays={"Is there thing 3?": 0.02})
             .script_vqa("Is there thing 5?", ContentRejected("five"))
             .script_vqa("Is there thing 3?", AuthFailure("three"))
             .script_vqa("*", "yes")
@@ -312,7 +312,7 @@ class TestFanOut:
         # A fake clock makes the first call read half the gate, however loaded the host.
         clock = itertools.count(0.0, reflection.FAN_OUT_MIN_S / 2)
         monkeypatch.setattr(reflection, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
-        monkeypatch.setattr(reflection, "_VQA_POOL", SimpleNamespace(submit=no_submit))
+        monkeypatch.setattr(reflection, "POOL", SimpleNamespace(submit=no_submit))
         g = chain_graph("p", 12, set())
         vqa = MockBackend(name="vqa").script_vqa("*", "yes")
         assert evaluate_image(image(tmp_path), g, vqa).vqa_call_count == 12

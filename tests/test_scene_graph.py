@@ -115,6 +115,12 @@ class TestParseQuestions:
             parse_questions("1 Is there a fence?")
         assert exc.value.line_no == 1
 
+    def test_superscript_id_is_a_malformed_line(self):
+        # "²".isdigit() is true, but int("²") raises
+        with pytest.raises(MalformedLine) as exc:
+            parse_questions("1 | Is there a dog?\n² | Is there a cat?")
+        assert exc.value.line_no == 2
+
     def test_duplicate_id(self):
         with pytest.raises(DuplicateId):
             parse_questions("1 | A?\n1 | B?")
@@ -143,6 +149,11 @@ class TestParseDependencies:
     def test_garbage_parent_list(self):
         with pytest.raises(MalformedLine):
             parse_dependencies("2 | one")
+
+    def test_superscript_parent_is_a_malformed_line(self):
+        with pytest.raises(MalformedLine) as exc:
+            parse_dependencies("1 | 0\n2 | ¹")
+        assert exc.value.line_no == 2
 
 
 class TestBuildGraph:
