@@ -18,6 +18,7 @@ from promptrefine.backends.base import (
     TransportError,
     UnparseableAnswer,
     VqaRequest,
+    recording,
     request_digest,
 )
 from promptrefine.backends.http import HttpBackend
@@ -43,5 +44,6 @@ __all__ = [
     "TransportError",
     "UnparseableAnswer",
     "VqaRequest",
+    "recording",
     "request_digest",
 ]

@@ -15,10 +15,11 @@ import re
 import tempfile
 import threading
 import time
-from contextlib import suppress
+from contextlib import contextmanager, suppress
+from contextvars import ContextVar
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 logger = logging.getLogger(__name__)
 
@@ -292,6 +293,28 @@ class CallJournal:
             return len(self._records)
 
 
+_current_journal: ContextVar[Optional[CallJournal]] = ContextVar("promptrefine_journal", default=None)
+
+
+def journal_calls(records: Iterable[CallRecord]) -> None:
+    """Append calls to the innermost open ``recording``'s journal, if any."""
+    journal = _current_journal.get()
+    if journal is not None:  # not ``if journal``: an empty journal is falsy
+        for record in records:
+            journal.append(record)
+
+
+@contextmanager
+def recording(journal: CallJournal) -> Iterator[CallJournal]:
+    """Journal every backend call made in this context to ``journal``. Calls
+    made outside any ``recording`` are not kept; a new thread starts outside."""
+    token = _current_journal.set(journal)
+    try:
+        yield journal
+    finally:
+        _current_journal.reset(token)
+
+
 class _RateLimiter:
     def __init__(self, rate: Optional[float]):
         self._interval = 1.0 / rate if rate else 0.0
@@ -315,35 +338,18 @@ _STRICT_SUFFIX = ' Answer strictly with the single word "yes" or "no".'
 MIN_IMAGE_DIM, MAX_IMAGE_DIM = 16, 4096
 
 
-class _ImageDir:
-    """Where generated images are stored, shared by a backend and all its
-    journal views. Without a configured path, one temp directory is made the
-    first time an image is written."""
-
-    def __init__(self, path: Optional[Union[str, Path]]):
-        self._path = Path(path) if path else None
-        self._lock = threading.Lock()
-
-    def path(self) -> Path:
-        with self._lock:
-            if self._path is None:
-                self._path = Path(tempfile.mkdtemp(prefix="promptrefine-img-"))
-            self._path.mkdir(parents=True, exist_ok=True)
-            return self._path
-
-
 class Backend:
     """Shared plumbing; subclasses provide the transport hooks.
 
     One instance may serve any subset of the four capabilities. Instances are
-    safe to share across threads; use with_journal() to give each pipeline run
-    its own call log over the same transport state.
+    safe to share across threads and keep no record of their calls: each call
+    is journaled to the journal of the innermost open ``recording``, if any.
     """
 
     def __init__(self, config: BackendConfig, image_dir: Optional[Union[str, Path]] = None):
         self.config = config
-        self._images = _ImageDir(image_dir)
-        self.journal = CallJournal()
+        self._image_dir = Path(image_dir) if image_dir else None  # else a temp dir on first image
+        self._image_dir_lock = threading.Lock()
         self._limiter = _RateLimiter(config.rate_limit)
 
     # -- transport hooks -------------------------------------------------
@@ -360,20 +366,12 @@ class Backend:
         raise NotImplementedError
 
     # -- shared machinery -------------------------------------------------
-    def with_journal(self, journal: CallJournal) -> "Backend":
-        """Shallow view of this backend writing to a different journal; it
-        shares the transport state and the image directory."""
-        import copy
-
-        view = copy.copy(self)
-        view.journal = journal
-        return view
-
     def _run(self, op: str, digest: str, send):
         """Run one operation with retry/backoff and journal it; return (response, its digest)."""
         start = time.monotonic()
         attempts = 0
         delay = self.config.backoff_base
+        error = result = rdigest = excerpt = None
         while True:
             attempts += 1
             self._limiter.wait()
@@ -382,18 +380,8 @@ class Backend:
                 break
             except BackendError as exc:
                 if not exc.retryable or attempts > self.config.max_retries:
-                    self.journal.append(
-                        CallRecord(
-                            op=op,
-                            digest=digest,
-                            ok=False,
-                            attempts=attempts,
-                            latency_s=time.monotonic() - start,
-                            model=self.config.model,
-                            error=f"{type(exc).__name__}: {exc}",
-                        )
-                    )
-                    raise
+                    error = exc
+                    break
                 wait = delay
                 if isinstance(exc, RateLimited) and exc.retry_after:
                     wait = max(wait, exc.retry_after)
@@ -401,23 +389,26 @@ class Backend:
                 if wait > 0:
                     time.sleep(wait)
                 delay = min(delay * 2 if delay else 0.0, 30.0)
-        if isinstance(result, bytes):
-            rdigest, excerpt = sha256_hex(result), None
-        else:
+        if error is None and isinstance(result, bytes):
+            rdigest = sha256_hex(result)
+        elif error is None:
             text = result if isinstance(result, str) else canonical_json(result)
             rdigest, excerpt = sha256_hex(text), text[:200]
-        self.journal.append(
+        journal_calls([
             CallRecord(
                 op=op,
                 digest=digest,
-                ok=True,
+                ok=error is None,
                 attempts=attempts,
                 latency_s=time.monotonic() - start,
                 model=self.config.model,
+                error=None if error is None else f"{type(error).__name__}: {error}",
                 response_digest=rdigest,
                 response_excerpt=excerpt,
             )
-        )
+        ])
+        if error is not None:
+            raise error
         return result, rdigest
 
     # -- operations --------------------------------------------------------
@@ -448,7 +439,11 @@ class Backend:
                 f"[{MIN_IMAGE_DIM}, {MAX_IMAGE_DIM}]"
             )
         data, digest = self._run("generate_image", request_digest(req), lambda: self._send_image(req))
-        path = self._images.path() / f"{digest[:24]}.png"
+        with self._image_dir_lock:
+            if self._image_dir is None:
+                self._image_dir = Path(tempfile.mkdtemp(prefix="promptrefine-img-"))
+            self._image_dir.mkdir(parents=True, exist_ok=True)
+        path = self._image_dir / f"{digest[:24]}.png"
         if not path.exists():
             write_file_atomic(path, data)
         return ImageRef(path=str(path), digest=digest)

@@ -13,7 +13,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
 from promptrefine import scene_graph as sg
-from promptrefine.backends.base import CallJournal
 from promptrefine.pipeline import PipelineConfig, RunRecord, run_single
 
 logger = logging.getLogger(__name__)
@@ -97,7 +96,10 @@ def load_dataset(path: Union[str, Path]) -> List[DatasetItem]:
             try:
                 graph = sg.graph_from_doc(doc["graph"])
             except sg.SchemaViolation as exc:
-                raise sg.SchemaViolation(f"line {line_no}.graph.{exc.path}", exc.reason) from None
+                path = f"line {line_no}.graph.{exc.path}".rstrip(".")
+                raise sg.SchemaViolation(path, exc.reason) from None
+            except sg.GraphError as exc:  # a cycle, a dangling edge, bad ids
+                raise sg.SchemaViolation(f"line {line_no}.graph", str(exc)) from None
         items.append(
             DatasetItem(
                 item_id=doc["item_id"],
@@ -113,9 +115,9 @@ def _clip_pairings(result: ItemResult, item: DatasetItem, record: RunRecord,
                    cfg: PipelineConfig, optimized: bool) -> None:
     """Relevance of the user prompt to the round-1 image and, for an optimized
     run, of both prompts to the final image."""
-    if cfg.backends.embed is None:
+    embedder = cfg.backends.embed
+    if embedder is None:
         return
-    embedder = cfg.backends.embed.with_journal(CallJournal())
     try:
         result.clip["baseline"] = clip_relevance(
             embedder.embed(item.prompt), embedder.embed(record.image_refs[0][1])

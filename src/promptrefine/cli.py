@@ -116,6 +116,12 @@ def cmd_run_bench(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="promptrefine",
@@ -150,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--mode", choices=list(bench_mod.MODES), default="both")
     p.add_argument("--format", choices=["markdown", "csv"], default="markdown")
-    p.add_argument("--limit", type=int)
+    p.add_argument("--limit", type=_positive_int, help="run only the first N items")
     p.set_defaults(func=cmd_run_bench)
     return parser
 

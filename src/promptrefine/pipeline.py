@@ -28,6 +28,7 @@ from promptrefine.backends.base import (
     CallJournal,
     ImageGenRequest,
     ImageRef,
+    recording,
     write_file_atomic,
 )
 from promptrefine.optimizer import (
@@ -41,10 +42,11 @@ from promptrefine.reflection import (
     Answer,
     AnswerSource,
     AnswerValue,
-    POOL,
     ReflectionReport,
     build_dsg,
     evaluate_image,
+    join,
+    submit,
 )
 from promptrefine.templates import StageExhausted, TemplateSet, default_template_set
 
@@ -155,17 +157,14 @@ def run_single(
 
     The concept graph depends only on the user prompt, so it is built on the
     shared pool while the round-1 image generates, and reused; pass ``graph``
-    to skip construction entirely. The build's journal entries follow the
-    generate's, as if the two ran one after the other. If the generate fails,
-    its error is the run's, and the build's calls are still journaled.
+    to skip construction entirely. The build's calls are journaled after the
+    generate's, where its result is collected. If the generate fails, its error
+    is the run's, and the build's calls are still journaled. The run's journal
+    is its own: an enclosing ``recording`` sees none of its calls.
     """
     if not prompt.strip():
         raise ValueError("prompt must be non-empty")
 
-    journal = CallJournal()
-    llm = cfg.backends.llm.with_journal(journal)
-    vqa = cfg.backends.vqa.with_journal(journal)
-    t2i = cfg.backends.t2i.with_journal(journal)
     templates = cfg.template_set()
 
     timings: Dict[str, float] = {}
@@ -185,56 +184,55 @@ def run_single(
     converged = False
     status, failed_stage, error, error_kind = "completed", None, None, None
 
-    build, build_error, build_journal = None, None, CallJournal()
+    build, build_error = None, None
     if graph is None:
-        build = POOL.submit(_timed_build, prompt, llm.with_journal(build_journal), templates)
+        build = submit(_timed_build, prompt, cfg.backends.llm, templates)
 
     current = prompt
     stage = "generate"
     try:
-        for step in range(1, cfg.rounds + 2):
-            final = step > cfg.rounds
-            label = "final" if final else f"round-{step}"
-            seed = cfg.seed + step - 1
-            stage = "final_generate" if final else "generate"
-            try:
-                with timed(f"{label}.generate"):
-                    ref = t2i.generate_image(
-                        ImageGenRequest(prompt=current, seed=seed, width=cfg.width, height=cfg.height)
-                    )
-            finally:
-                if build is not None:
-                    graph, build_error, timings["build_dsg"] = build.result()
-                    build = None
-                    for call in build_journal.records():
-                        journal.append(call)
-            image_refs.append((label, ref, seed))
-            if build_error is not None:
-                stage = "build_dsg"
-                raise build_error
+        with recording(CallJournal()) as journal:
+            for step in range(1, cfg.rounds + 2):
+                final = step > cfg.rounds
+                label = "final" if final else f"round-{step}"
+                seed = cfg.seed + step - 1
+                stage = "final_generate" if final else "generate"
+                try:
+                    with timed(f"{label}.generate"):
+                        ref = cfg.backends.t2i.generate_image(
+                            ImageGenRequest(prompt=current, seed=seed, width=cfg.width, height=cfg.height)
+                        )
+                finally:
+                    if build is not None:
+                        [(graph, build_error, timings["build_dsg"])] = join([build])
+                        build = None
+                image_refs.append((label, ref, seed))
+                if build_error is not None:
+                    stage = "build_dsg"
+                    raise build_error
 
-            stage = "final_evaluate" if final else "evaluate"
-            with timed(f"{label}.evaluate"):
-                report = evaluate_image(ref, graph, vqa)
-            reports.append(report)
-            if final or evaluate_only:
-                break
+                stage = "final_evaluate" if final else "evaluate"
+                with timed(f"{label}.evaluate"):
+                    report = evaluate_image(ref, graph, cfg.backends.vqa)
+                reports.append(report)
+                if final or evaluate_only:
+                    break
 
-            if not report.missing_ids:
-                converged = True
-                if outcome is None:
+                if not report.missing_ids:
+                    converged = True
+                    if outcome is None:
+                        outcome = optimize(
+                            current, graph, report, cfg.backends.llm, templates, cfg.keywords, cfg.decorate
+                        )
+                    break
+
+                stage = "optimize"
+                with timed(f"{label}.optimize"):
                     outcome = optimize(
-                        current, graph, report, llm, templates, cfg.keywords, cfg.decorate
+                        current, graph, report, cfg.backends.llm, templates, cfg.keywords, cfg.decorate
                     )
-                break
-
-            stage = "optimize"
-            with timed(f"{label}.optimize"):
-                outcome = optimize(
-                    current, graph, report, llm, templates, cfg.keywords, cfg.decorate
-                )
-            current = outcome.decorated_prompt
-            prompt_history.append((f"{label}.optimized", current))
+                current = outcome.decorated_prompt
+                prompt_history.append((f"{label}.optimized", current))
     except Exception as exc:  # noqa: BLE001 - stage failures become failed records
         status = "failed"
         failed_stage = stage

@@ -5,13 +5,13 @@ from __future__ import annotations
 
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from promptrefine import scene_graph as sg
-from promptrefine.backends.base import Backend, CallJournal, ImageRef, VqaRequest
+from promptrefine.backends.base import Backend, CallJournal, ImageRef, VqaRequest, journal_calls, recording
 from promptrefine.templates import StageExhausted, TemplateSet, run_stage
 
 logger = logging.getLogger(__name__)
@@ -153,21 +153,26 @@ def _ask(vqa: Backend, image: ImageRef, graph: sg.SceneGraph, qid: int) -> bool:
     return vqa.answer_binary(VqaRequest(image=image, question=graph.question_by_id(qid).text))
 
 
-def _ask_together(vqa: Backend, image: ImageRef, graph: sg.SceneGraph, qids: Sequence[int]) -> List[bool]:
-    """Ask questions that do not depend on each other at once.
+def submit(fn, *args) -> Tuple[Future, CallJournal]:
+    """Start ``fn(*args)`` on POOL; collect it with ``join``. Its calls go to
+    a journal of its own, set inside the task: pool threads start outside."""
+    journal = CallJournal()
 
-    Each question journals to its own view; the entries are then appended to
-    ``vqa.journal`` in the order of ``qids``, as if asked one after another.
-    Every question runs to completion; the first failing one in ``qids``
-    order raises its error.
-    """
-    views = [vqa.with_journal(CallJournal()) for _ in qids]
-    futures = [POOL.submit(_ask, view, image, graph, qid) for view, qid in zip(views, qids)]
-    wait(futures)
-    for view in views:
-        for record in view.journal.records():
-            vqa.journal.append(record)
-    return [f.result() for f in futures]
+    def task():
+        with recording(journal):
+            return fn(*args)
+
+    return POOL.submit(task), journal
+
+
+def join(tasks: Sequence[Tuple[Future, CallJournal]]) -> list:
+    """Wait for every task and return their results; the first failing task
+    in order raises its error. A pooled task's calls are journaled where its
+    result is collected: here, in task order, as if run one after another."""
+    wait([future for future, _ in tasks])
+    for _, journal in tasks:
+        journal_calls(journal.records())
+    return [future.result() for future, _ in tasks]
 
 
 def evaluate_image(image: ImageRef, graph: sg.SceneGraph, vqa: Backend) -> ReflectionReport:
@@ -191,7 +196,7 @@ def evaluate_image(image: ImageRef, graph: sg.SceneGraph, vqa: Backend) -> Refle
             fan_out = time.perf_counter() - start >= FAN_OUT_MIN_S
         rest = pending[len(results):]
         if fan_out and len(rest) > 1:
-            results += _ask_together(vqa, image, graph, rest)
+            results += join([submit(_ask, vqa, image, graph, qid) for qid in rest])
         else:
             results += [_ask(vqa, image, graph, qid) for qid in rest]
         for qid, is_yes in zip(pending, results):

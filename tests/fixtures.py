@@ -7,7 +7,9 @@ import threading
 import time
 from contextlib import contextmanager
 
-from promptrefine.backends import MockBackend
+import pytest
+
+from promptrefine.backends import CallJournal, MockBackend, recording
 
 from promptrefine.scene_graph import (
     DependencyEdge,
@@ -88,6 +90,13 @@ def random_dag(rng: random.Random, max_nodes: int = 12):
     return ids, edges
 
 
+@pytest.fixture
+def journal():
+    """The backend calls the test makes, journaled as a run journals its own."""
+    with recording(CallJournal()) as calls:
+        yield calls
+
+
 # -- end-to-end mock bundle ---------------------------------------------------
 
 FENCE_EXPANSION = (
@@ -140,8 +149,8 @@ class SlowMock(MockBackend):
     A VQA question sleeps a fixed 2 to 4 ms chosen by its text, or the time
     given in ``delays``, so requests finish out of id order and
     evaluate_image fans levels out. Other ops sleep ``op_delays.get(op, 0)``
-    seconds. ``gauge`` counts requests in flight; journal views share it, and
-    so do mocks given the same one.
+    seconds. ``gauge`` counts requests in flight; mocks given the same one
+    share it.
     """
 
     def __init__(self, *args, delays=None, op_delays=None, gauge=None, **kwargs):

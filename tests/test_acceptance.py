@@ -9,13 +9,13 @@ import functools
 import io
 import random
 import string
-from types import SimpleNamespace
+from concurrent.futures import Future
 
 import pytest
 
-from promptrefine import pipeline, reflection
+from promptrefine import reflection
 from promptrefine import scene_graph as sg
-from promptrefine.backends import ImageRef, MockBackend
+from promptrefine.backends import CallJournal, ImageRef, MockBackend, recording
 from promptrefine.bench import clip_relevance, render_report, run_benchmark
 from promptrefine.optimizer import (
     decorate_prompt,
@@ -92,7 +92,8 @@ def test_pruning_oracle_equivalence_and_call_count_law(tmp_path):
         graph = chain_graph(f"case {case}", len(ids), pairs)
         script = {i: rng.choice(["yes", "no"]) for i in ids}
         vqa = vqa_for(script)
-        report = evaluate_image(img, graph, vqa)
+        with recording(CallJournal()) as journal:
+            report = evaluate_image(img, graph, vqa)
 
         queried, pruned, missing, score = bf_prune_simulation(ids, pairs, script)
         got_queried = {
@@ -104,7 +105,7 @@ def test_pruning_oracle_equivalence_and_call_count_law(tmp_path):
         assert report.missing_ids == missing
         assert report.score == score  # exact, zero tolerance
         # call-count law
-        assert report.vqa_call_count == len(vqa.journal)
+        assert report.vqa_call_count == len(journal)
         assert report.vqa_call_count == len(ids) - len(got_pruned)
     done("pruning oracle equivalence over 500 random DAGs (criterion 1)")
     done("vqa_call_count == journal length == questions - pruned (criterion 2)")
@@ -121,23 +122,31 @@ def test_fan_out_changes_timing_only(tmp_path):
         graph = chain_graph(f"case {case}", len(ids), pairs)
         script = {i: rng.choice(["yes", "no"]) for i in ids}
         serial_vqa, slow_vqa = vqa_for(script), vqa_for(script, SlowMock)
-        serial = evaluate_image(img, graph, serial_vqa)
-        fanned = evaluate_image(img, graph, slow_vqa)
+        with recording(CallJournal()) as serial_journal:
+            serial = evaluate_image(img, graph, serial_vqa)
+        with recording(CallJournal()) as fanned_journal:
+            fanned = evaluate_image(img, graph, slow_vqa)
         assert fanned == serial
         assert list(fanned.answers.items()) == list(serial.answers.items())
-        journal = [(r.op, r.digest, r.ok) for r in slow_vqa.journal.records()]
-        assert journal == [(r.op, r.digest, r.ok) for r in serial_vqa.journal.records()]
+        journal = [(r.op, r.digest, r.ok) for r in fanned_journal.records()]
+        assert journal == [(r.op, r.digest, r.ok) for r in serial_journal.records()]
         peaks.append(slow_vqa.gauge.peak["answer_binary"])
     assert max(peaks) > 1  # some levels really were asked at once
     done("fan-out keeps reports and journal order over 50 random DAGs")
 
 
-class DeferredPool:
-    """Stands in for a thread pool: runs a task on the caller's thread when its
-    result is read, so the run makes its calls one after another."""
+class InlinePool:
+    """Stands in for a thread pool: runs a task on the caller's thread as it is
+    submitted, so the run makes its calls one after another. The task's calls
+    are still journaled where its result is collected."""
 
     def submit(self, fn, *args):
-        return SimpleNamespace(result=lambda: fn(*args))
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:  # noqa: BLE001 - a pool hands errors to the future
+            future.set_exception(exc)
+        return future
 
 
 def test_overlap_changes_timing_only(tmp_path, monkeypatch):
@@ -160,7 +169,7 @@ def test_overlap_changes_timing_only(tmp_path, monkeypatch):
 
     overlapped = run_cases(slow)
     with monkeypatch.context() as m:
-        m.setattr(pipeline, "POOL", DeferredPool())
+        m.setattr(reflection, "POOL", InlinePool())
         m.setattr(reflection, "FAN_OUT_MIN_S", float("inf"))
         serial = run_cases(MockBackend)
 
@@ -347,8 +356,9 @@ def test_retry_contract(tmp_path):
         responses = dict(valid)
         responses[stage] = [garbage[stage]] * (attempts - 1) + [valid[stage]]
         llm = stage_llm(**responses)
-        drive(stage, llm)
-        digests = [r.digest for r in llm.journal.records()]
+        with recording(CallJournal()) as journal:
+            drive(stage, llm)
+        digests = [r.digest for r in journal.records()]
         assert max(digests.count(d) for d in digests) == attempts
         stage_calls = sum(
             1 for d in digests if digests.count(d) == attempts

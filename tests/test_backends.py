@@ -16,12 +16,13 @@ from promptrefine.backends import (
     TransportError,
     UnparseableAnswer,
     VqaRequest,
+    recording,
     request_digest,
 )
 from promptrefine.backends import base as backends_base
 from promptrefine.backends.base import RateLimited, sha256_hex
 
-from fixtures import PNG_BLACK, PNG_WHITE
+from fixtures import PNG_BLACK, PNG_WHITE, journal
 
 
 def text_req(text: str, preamble: str = "do the thing") -> TextGenRequest:
@@ -60,11 +61,11 @@ class TestRequestTypes:
             ImageRef(path="x.png", digest="d", remote_id="r")
         ImageRef(remote_id="img-1")
 
-    def test_empty_image_prompt_rejected_before_transport(self):
+    def test_empty_image_prompt_rejected_before_transport(self, journal):
         backend = MockBackend()
         with pytest.raises(ValueError):
             backend.generate_image(ImageGenRequest(prompt="   "))
-        assert len(backend.journal) == 0
+        assert len(journal) == 0
 
     def test_vqa_question_non_empty(self):
         with pytest.raises(ValueError):
@@ -124,31 +125,31 @@ class TestMockScripting:
 
 
 class TestRetryPolicy:
-    def test_fail_n_times_then_succeed(self):
+    def test_fail_n_times_then_succeed(self, journal):
         backend = MockBackend(BackendConfig(model="mock", max_retries=2, backoff_base=0.0))
         backend.script_text("*", [TransportError("down"), TransportError("down"), "up"])
         assert backend.complete(text_req("x")) == "up"
-        records = backend.journal.records()
+        records = journal.records()
         assert len(records) == 1
         assert records[0].attempts == 3
 
-    def test_exhausted_retries_raise(self):
+    def test_exhausted_retries_raise(self, journal):
         backend = MockBackend(BackendConfig(model="mock", max_retries=1, backoff_base=0.0))
         backend.script_text("*", TransportError("down"))
         with pytest.raises(TransportError):
             backend.complete(text_req("x"))
-        records = backend.journal.records()
+        records = journal.records()
         assert records[0].attempts == 2  # max_retries + 1
         assert not records[0].ok
 
-    def test_non_retryable_not_retried(self):
+    def test_non_retryable_not_retried(self, journal):
         from promptrefine.backends import AuthFailure
 
         backend = MockBackend(BackendConfig(model="mock", max_retries=3, backoff_base=0.0))
         backend.script_text("*", [AuthFailure("denied"), "never reached"])
         with pytest.raises(AuthFailure):
             backend.complete(text_req("x"))
-        assert backend.journal.records()[0].attempts == 1
+        assert journal.records()[0].attempts == 1
 
     def test_rate_limited_is_retryable(self):
         backend = MockBackend(BackendConfig(model="mock", max_retries=1, backoff_base=0.0))
@@ -168,12 +169,12 @@ class TestAnswerBinary:
         backend = self._backend().script_vqa("*", "no")
         assert backend.answer_binary(VqaRequest(image=image_ref(tmp_path), question="Is it red?")) is False
 
-    def test_unparseable_twice_raises(self, tmp_path):
+    def test_unparseable_twice_raises(self, tmp_path, journal):
         backend = self._backend().script_vqa("*", "maybe")
         with pytest.raises(UnparseableAnswer):
             backend.answer_binary(VqaRequest(image=image_ref(tmp_path), question="Is it red?"))
         # both the original ask and the strict re-ask reached the transport
-        assert len(backend.journal) == 2
+        assert len(journal) == 2
 
     def test_reask_recovers(self, tmp_path):
         backend = self._backend()
@@ -213,7 +214,7 @@ class TestImageGeneration:
         assert a.digest == b.digest
         assert a.path == b.path
 
-    def test_image_bytes_hashed_once(self, tmp_path, monkeypatch):
+    def test_image_bytes_hashed_once(self, tmp_path, monkeypatch, journal):
         hashed = []
 
         def counting(data):
@@ -226,14 +227,14 @@ class TestImageGeneration:
         ref = backend.generate_image(ImageGenRequest(prompt="a cat"))
         assert hashed == [PNG_WHITE]
         assert ref.digest == sha256_hex(PNG_WHITE)
-        assert backend.journal.records()[0].response_digest == ref.digest
+        assert journal.records()[0].response_digest == ref.digest
 
-    def test_dim_bounds_checked(self, tmp_path):
+    def test_dim_bounds_checked(self, tmp_path, journal):
         backend = MockBackend(image_dir=tmp_path).script_image("*", PNG_WHITE)
         for width, height in [(8, 64), (8, 8), (5000, 5000)]:
             with pytest.raises(ValueError):
                 backend.generate_image(ImageGenRequest(prompt="x", width=width, height=height))
-        assert len(backend.journal) == 0
+        assert len(journal) == 0
 
 
 class TestEmbed:
@@ -256,43 +257,52 @@ class TestEmbed:
 
 
 class TestJournal:
-    def test_one_entry_per_invocation(self, tmp_path):
+    def test_one_entry_per_invocation(self, tmp_path, journal):
         backend = MockBackend(image_dir=tmp_path)
         backend.script_text("*", "t").script_vqa("*", "yes").script_image("*", PNG_WHITE)
         backend.complete(text_req("a"))
         backend.answer_binary(VqaRequest(image=image_ref(tmp_path), question="q?"))
         backend.generate_image(ImageGenRequest(prompt="p"))
-        assert [r.op for r in backend.journal.records()] == [
+        assert [r.op for r in journal.records()] == [
             "complete",
             "answer_binary",
             "generate_image",
         ]
 
-    def test_with_journal_shares_scripts(self, tmp_path, monkeypatch):
+    def test_calls_outside_a_recording_are_not_kept(self):
+        backend = MockBackend().script_text("*", "ok")
+        backend.complete(text_req("before"))
+        with recording(CallJournal()) as mine:
+            backend.complete(text_req("inside"))
+        backend.complete(text_req("after"))
+        assert [r.digest for r in mine.records()] == [request_digest(text_req("inside"))]
+
+    def test_nested_recording_restores_the_outer_journal(self):
+        backend = MockBackend().script_text("*", "ok")
+        with recording(CallJournal()) as outer:
+            with recording(CallJournal()) as inner:
+                backend.complete(text_req("inner"))
+            backend.complete(text_req("outer"))
+        assert (len(outer), len(inner)) == (1, 1)
+
+    def test_one_image_dir_per_backend(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TMPDIR", str(tmp_path))
         monkeypatch.setattr(tempfile, "tempdir", None)
         backend = MockBackend().script_text("*", "ok")
-        mine = CallJournal()
-        view = backend.with_journal(mine)
-        view.complete(text_req("x"))
-        assert len(mine) == 1
-        assert len(backend.journal) == 0
+        backend.complete(text_req("x"))
         assert list(tmp_path.glob("promptrefine-img-*")) == []  # text only: no image dir
 
         backend.script_image("*", PNG_WHITE)
-        refs = [
-            backend.with_journal(CallJournal()).generate_image(ImageGenRequest(prompt=f"p{i}"))
-            for i in range(5)
-        ]
+        refs = [backend.generate_image(ImageGenRequest(prompt=f"p{i}")) for i in range(5)]
         dirs = list(tmp_path.glob("promptrefine-img-*"))
         assert len(dirs) <= 1
         assert {Path(ref.path).parent for ref in refs} <= set(dirs)
         assert [p.name for p in dirs[0].iterdir()] == [Path(refs[0].path).name]
 
-    def test_summaries_redact_response_bodies(self):
+    def test_summaries_redact_response_bodies(self, journal):
         backend = MockBackend().script_text("*", "secret payload")
         backend.complete(text_req("x"))
-        summary = backend.journal.summaries()[0]
+        summary = journal.summaries()[0]
         assert "secret payload" not in json.dumps(summary)
         assert summary["ok"] is True
 

@@ -396,3 +396,18 @@ class TestCliRunBench:
         assert len(items) == 1
         # baseline runs write run directories too
         assert len(list(out.glob("*/record.json"))) == 1
+
+    @pytest.mark.parametrize("limit", ["-1", "0", "two"])
+    def test_limit_must_be_a_positive_integer(self, tmp_path, capsys, limit):
+        write_script(tmp_path)
+        config = write_config(tmp_path)
+        dataset = self._dataset(tmp_path)
+        out = tmp_path / "bench-out"
+        with pytest.raises(SystemExit) as exc:
+            main(
+                ["run-bench", "--dataset", str(dataset), "--config", str(config),
+                 "--limit", limit, "--out", str(out)]
+            )
+        assert exc.value.code == 2
+        assert "--limit" in capsys.readouterr().err
+        assert not out.exists()

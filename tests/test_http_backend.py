@@ -12,6 +12,7 @@ from promptrefine.backends import (
     AuthFailure,
     BackendConfig,
     BackendTimeout,
+    CallJournal,
     ContentRejected,
     HttpBackend,
     ImageGenRequest,
@@ -19,9 +20,10 @@ from promptrefine.backends import (
     TextGenRequest,
     TransportError,
     VqaRequest,
+    recording,
 )
 
-from fixtures import PNG_WHITE
+from fixtures import PNG_WHITE, journal
 
 
 class FakeResponse:
@@ -111,13 +113,13 @@ class TestChatCompletions:
         assert roles == ["system", "user", "assistant", "user", "assistant", "user"]
         assert call["json"]["messages"][-1]["content"] == "the input"
 
-    def test_bearer_token_sent_and_never_journaled(self):
+    def test_bearer_token_sent_and_never_journaled(self, journal):
         be, session = backend(
             [FakeResponse(payload=chat_payload("ok"))], auth_token="top-secret"
         )
         be.complete(TextGenRequest(preamble="", exemplars=(), input="x"))
         assert session.calls[0]["headers"]["Authorization"] == "Bearer top-secret"
-        assert "top-secret" not in json.dumps(be.journal.summaries())
+        assert "top-secret" not in json.dumps(journal.summaries())
 
     def test_auth_failure_not_retried(self):
         be, session = backend([FakeResponse(status_code=401)], max_retries=3)
@@ -195,7 +197,7 @@ class TestVqaWire:
             f"Q{i}?" for i in range(5)
         ]
 
-    def test_concurrent_questions_after_the_first_share_its_encoding(self, tmp_path, monkeypatch):
+    def test_concurrent_questions_after_the_first_share_its_encoding(self, tmp_path, monkeypatch, journal):
         # evaluate_image asks one question before it fans the rest out
         p = tmp_path / "img.png"
         p.write_bytes(PNG_WHITE)
@@ -203,9 +205,13 @@ class TestVqaWire:
         reads = counting(monkeypatch, ImageRef, "read_bytes")
         be, session = backend([FakeResponse(payload=chat_payload("yes"))])
         results = [be.answer_binary(VqaRequest(image=ref, question="Q?"))]
+        thread_journals = []
 
         def ask(i):
-            results.append(be.answer_binary(VqaRequest(image=ref, question=f"Q{i}?")))
+            # a new thread starts outside the test's recording
+            with recording(CallJournal()) as own:
+                results.append(be.answer_binary(VqaRequest(image=ref, question=f"Q{i}?")))
+            thread_journals.append(own)
 
         threads = [threading.Thread(target=ask, args=(i,)) for i in range(16)]
         for t in threads:
@@ -215,7 +221,7 @@ class TestVqaWire:
             assert not t.is_alive()
         assert results == [True] * 17
         assert reads() == 1
-        assert len(session.calls) == 17 and len(be.journal) == 17
+        assert len(session.calls) == 17 and len(journal) + sum(map(len, thread_journals)) == 17
 
     def test_body_length_is_the_bytes_sent(self, tmp_path):
         p = tmp_path / "img.png"

@@ -30,6 +30,7 @@ from fixtures import (
     PNG_WHITE,
     Gauge,
     SlowMock,
+    journal,
     motorcycle_backends,
     motorcycle_graph,
     stage_llm,
@@ -209,6 +210,12 @@ class TestRunSingle:
         # the transcript so far survives: generation, DSG stages, and the asks
         assert any(e["op"] == "answer_binary" for e in record.backend_journal)
         assert any(e["op"] == "complete" for e in record.backend_journal)
+
+    def test_run_keeps_its_calls_from_an_enclosing_recording(self, tmp_path, journal):
+        cfg = pipeline_cfg(tmp_path)
+        record = run_single(MOTORCYCLE_PROMPT, cfg)
+        assert len(record.backend_journal) == 16
+        assert len(journal) == 0
 
     def test_reproducible_modulo_run_id(self, tmp_path):
         records = []

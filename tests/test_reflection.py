@@ -1,5 +1,6 @@
 import itertools
 import random
+import threading
 from types import SimpleNamespace
 
 import pytest
@@ -9,6 +10,7 @@ from promptrefine.backends import (
     AuthFailure,
     ContentRejected,
     MockBackend,
+    TextGenRequest,
     UnparseableAnswer,
     VqaRequest,
     request_digest,
@@ -41,6 +43,7 @@ from fixtures import (
     PNG_WHITE,
     SlowMock,
     chain_graph,
+    journal,
     motorcycle_graph,
     random_dag,
 )
@@ -105,18 +108,18 @@ class TestAnswerTypes:
 
 
 class TestBuildDsg:
-    def test_motorcycle_three_stage_fixture(self, templates):
+    def test_motorcycle_three_stage_fixture(self, templates, journal):
         # DERIVED: the scripted blocks assemble into the validated fixture graph.
         llm = scripted_llm()
         graph = build_dsg(MOTORCYCLE_PROMPT, llm, templates)
         assert graph == motorcycle_graph()
         # three stages, one call each
-        assert len(llm.journal) == 3
+        assert len(journal) == 3
 
-    def test_stage_order_is_tuples_questions_dependencies(self, templates):
+    def test_stage_order_is_tuples_questions_dependencies(self, templates, journal):
         llm = scripted_llm()
         build_dsg(MOTORCYCLE_PROMPT, llm, templates)
-        excerpts = [r.response_excerpt for r in llm.journal.records()]
+        excerpts = [r.response_excerpt for r in journal.records()]
         assert "entity" in excerpts[0]
         assert excerpts[1].startswith("1 | Is there")
         assert excerpts[2].startswith("1 | 0")
@@ -133,12 +136,12 @@ class TestBuildDsg:
         )
         build_dsg(MOTORCYCLE_PROMPT, llm, templates)
 
-    def test_invalid_tuple_output_retried(self, templates):
+    def test_invalid_tuple_output_retried(self, templates, journal):
         llm = scripted_llm()
         llm._text[0].responses = ["garbage", "more garbage", MOTORCYCLE_TUPLES]
         graph = build_dsg(MOTORCYCLE_PROMPT, llm, templates, max_attempts=3)
         assert graph == motorcycle_graph()
-        assert len(llm.journal) == 5  # 3 tuple attempts + questions + dependencies
+        assert len(journal) == 5  # 3 tuple attempts + questions + dependencies
 
     def test_all_attempts_invalid_raises_stage_exhausted(self, templates):
         llm = MockBackend(name="llm").script_text("*", "garbage")
@@ -211,14 +214,14 @@ class TestEvaluateImage:
         assert report.score == 1.0
         assert report.vqa_call_count == 0
 
-    def test_pruned_questions_never_reach_backend(self, tmp_path):
+    def test_pruned_questions_never_reach_backend(self, tmp_path, journal):
         g = motorcycle_graph()
         vqa = MockBackend(name="vqa").script_vqa("Is there*", "no").script_vqa("*", "yes")
         report = evaluate_image(image(tmp_path), g, vqa)
         # 1 and 3 answered no; everything else pruned, so exactly 2 calls
         assert report.vqa_call_count == 2
-        assert len(vqa.journal) == 2
-        asked = {r.digest for r in vqa.journal.records()}
+        assert len(journal) == 2
+        asked = {r.digest for r in journal.records()}
         assert len(asked) == 2
 
     def test_multi_parent_conflict_prunes(self, tmp_path):
@@ -279,14 +282,14 @@ class TestEvaluateImage:
 
 
 class TestFanOut:
-    def test_wide_level_overlaps_within_the_worker_bound(self, tmp_path):
+    def test_wide_level_overlaps_within_the_worker_bound(self, tmp_path, journal):
         g = chain_graph("p", 24, set())  # one level of 24 questions
         vqa = SlowMock(name="vqa").script_vqa("*", "yes")
         report = evaluate_image(image(tmp_path), g, vqa)
-        assert report.score == 1.0 and len(vqa.journal) == 24
+        assert report.score == 1.0 and len(journal) == 24
         assert 1 < vqa.gauge.peak["answer_binary"] <= reflection.POOL_WORKERS
 
-    def test_lowest_failing_id_raises_after_the_level_completes(self, tmp_path):
+    def test_lowest_failing_id_raises_after_the_level_completes(self, tmp_path, journal):
         # Roots 1-6 form one level; 7 depends on 1. Questions 3 and 5 fail
         # with errors that are not retried, 5 first.
         g = chain_graph("p", 7, {(1, 7)})
@@ -299,11 +302,40 @@ class TestFanOut:
         img = image(tmp_path)
         with pytest.raises(AuthFailure, match="three"):
             evaluate_image(img, g, vqa)
-        records = vqa.journal.records()
+        records = journal.records()
         asked = [VqaRequest(image=img, question=f"Is there thing {i}?") for i in range(1, 7)]
         # every call made is journaled, in id order; 7 waits on level 1 and is never asked
         assert [r.digest for r in records] == [request_digest(q) for q in asked]
         assert [r.ok for r in records] == [True, True, False, True, False, True]
+
+    def test_join_journals_tasks_in_task_order(self, journal):
+        # Each task waits for the next one to finish, so they finish in
+        # reverse order; tasks 1 and 2 fail, 2 first.
+        llm = (
+            MockBackend(name="llm")
+            .script_text("t1", ContentRejected("one"))
+            .script_text("t2", AuthFailure("two"))
+            .script_text("*", "ok")
+        )
+        requests = [TextGenRequest(preamble="p", exemplars=(), input=f"t{i}") for i in range(4)]
+        finished = [threading.Event() for _ in requests]
+        order = []
+
+        def complete(i):
+            try:
+                if i + 1 < len(requests):
+                    assert finished[i + 1].wait(timeout=10)
+                return llm.complete(requests[i])
+            finally:
+                order.append(i)
+                finished[i].set()
+
+        tasks = [reflection.submit(complete, i) for i in range(len(requests))]
+        with pytest.raises(ContentRejected, match="one"):
+            reflection.join(tasks)
+        assert order == [3, 2, 1, 0]
+        assert [r.digest for r in journal.records()] == [request_digest(r) for r in requests]
+        assert [r.ok for r in journal.records()] == [True, False, False, True]
 
     def test_first_call_under_the_gate_keeps_the_evaluation_serial(self, tmp_path, monkeypatch):
         def no_submit(*args):
