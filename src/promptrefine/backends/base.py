@@ -80,8 +80,14 @@ class MockMiss(BackendError):
         super().__init__(f"no scripted {op} response for digest {digest}{extra}")
 
 
+# One encoder for every call: json.dumps with non-default options builds a new
+# JSONEncoder each time. encode() keeps no state between calls, so sharing it
+# across threads is safe.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    return _CANONICAL.encode(obj)
 
 
 def sha256_hex(data: Union[str, bytes]) -> str:

@@ -22,9 +22,11 @@ A backend section takes ``type``, ``script`` (mock only) and the fields of
 rate_limit, backoff_base, embed_dim, supports_embedding); a mock's model
 defaults to its role and its backoff_base to 0. The pipeline section takes
 ``workdir`` and the ``PipelineConfig`` fields rounds, seed, decorate,
-parallelism, width and height. Any other key in either is a ConfigError. The
-limits are fixed, not configured: 3 attempts per text stage, prompts of at
-most 480 characters, at most 200 questions per graph.
+parallelism, width and height. ``templates`` takes only ``dir`` and
+``keywords`` only ``file``. Any other key, at the top level, among the backend
+roles (llm, vqa, t2i, embed) or in any section, is a ConfigError that names the
+section and the key. The limits are fixed, not configured: 3 attempts per text
+stage, prompts of at most 480 characters, at most 200 questions per graph.
 """
 
 from __future__ import annotations
@@ -49,6 +51,8 @@ class ConfigError(Exception):
     pass
 
 
+_TOP_KEYS = {"backends", "pipeline", "templates", "keywords"}
+_BACKEND_ROLES = {"llm", "vqa", "t2i", "embed"}
 _BACKEND_KEYS = {f.name for f in fields(BackendConfig)} | {"type", "script"}
 # backends, templates, keywords and out_dir come from other sections or the caller.
 _PIPELINE_KEYS = {f.name for f in fields(PipelineConfig)} - {
@@ -58,9 +62,18 @@ _PIPELINE_KEYS.add("workdir")
 
 
 def _reject_unknown(section: dict, allowed: set, where: str) -> None:
-    unknown = sorted(set(section) - allowed)
+    unknown = sorted(set(section) - allowed, key=str)
     if unknown:
         raise ConfigError(f"{where}: unknown key {', '.join(map(repr, unknown))}")
+
+
+def _section(doc: dict, name: str, allowed: set) -> dict:
+    """An optional top-level section: a mapping with only ``allowed`` keys."""
+    section = doc.get(name) or {}
+    if not isinstance(section, dict):
+        raise ConfigError(f"'{name}' section must be a mapping")
+    _reject_unknown(section, allowed, name)
+    return section
 
 
 def _interpolate(value, path: str):
@@ -122,18 +135,17 @@ def load_config(path: Union[str, Path], out_dir: Optional[Path] = None) -> Pipel
         raise ConfigError(f"{path}: top level must be a mapping")
     doc = _interpolate(doc, path.name)
     base_dir = path.parent
+    _reject_unknown(doc, _TOP_KEYS, "top level")
 
     backends_doc = doc.get("backends")
     if not isinstance(backends_doc, dict):
         raise ConfigError("config needs a 'backends' section")
+    _reject_unknown(backends_doc, _BACKEND_ROLES, "backends")
     for role in ("llm", "vqa", "t2i"):
         if role not in backends_doc:
             raise ConfigError(f"backends.{role} is required")
 
-    pipeline_doc = doc.get("pipeline", {}) or {}
-    if not isinstance(pipeline_doc, dict):
-        raise ConfigError("'pipeline' section must be a mapping")
-    _reject_unknown(pipeline_doc, _PIPELINE_KEYS, "pipeline")
+    pipeline_doc = _section(doc, "pipeline", _PIPELINE_KEYS)
     workdir = pipeline_doc.pop("workdir", None)
     image_dir = Path(workdir) / "images" if workdir else None
 
@@ -149,7 +161,7 @@ def load_config(path: Union[str, Path], out_dir: Optional[Path] = None) -> Pipel
     )
 
     templates = None
-    templates_doc = doc.get("templates") or {}
+    templates_doc = _section(doc, "templates", {"dir"})
     if templates_doc.get("dir"):
         tdir = Path(templates_doc["dir"])
         if not tdir.is_absolute():
@@ -160,7 +172,7 @@ def load_config(path: Union[str, Path], out_dir: Optional[Path] = None) -> Pipel
             raise ConfigError(str(exc)) from exc
 
     keywords = None
-    keywords_doc = doc.get("keywords") or {}
+    keywords_doc = _section(doc, "keywords", {"file"})
     if keywords_doc.get("file"):
         kfile = Path(keywords_doc["file"])
         if not kfile.is_absolute():

@@ -519,7 +519,7 @@ def persist_record(record: RunRecord, out_dir: Union[str, Path]) -> Path:
         ]
         path = run_dir / "record.json"
         try:
-            text = json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+            text = json.dumps(doc, ensure_ascii=False) + "\n"
         except (TypeError, ValueError) as exc:
             raise IoFailure(f"could not serialize record: {exc}") from exc
         write_file_atomic(path, text.encode("utf-8"))

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 # Guard against runaway model output; override via build_graph(max_questions=...).
@@ -163,20 +164,52 @@ class SceneGraph:
     questions: Tuple[Question, ...]
     edges: FrozenSet[DependencyEdge]
 
+    # The indexes below are computed once per graph, on first use, and kept in
+    # the instance __dict__ (cached_property writes there directly, so it works
+    # on a frozen dataclass). They are pure functions of the frozen fields and
+    # take no part in equality or repr; if two threads race to fill one, both
+    # compute the same value.
+
+    @cached_property
+    def _by_id(self) -> Dict[int, Question]:
+        return {q.id: q for q in self.questions}
+
+    @cached_property
+    def _children(self) -> Dict[int, Tuple[int, ...]]:
+        adj: Dict[int, List[int]] = {q.id: [] for q in self.questions}
+        for e in sorted(self.edges):
+            adj[e.parent].append(e.child)
+        return {qid: tuple(kids) for qid, kids in adj.items()}
+
+    @cached_property
+    def _levels(self) -> Tuple[Tuple[int, ...], ...]:
+        indegree = {q.id: 0 for q in self.questions}
+        for e in self.edges:
+            indegree[e.child] += 1
+        levels: List[Tuple[int, ...]] = []
+        ready = sorted(i for i, n in indegree.items() if n == 0)
+        while ready:
+            levels.append(tuple(ready))
+            next_ready: List[int] = []
+            for node in ready:
+                for child in self._children[node]:
+                    indegree[child] -= 1
+                    if indegree[child] == 0:
+                        next_ready.append(child)
+            ready = sorted(next_ready)
+        return tuple(levels)
+
     def question_ids(self) -> List[int]:
         return [q.id for q in self.questions]
 
     def question_by_id(self, qid: int) -> Question:
-        for q in self.questions:
-            if q.id == qid:
-                return q
-        raise UnknownId(qid)
+        try:
+            return self._by_id[qid]
+        except KeyError:
+            raise UnknownId(qid) from None
 
     def children(self) -> Dict[int, List[int]]:
-        adj: Dict[int, List[int]] = {q.id: [] for q in self.questions}
-        for e in sorted(self.edges):
-            adj[e.parent].append(e.child)
-        return adj
+        return {qid: list(kids) for qid, kids in self._children.items()}
 
     def max_id(self) -> int:
         return max((t.id for t in self.tuples), default=0)
@@ -359,7 +392,8 @@ def build_graph(
                 raise DanglingEdge(endpoint)
 
     graph = SceneGraph(source_prompt=prompt, tuples=tuples, questions=questions, edges=edge_set)
-    placed = {qid for level in topological_levels(graph) for qid in level}
+    # The Kahn pass is the cycle check, and it fills the graph's level cache.
+    placed = {qid for level in graph._levels for qid in level}
     if len(placed) < len(question_ids):
         raise CycleDetected(_cycle_among(id_set - placed, edge_set))
     return graph
@@ -372,23 +406,7 @@ def topological_levels(graph: SceneGraph) -> List[List[int]]:
     No question depends on another of its own generation, so a generation's
     questions can be asked in any order, or all at once.
     """
-    ids = graph.question_ids()
-    indegree = {i: 0 for i in ids}
-    children = graph.children()
-    for e in graph.edges:
-        indegree[e.child] += 1
-    levels: List[List[int]] = []
-    ready = sorted(i for i in ids if indegree[i] == 0)
-    while ready:
-        levels.append(ready)
-        next_ready: List[int] = []
-        for node in ready:
-            for child in children[node]:
-                indegree[child] -= 1
-                if indegree[child] == 0:
-                    next_ready.append(child)
-        ready = sorted(next_ready)
-    return levels
+    return [list(level) for level in graph._levels]
 
 
 def topological_order(graph: SceneGraph) -> List[int]:
@@ -399,9 +417,9 @@ def topological_order(graph: SceneGraph) -> List[int]:
 
 def descendants(graph: SceneGraph, qid: int) -> Set[int]:
     """Transitive closure of children of qid, excluding qid itself."""
-    if qid not in set(graph.question_ids()):
+    children = graph._children
+    if qid not in children:
         raise UnknownId(qid)
-    children = graph.children()
     out: Set[int] = set()
     stack = list(children[qid])
     while stack:
@@ -429,8 +447,9 @@ def graph_to_doc(graph: SceneGraph) -> dict:
 
 
 def serialize_graph(graph: SceneGraph) -> str:
-    """Canonical, byte-stable JSON document for a graph."""
-    return json.dumps(graph_to_doc(graph), indent=2, ensure_ascii=False) + "\n"
+    """Canonical, byte-stable JSON document for a graph: one line of UTF-8
+    JSON, compact so that CPython's C encoder writes it."""
+    return json.dumps(graph_to_doc(graph), ensure_ascii=False) + "\n"
 
 
 def _expect(doc: dict, key: str, kind, path: str):

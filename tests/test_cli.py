@@ -9,7 +9,7 @@ import yaml
 
 from promptrefine.cli import main
 from promptrefine.config import ConfigError, load_config
-from promptrefine.scene_graph import graph_to_doc, parse_graph
+from promptrefine.scene_graph import graph_to_doc, parse_graph, serialize_graph
 
 from fixtures import (
     DECORATED_MOTORCYCLE,
@@ -201,6 +201,39 @@ class TestLoadConfig:
         assert "max_retires" in str(exc.value)
 
     @pytest.mark.parametrize(
+        "section, entry, where, key",
+        [
+            ("pipelines", {"rounds": 3}, "top level", "pipelines"),
+            ("backends", {"embedd": {"type": "mock"}}, "backends", "embedd"),
+            ("templates", {"dirr": "my-templates"}, "templates", "dirr"),
+            ("keywords", {"fil": "keywords.json"}, "keywords", "fil"),
+        ],
+    )
+    def test_unknown_section_key(self, tmp_path, section, entry, where, key):
+        write_script(tmp_path)
+        doc = yaml.safe_load(write_config(tmp_path).read_text())
+        doc.setdefault(section, {}).update(entry)
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        assert where in str(exc.value)
+        assert repr(key) in str(exc.value)
+
+    @pytest.mark.parametrize("section", ["templates", "keywords"])
+    def test_non_mapping_section_exits_2(self, tmp_path, capsys, section):
+        write_script(tmp_path)
+        doc = yaml.safe_load(write_config(tmp_path).read_text())
+        doc[section] = "./dir"
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        assert section in str(exc.value)
+        assert main(["dsg", "--prompt", MOTORCYCLE_PROMPT, "--config", str(path)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "key",
         [
             "build_attempts",
@@ -312,6 +345,7 @@ class TestCliDsgAndReflect:
         assert code == 0
         captured = capsys.readouterr()
         assert parse_graph(captured.out) == motorcycle_graph()
+        assert captured.out == serialize_graph(motorcycle_graph())
 
     def test_reflect_scores_image(self, tmp_path, capsys):
         write_script(tmp_path)

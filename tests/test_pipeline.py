@@ -21,7 +21,7 @@ from promptrefine.pipeline import (
     run_single,
     summarize_batch,
 )
-from promptrefine.scene_graph import SchemaViolation
+from promptrefine.scene_graph import SchemaViolation, serialize_graph
 
 from fixtures import (
     DECORATED_MOTORCYCLE,
@@ -355,6 +355,48 @@ class TestPersistence:
         a = persist_record(record, tmp_path / "one").read_text()
         b = persist_record(record, tmp_path / "two").read_text()
         assert a == b
+
+    def test_file_holds_the_record_document_with_rebased_paths(self, tmp_path):
+        record = self._record(tmp_path)
+        path = persist_record(record, tmp_path / "runs")
+        expected = record_to_doc(record)
+        expected["image_refs"] = [
+            [label, {"path": f"images/{label}.png", "digest": ref.digest, "remote_id": None,
+                     "media_type": ref.media_type}, seed]
+            for label, ref, seed in record.image_refs
+        ]
+        text = path.read_text(encoding="utf-8")
+        assert json.loads(text) == expected
+        assert text.count("\n") == 1 and text.endswith("\n")
+        graph_text = (path.parent / "graph.json").read_text(encoding="utf-8")
+        assert graph_text == serialize_graph(record.graph)
+        assert graph_text.count("\n") == 1
+
+    def test_non_ascii_prompt_written_unescaped(self, tmp_path):
+        record = self._record(tmp_path)
+        prompt = "une moto bleue près d’une clôture, 青いバイク 🏍"
+        record = dataclasses.replace(
+            record,
+            prompt_history=[("user", prompt)] + record.prompt_history[1:],
+            graph=dataclasses.replace(record.graph, source_prompt=prompt),
+        )
+        path = persist_record(record, tmp_path / "runs")
+        for name in ("record.json", "graph.json"):
+            raw = (path.parent / name).read_bytes()
+            assert prompt.encode("utf-8") in raw
+            assert b"\\u" not in raw
+        assert load_record(path).prompt_history[0] == ("user", prompt)
+        assert load_record(path).graph.source_prompt == prompt
+
+    def test_reads_a_record_written_with_indent(self, tmp_path):
+        # Records written before record.json became one compact line were
+        # indented by two spaces; they must still load.
+        record = self._record(tmp_path)
+        path = persist_record(record, tmp_path / "runs")
+        compact = load_record(path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps(doc, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+        assert load_record(path) == compact
 
     def test_truncated_file_schema_violation(self, tmp_path):
         record = self._record(tmp_path)

@@ -16,6 +16,7 @@ from promptrefine.scene_graph import (
     MalformedLine,
     NonContiguousIds,
     Question,
+    SceneGraph,
     SchemaViolation,
     SelfDependency,
     UnknownCategory,
@@ -306,6 +307,47 @@ class TestDescendants:
             g = chain_graph("p", len(ids), pairs)
             for qid in ids:
                 assert descendants(g, qid) == bf_reachable(ids, pairs, qid)
+
+
+class TestGraphIndex:
+    def test_question_by_id(self):
+        g = motorcycle_graph()
+        for q in g.questions:
+            assert g.question_by_id(q.id) is q
+
+    @pytest.mark.parametrize("qid", [0, 6, -1])
+    def test_question_by_id_unknown(self, qid):
+        with pytest.raises(UnknownId) as exc:
+            motorcycle_graph().question_by_id(qid)
+        assert exc.value.missing_id == qid
+
+    def test_returned_lists_are_fresh(self):
+        g = motorcycle_graph()
+        kids, levels = g.children(), topological_levels(g)
+        assert kids == {1: [2, 5], 2: [], 3: [4, 5], 4: [], 5: []}
+        assert levels == [[1, 3], [2, 4, 5]]
+        kids[1].append(99)
+        kids[4] = [1]
+        levels[0].append(99)
+        levels.append([42])
+        assert g.children() == {1: [2, 5], 2: [], 3: [4, 5], 4: [], 5: []}
+        assert topological_levels(g) == [[1, 3], [2, 4, 5]]
+        assert topological_order(g) == [1, 3, 2, 4, 5]
+        assert descendants(g, 3) == {4, 5}
+
+    def test_filled_indexes_change_neither_equality_nor_document(self):
+        used = motorcycle_graph()
+        used.question_by_id(2)
+        used.children()
+        descendants(used, 1)
+        topological_levels(used)
+        fresh = SceneGraph(used.source_prompt, used.tuples, used.questions, used.edges)
+        assert set(vars(used)) > set(vars(fresh))  # the used graph holds its indexes
+        assert used == fresh
+        assert hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+        assert serialize_graph(used) == serialize_graph(fresh)
+        assert topological_levels(fresh) == topological_levels(used)
 
 
 _categories = st.sampled_from(list(Category))
