@@ -19,7 +19,7 @@ from contextlib import contextmanager, suppress
 from contextvars import ContextVar
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 logger = logging.getLogger(__name__)
 
@@ -126,6 +126,17 @@ class TextGenRequest:
         }
 
 
+def _sniff_media_type(data: bytes) -> str:
+    """The media type that an image's magic bytes name; ``image/png`` if none does."""
+    if data.startswith(b"\xff\xd8\xff"):
+        return "image/jpeg"
+    if data.startswith((b"GIF87a", b"GIF89a")):
+        return "image/gif"
+    if data[:4] == b"RIFF" and data[8:12] == b"WEBP":
+        return "image/webp"
+    return "image/png"
+
+
 @dataclass(frozen=True)
 class ImageRef:
     """Reference to an image: either a local file (path + content digest) or a
@@ -143,8 +154,11 @@ class ImageRef:
             raise ValueError("exactly one of (path+digest) or remote_id must be set")
 
     @classmethod
-    def from_file(cls, path: Union[str, Path], media_type: str = "image/png") -> "ImageRef":
+    def from_file(cls, path: Union[str, Path], media_type: Optional[str] = None) -> "ImageRef":
+        """A local image; its media type is ``media_type`` if given, else read
+        from the file's magic bytes (PNG, JPEG, GIF, WebP; PNG otherwise)."""
         data = Path(path).read_bytes()
+        media_type = media_type or _sniff_media_type(data)
         return cls(path=str(path), digest=sha256_hex(data), media_type=media_type)
 
     def read_bytes(self) -> bytes:
@@ -350,6 +364,7 @@ class Backend:
     One instance may serve any subset of the four capabilities. Instances are
     safe to share across threads and keep no record of their calls: each call
     is journaled to the journal of the innermost open ``recording``, if any.
+    They keep only each op's last latency, which ``last_latency_s`` reads.
     """
 
     def __init__(self, config: BackendConfig, image_dir: Optional[Union[str, Path]] = None):
@@ -357,6 +372,7 @@ class Backend:
         self._image_dir = Path(image_dir) if image_dir else None  # else a temp dir on first image
         self._image_dir_lock = threading.Lock()
         self._limiter = _RateLimiter(config.rate_limit)
+        self._last_latency: Dict[str, float] = {}  # op -> seconds its last successful call took
 
     # -- transport hooks -------------------------------------------------
     def _send_text(self, req: TextGenRequest) -> str:
@@ -400,13 +416,16 @@ class Backend:
         elif error is None:
             text = result if isinstance(result, str) else canonical_json(result)
             rdigest, excerpt = sha256_hex(text), text[:200]
+        latency = time.monotonic() - start
+        if error is None:
+            self._last_latency[op] = latency
         journal_calls([
             CallRecord(
                 op=op,
                 digest=digest,
                 ok=error is None,
                 attempts=attempts,
-                latency_s=time.monotonic() - start,
+                latency_s=latency,
                 model=self.config.model,
                 error=None if error is None else f"{type(error).__name__}: {error}",
                 response_digest=rdigest,
@@ -416,6 +435,11 @@ class Backend:
         if error is not None:
             raise error
         return result, rdigest
+
+    def last_latency_s(self, op: str) -> Optional[float]:
+        """Seconds the last successful ``op`` call took, retries included;
+        None before the first one."""
+        return self._last_latency.get(op)
 
     # -- operations --------------------------------------------------------
     def complete(self, req: TextGenRequest) -> str:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import base64
 import functools
 import json
+import threading
 from typing import List, Optional, Tuple, Union
 
 import requests
@@ -43,11 +44,20 @@ def _image_url(image: ImageRef) -> str:
 
 
 @functools.lru_cache(maxsize=ENCODED_IMAGES)
-def _encoded(image: ImageRef) -> Tuple[bytes, bytes]:
-    """A local image's JSON-escaped ``data:`` URL prefix and base64 bytes,
-    shared by every request that sends it."""
+def _encode(image: ImageRef) -> Tuple[bytes, bytes]:
     prefix = json.dumps(f"data:{image.media_type};base64,")[1:-1].encode("ascii")
     return prefix, base64.b64encode(image.read_bytes())
+
+
+_ENCODE_LOCK = threading.Lock()
+
+
+def _encoded(image: ImageRef) -> Tuple[bytes, bytes]:
+    """A local image's JSON-escaped ``data:`` URL prefix and base64 bytes,
+    shared by every request that sends it. Callers that arrive together wait
+    for one encoding rather than each making their own."""
+    with _ENCODE_LOCK:
+        return _encode(image)
 
 
 class _ImageBody:
@@ -72,6 +82,14 @@ class HttpBackend(Backend):
             raise ValueError("HttpBackend requires an endpoint")
         super().__init__(config, image_dir=image_dir)
         self._session = session or requests.Session()
+
+    def generate_image(self, req: ImageGenRequest) -> ImageRef:
+        image = super().generate_image(req)
+        # Encode on the calling thread: the questions about the new image may
+        # all go out at once from pool threads, which would hold the copy in
+        # their own malloc arenas.
+        _encoded(image)
+        return image
 
     def _post(self, path: str, payload: dict, image: Optional[ImageRef] = None) -> dict:
         """POST ``payload`` as JSON; a local ``image`` fills its _URL_SLOT."""

@@ -13,7 +13,8 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
 from promptrefine import scene_graph as sg
-from promptrefine.pipeline import PipelineConfig, RunRecord, run_single
+from promptrefine.pipeline import PipelineConfig, RunRecord, _error_kind, run_single
+from promptrefine.reflection import join, submit
 
 logger = logging.getLogger(__name__)
 
@@ -50,6 +51,7 @@ class ItemResult:
     optimized_score: Optional[float] = None
     clip: Dict[str, float] = field(default_factory=dict)
     error: Optional[str] = None
+    error_kind: Optional[str] = None  # the run's, or the classification of the error raised
 
     @property
     def failed(self) -> bool:
@@ -111,27 +113,39 @@ def load_dataset(path: Union[str, Path]) -> List[DatasetItem]:
     return items
 
 
+def _try_embed(embedder, payload):
+    """(vector, None), or (None, the error): one failed embed keeps the others."""
+    try:
+        return embedder.embed(payload), None
+    except Exception as exc:  # noqa: BLE001 - relevance scoring is best-effort
+        return None, exc
+
+
 def _clip_pairings(result: ItemResult, item: DatasetItem, record: RunRecord,
                    cfg: PipelineConfig, optimized: bool) -> None:
     """Relevance of the user prompt to the round-1 image and, for an optimized
-    run, of both prompts to the final image."""
+    run, of both prompts to the final image. The embeds are sent together; a
+    pairing is recorded when both of its embeds succeed."""
     embedder = cfg.backends.embed
     if embedder is None:
         return
-    try:
-        result.clip["baseline"] = clip_relevance(
-            embedder.embed(item.prompt), embedder.embed(record.image_refs[0][1])
-        )
-        if optimized:
-            image_vec = embedder.embed(record.image_refs[-1][1])
-            result.clip["optimized_prompt"] = clip_relevance(
-                embedder.embed(record.final_prompt()), image_vec
-            )
-            result.clip["original_prompt"] = clip_relevance(
-                embedder.embed(item.prompt), image_vec
-            )
-    except Exception as exc:  # noqa: BLE001 - relevance scoring is best-effort
-        logger.warning("clip scoring failed for %s: %s", result.item_id, exc)
+    payloads = [item.prompt, record.image_refs[0][1]]
+    pairings = {"baseline": (0, 1)}  # name -> (text, image) indices into payloads
+    if optimized:
+        payloads += [record.image_refs[-1][1], record.final_prompt(), item.prompt]
+        pairings.update(optimized_prompt=(3, 2), original_prompt=(4, 2))
+    embeds = join([submit(_try_embed, embedder, payload) for payload in payloads])
+    errors = [error for _, error in embeds if error is not None]
+    for name, (text, image) in pairings.items():
+        (text_vec, _), (image_vec, _) = embeds[text], embeds[image]
+        if text_vec is None or image_vec is None:
+            continue
+        try:
+            result.clip[name] = clip_relevance(text_vec, image_vec)
+        except ValueError as exc:  # mismatched or zero vectors
+            errors.append(exc)
+    if errors:
+        logger.warning("clip scoring failed for %s: %s", result.item_id, errors[0])
 
 
 def run_benchmark(
@@ -156,6 +170,7 @@ def run_benchmark(
         try:
             record = run_single(item.prompt, cfg, graph=item.graph, evaluate_only=not optimized)
             if record.status != "completed":
+                result.error_kind = record.error_kind
                 raise RuntimeError(f"pipeline failed at {record.failed_stage}: {record.error}")
             result.baseline_score = record.reports[0].score
             if optimized:
@@ -163,6 +178,7 @@ def run_benchmark(
             _clip_pairings(result, item, record, cfg, optimized)
         except Exception as exc:  # noqa: BLE001 - one bad item must not sink the run
             result.error = f"{type(exc).__name__}: {exc}"
+            result.error_kind = result.error_kind or _error_kind(exc)
             logger.warning("item %s failed: %s", item.item_id, result.error)
         results.append(result)
     return aggregate(results, mode)

@@ -107,6 +107,7 @@ def cmd_run_bench(args) -> int:
                 "optimized_score": i.optimized_score,
                 "clip": i.clip,
                 "error": i.error,
+                "error_kind": i.error_kind,
             }
             for i in report.items
         ]

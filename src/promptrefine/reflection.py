@@ -4,7 +4,6 @@ generated image against it with entailment-based pruning."""
 from __future__ import annotations
 
 import logging
-import time
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from enum import Enum
@@ -175,25 +174,31 @@ def join(tasks: Sequence[Tuple[Future, CallJournal]]) -> list:
     return [future.result() for future, _ in tasks]
 
 
+def _fan_out(vqa: Backend) -> Optional[bool]:
+    """Whether VQA calls are slow enough to overlap; None before the first answer."""
+    latency = vqa.last_latency_s("answer_binary")
+    return None if latency is None else latency >= FAN_OUT_MIN_S
+
+
 def evaluate_image(image: ImageRef, graph: sg.SceneGraph, vqa: Backend) -> ReflectionReport:
     """Answer the graph's questions about an image, one DAG level at a time.
 
     A No answer marks every dependent question as missing without querying it.
-    The first question is asked on the calling thread; if it took at least
-    FAN_OUT_MIN_S, the unpruned questions of each level are then asked
-    together on the shared pool. Answers, pruning, the call count and the
-    journal order are the same either way.
+    If the backend's last answer took at least FAN_OUT_MIN_S, the unpruned
+    questions of each level are asked together on the shared pool. A backend
+    that has never answered is asked the first question alone, and its
+    latency decides. Answers, pruning, the call count and the journal order
+    are the same either way.
     """
     answers: Dict[int, Answer] = {}
     calls = 0
-    fan_out: Optional[bool] = None  # decided by the first question's latency
+    fan_out = _fan_out(vqa)
     for level in sg.topological_levels(graph):
         pending = [qid for qid in level if qid not in answers]  # others pruned by an earlier No
         results: List[bool] = []
         if pending and fan_out is None:
-            start = time.perf_counter()
             results.append(_ask(vqa, image, graph, pending[0]))
-            fan_out = time.perf_counter() - start >= FAN_OUT_MIN_S
+            fan_out = _fan_out(vqa)
         rest = pending[len(results):]
         if fan_out and len(rest) > 1:
             results += join([submit(_ask, vqa, image, graph, qid) for qid in rest])

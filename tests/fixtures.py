@@ -172,6 +172,10 @@ class SlowMock(MockBackend):
         delay = self.op_delays.get("generate_image", 0)
         return self._slow("generate_image", delay, super()._send_image, req)
 
+    def _send_embed(self, payload):
+        delay = self.op_delays.get("embed", 0)
+        return self._slow("embed", delay, super()._send_embed, payload)
+
     def _send_vqa(self, req):
         delay = self.delays.get(req.question, random.Random(req.question).uniform(0.002, 0.004))
         return self._slow("answer_binary", delay, super()._send_vqa, req)

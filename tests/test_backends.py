@@ -1,6 +1,8 @@
 import json
 import tempfile
+import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -66,6 +68,30 @@ class TestRequestTypes:
         with pytest.raises(ValueError):
             backend.generate_image(ImageGenRequest(prompt="   "))
         assert len(journal) == 0
+
+    @pytest.mark.parametrize(
+        "head, media_type",
+        [
+            (PNG_WHITE[:16], "image/png"),
+            (b"\xff\xd8\xff\xe0\x00\x10JFIF\x00", "image/jpeg"),
+            (b"GIF87a\x01\x00\x01\x00", "image/gif"),
+            (b"GIF89a\x01\x00\x01\x00", "image/gif"),
+            (b"RIFF\x24\x00\x00\x00WEBPVP8 ", "image/webp"),
+            (b"RIFF\x24\x00\x00\x00WAVEfmt ", "image/png"),  # RIFF, but not WebP
+            (b"BM\x36\x00\x00\x00", "image/png"),  # a BMP: unrecognized
+            (b"", "image/png"),
+        ],
+        ids=["png", "jpeg", "gif87a", "gif89a", "webp", "riff-wave", "bmp", "empty"],
+    )
+    def test_image_ref_media_type_from_magic_bytes(self, tmp_path, head, media_type):
+        p = tmp_path / "image.png"  # the suffix does not decide
+        p.write_bytes(head)
+        assert ImageRef.from_file(p).media_type == media_type
+
+    def test_explicit_media_type_wins(self, tmp_path):
+        p = tmp_path / "photo.jpg"
+        p.write_bytes(b"\xff\xd8\xff\xe0")
+        assert ImageRef.from_file(p, media_type="image/x-raw").media_type == "image/x-raw"
 
     def test_vqa_question_non_empty(self):
         with pytest.raises(ValueError):
@@ -155,6 +181,42 @@ class TestRetryPolicy:
         backend = MockBackend(BackendConfig(model="mock", max_retries=1, backoff_base=0.0))
         backend.script_text("*", [RateLimited(), "ok"])
         assert backend.complete(text_req("x")) == "ok"
+
+
+class TestLastLatency:
+    def test_none_before_the_first_success(self):
+        backend = MockBackend(BackendConfig(model="mock", max_retries=0))
+        backend.script_text("*", [TransportError("down"), "up"])
+        assert backend.last_latency_s("complete") is None
+        with pytest.raises(TransportError):
+            backend.complete(text_req("x"))
+        assert backend.last_latency_s("complete") is None
+
+    def test_the_last_successful_call_per_op_as_journaled(self, monkeypatch, journal):
+        # A fake clock: the n-th call's clock reads advance by n seconds.
+        now = [0.0]
+
+        def monotonic():
+            return now[0]
+
+        backend = MockBackend(BackendConfig(model="mock", max_retries=0))
+        send = backend._send_text
+
+        def slow_send(req):
+            now[0] += float(req.input)
+            return send(req)
+
+        monkeypatch.setattr(backends_base, "time", SimpleNamespace(monotonic=monotonic, sleep=time.sleep))
+        monkeypatch.setattr(backend, "_send_text", slow_send)
+        backend.script_text("3", TransportError("down")).script_text("*", "ok")
+        backend.complete(text_req("2"))
+        with pytest.raises(TransportError):
+            backend.complete(text_req("3"))  # a failure keeps the last success
+        assert backend.last_latency_s("complete") == 2.0
+        backend.complete(text_req("5"))
+        assert backend.last_latency_s("complete") == 5.0
+        assert [r.latency_s for r in journal.records()] == [2.0, 3.0, 5.0]
+        assert backend.last_latency_s("answer_binary") is None
 
 
 class TestAnswerBinary:

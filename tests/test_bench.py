@@ -1,12 +1,15 @@
 import csv
 import io
 import json
+import logging
 import math
 import random
 
 import pytest
 
-from promptrefine.backends import CallJournal, MockBackend, TransportError, recording
+from promptrefine import bench
+from promptrefine.backends import AuthFailure, CallJournal, MockBackend, TransportError, recording
+from promptrefine.backends.base import embed_digest
 from promptrefine.bench import (
     BenchReport,
     DatasetItem,
@@ -30,11 +33,14 @@ from promptrefine.scene_graph import (
 )
 
 from fixtures import (
+    DECORATED_MOTORCYCLE,
     MOTORCYCLE_DEPENDENCIES,
     MOTORCYCLE_PROMPT,
     MOTORCYCLE_QUESTIONS,
     MOTORCYCLE_TUPLES,
     PNG_WHITE,
+    SlowMock,
+    motorcycle_backends,
     stage_llm,
 )
 from oracles import bf_mean
@@ -212,6 +218,65 @@ class TestRunBenchmark:
         cfg = bench_cfg(tmp_path, vqa, embed=embed)
         report = run_benchmark(items[:1], cfg, mode="baseline")
         assert report.items[0].clip["baseline"] == pytest.approx(100.0)
+
+    def test_clip_embeds_go_out_together(self, tmp_path):
+        items, _ = four_item_dataset()
+        vqa = MockBackend(name="vqa").script_vqa("*", "yes")
+        embed = SlowMock(name="embed", op_delays={"embed": 0.02}).script_embed("*", [1.0, 0.0])
+        with recording(CallJournal()) as outer:
+            report = run_benchmark(items[:1], bench_cfg(tmp_path, vqa, embed=embed), mode="both")
+        assert report.items[0].clip == {
+            "baseline": pytest.approx(100.0),
+            "optimized_prompt": pytest.approx(100.0),
+            "original_prompt": pytest.approx(100.0),
+        }
+        assert embed.gauge.peak["embed"] == 5
+        # journaled in the order sent: prompt, round-1 image, final image, final prompt, prompt
+        digests = [r.digest for r in outer.records()]
+        assert len(digests) == 5 and digests[0] == digests[4] == embed_digest(items[0].prompt)
+
+    def test_a_failed_final_prompt_embed_drops_only_its_pairing(self, tmp_path, caplog):
+        backends = motorcycle_backends(tmp_path / "img")
+        embed = (
+            MockBackend(name="embed")
+            .script_embed(DECORATED_MOTORCYCLE, AuthFailure("denied"))
+            .script_embed("*", [1.0, 0.0])
+        )
+        cfg = bench_cfg(tmp_path, backends.vqa, embed=embed, t2i=backends.t2i, llm=backends.llm)
+        item = DatasetItem(item_id="moto", category="road", prompt=MOTORCYCLE_PROMPT)
+        with caplog.at_level(logging.WARNING, logger="promptrefine.bench"):
+            [result] = run_benchmark([item], cfg, mode="both").items
+        assert not result.failed and result.optimized_score == 1.0
+        assert result.clip == {"baseline": pytest.approx(100.0), "original_prompt": pytest.approx(100.0)}
+        warnings = [r.getMessage() for r in caplog.records if "clip scoring failed" in r.getMessage()]
+        assert len(warnings) == 1 and "denied" in warnings[0]
+
+    def test_failed_items_are_classified(self, tmp_path, monkeypatch):
+        vqa = MockBackend(name="vqa").script_vqa("*", "yes")
+        llm = stage_llm(tuples="not a tuple")
+        t2i = (
+            MockBackend(name="t2i", image_dir=tmp_path / "img")
+            .script_image("broken", AuthFailure("denied"))
+            .script_image("*", PNG_WHITE)
+        )
+        items = [
+            DatasetItem(item_id="llm", category="c", prompt="garbled"),
+            DatasetItem(item_id="t2i", category="c", prompt="broken", graph=tagged_graph("broken", "b", 1)),
+            DatasetItem(item_id="ok", category="c", prompt="fine", graph=tagged_graph("fine", "f", 1)),
+        ]
+        report = run_benchmark(items, bench_cfg(tmp_path, vqa, t2i=t2i, llm=llm), mode="baseline")
+        assert [i.error_kind for i in report.items] == ["stage_exhausted", "backend", None]
+        # the error text keeps its form: the failed stage, then the run's error
+        assert report.items[0].error.startswith("RuntimeError: pipeline failed at build_dsg: StageExhausted:")
+        assert report.items[1].error.startswith("RuntimeError: pipeline failed at generate: AuthFailure:")
+
+        def raising_run(*args, **kwargs):
+            raise TransportError("down")
+
+        # an error that escapes run_single rather than ending in a failed record
+        monkeypatch.setattr(bench, "run_single", raising_run)
+        [outside] = run_benchmark(items[2:], bench_cfg(tmp_path, vqa), mode="baseline").items
+        assert (outside.error, outside.error_kind) == ("TransportError: down", "backend")
 
     def test_baseline_journals_only_clip_embeds_outside_runs(self, tmp_path):
         items, vqa = four_item_dataset()

@@ -428,8 +428,33 @@ class TestCliRunBench:
         assert (out / "bench-report.csv").is_file()
         items = json.loads((out / "bench-items.json").read_text())
         assert len(items) == 1
+        assert items[0]["error"] is None and items[0]["error_kind"] is None
         # baseline runs write run directories too
         assert len(list(out.glob("*/record.json"))) == 1
+
+    def test_failed_items_carry_their_error_kind(self, tmp_path, capsys):
+        # the motorcycle's generate fails on the transport; the kite's graph
+        # build gets garbage from every stage attempt
+        write_script(tmp_path, t2i_error=True, llm_garbage=True)
+        config = write_config(tmp_path)
+        dataset = self._dataset(tmp_path)
+        with dataset.open("a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"item_id": "kite", "category": "sky", "prompt": "a red kite"}) + "\n")
+        out = tmp_path / "bench-out"
+        code = main(
+            ["run-bench", "--dataset", str(dataset), "--config", str(config),
+             "--mode", "baseline", "--out", str(out)]
+        )
+        assert code == 0
+        rows = json.loads((out / "bench-items.json").read_text())
+        assert [(r["item_id"], r["error_kind"]) for r in rows] == [
+            ("item-a", "backend"),
+            ("item-b", "backend"),
+            ("kite", "stage_exhausted"),
+        ]
+        assert rows[0]["error"].startswith("RuntimeError: pipeline failed at generate: TransportError:")
+        assert rows[2]["error"].startswith("RuntimeError: pipeline failed at build_dsg: StageExhausted:")
+        assert "failed items: 3" in capsys.readouterr().err
 
     @pytest.mark.parametrize("limit", ["-1", "0", "two"])
     def test_limit_must_be_a_positive_integer(self, tmp_path, capsys, limit):

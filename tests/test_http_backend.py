@@ -23,7 +23,9 @@ from promptrefine.backends import (
     recording,
 )
 
-from fixtures import PNG_WHITE, journal
+from promptrefine.backends import http
+
+from fixtures import PNG_BLACK, PNG_WHITE, journal
 
 
 class FakeResponse:
@@ -174,6 +176,15 @@ class TestVqaWire:
         assert base64.b64decode(url.split(",", 1)[1]) == PNG_WHITE
         assert content[1] == {"type": "text", "text": "Q?"}
 
+    def test_a_jpeg_file_is_sent_as_a_jpeg(self, tmp_path):
+        jpeg = b"\xff\xd8\xff\xe0\x00\x10JFIF\x00\x01"
+        p = tmp_path / "photo.png"  # the bytes decide, not the suffix
+        p.write_bytes(jpeg)
+        be, session = backend([FakeResponse(payload=chat_payload("yes"))])
+        be.answer_binary(VqaRequest(image=ImageRef.from_file(p), question="Q?"))
+        url = session.calls[0]["json"]["messages"][0]["content"][0]["image_url"]["url"]
+        assert url == "data:image/jpeg;base64," + base64.b64encode(jpeg).decode()
+
     def test_remote_image_passed_through(self):
         be, session = backend([FakeResponse(payload=chat_payload("no"))])
         ref = ImageRef(remote_id="https://img.test/1.png")
@@ -197,15 +208,35 @@ class TestVqaWire:
             f"Q{i}?" for i in range(5)
         ]
 
-    def test_concurrent_questions_after_the_first_share_its_encoding(self, tmp_path, monkeypatch, journal):
-        # evaluate_image asks one question before it fans the rest out
+    def test_concurrent_first_questions_share_one_encoding(self, tmp_path, monkeypatch, journal):
+        # The first read is held until all 16 requests have asked for the
+        # encoding, so each of the others either waits for it or reads again.
         p = tmp_path / "img.png"
         p.write_bytes(PNG_WHITE)
         ref = ImageRef.from_file(p)
-        reads = counting(monkeypatch, ImageRef, "read_bytes")
+        lock, arrived, all_arrived, reads = threading.Lock(), [0], threading.Event(), []
+        encoded, read = http._encoded, ImageRef.read_bytes
+
+        def counting_encoded(image):
+            with lock:
+                arrived[0] += 1
+                if arrived[0] == 16:
+                    all_arrived.set()
+            return encoded(image)
+
+        def held_read(image):
+            with lock:
+                reads.append(image)
+                first = len(reads) == 1
+            if first:
+                assert all_arrived.wait(timeout=10)
+            return read(image)
+
+        monkeypatch.setattr(http, "_encoded", counting_encoded)
+        monkeypatch.setattr(ImageRef, "read_bytes", held_read)
+        encodes = counting(monkeypatch, base64, "b64encode")
         be, session = backend([FakeResponse(payload=chat_payload("yes"))])
-        results = [be.answer_binary(VqaRequest(image=ref, question="Q?"))]
-        thread_journals = []
+        results, thread_journals = [], []
 
         def ask(i):
             # a new thread starts outside the test's recording
@@ -217,11 +248,11 @@ class TestVqaWire:
         for t in threads:
             t.start()
         for t in threads:
-            t.join(timeout=10)
+            t.join(timeout=20)
             assert not t.is_alive()
-        assert results == [True] * 17
-        assert reads() == 1
-        assert len(session.calls) == 17 and len(journal) + sum(map(len, thread_journals)) == 17
+        assert results == [True] * 16
+        assert (len(reads), encodes()) == (1, 1)
+        assert len(session.calls) == 16 and sum(map(len, thread_journals)) == 16 and len(journal) == 0
 
     def test_body_length_is_the_bytes_sent(self, tmp_path):
         p = tmp_path / "img.png"
@@ -239,6 +270,18 @@ class TestVqaWire:
 
 
 class TestImagesWire:
+    def test_a_question_after_a_generate_sends_the_encoding_made_there(self, tmp_path, monkeypatch):
+        payload = {"data": [{"b64_json": base64.b64encode(PNG_BLACK).decode()}]}
+        be, session = backend(
+            [FakeResponse(payload=payload), FakeResponse(payload=chat_payload("yes"))], image_dir=tmp_path
+        )
+        ref = be.generate_image(ImageGenRequest(prompt="a fox", width=64, height=64))
+        reads, encodes = counting(monkeypatch, ImageRef, "read_bytes"), counting(monkeypatch, base64, "b64encode")
+        assert be.answer_binary(VqaRequest(image=ref, question="Q?")) is True
+        assert (reads(), encodes()) == (0, 0)
+        url = session.calls[1]["json"]["messages"][0]["content"][0]["image_url"]["url"]
+        assert url == "data:image/png;base64," + base64.b64encode(PNG_BLACK).decode()
+
     def test_generation_payload_and_decode(self, tmp_path):
         payload = {"data": [{"b64_json": base64.b64encode(PNG_WHITE).decode()}]}
         be, session = backend([FakeResponse(payload=payload)], image_dir=tmp_path)

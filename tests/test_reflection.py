@@ -1,11 +1,13 @@
 import itertools
 import random
 import threading
+import time
 from types import SimpleNamespace
 
 import pytest
 
 from promptrefine import reflection
+from promptrefine.backends import base as backends_base
 from promptrefine.backends import (
     AuthFailure,
     ContentRejected,
@@ -339,15 +341,59 @@ class TestFanOut:
 
     def test_first_call_under_the_gate_keeps_the_evaluation_serial(self, tmp_path, monkeypatch):
         def no_submit(*args):
-            raise AssertionError("a call under FAN_OUT_MIN_S must not fan out")
+            raise AssertionError("answers under FAN_OUT_MIN_S must not fan out")
 
-        # A fake clock makes the first call read half the gate, however loaded the host.
+        # A fake clock makes every call the backend records take half the
+        # gate, however loaded the host.
         clock = itertools.count(0.0, reflection.FAN_OUT_MIN_S / 2)
-        monkeypatch.setattr(reflection, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+        fake_time = SimpleNamespace(monotonic=lambda: next(clock), sleep=time.sleep)
+        monkeypatch.setattr(backends_base, "time", fake_time)
         monkeypatch.setattr(reflection, "POOL", SimpleNamespace(submit=no_submit))
         g = chain_graph("p", 12, set())
         vqa = MockBackend(name="vqa").script_vqa("*", "yes")
-        assert evaluate_image(image(tmp_path), g, vqa).vqa_call_count == 12
+        # the first evaluation reads its first answer's latency, the second the last answer's
+        for _ in range(2):
+            assert evaluate_image(image(tmp_path), g, vqa).vqa_call_count == 12
+        assert vqa.last_latency_s("answer_binary") == pytest.approx(reflection.FAN_OUT_MIN_S / 2)
+
+    def test_a_backend_that_has_answered_asks_a_first_level_together(self, tmp_path):
+        # Every root waits until all of them are in flight; asked one at a time
+        # they break the barrier.
+        roots = 6
+        barrier = threading.Barrier(roots)
+
+        class GatedMock(MockBackend):
+            def _send_vqa(self, req):
+                if req.question.startswith("Is there thing"):
+                    barrier.wait(timeout=5)
+                else:
+                    time.sleep(2 * reflection.FAN_OUT_MIN_S)
+                return super()._send_vqa(req)
+
+        img = image(tmp_path)
+        vqa = GatedMock(name="vqa").script_vqa("*", "yes")
+        assert vqa.answer_binary(VqaRequest(image=img, question="Warm up?"))
+        report = evaluate_image(img, chain_graph("p", roots, set()), vqa)
+        assert report.score == 1.0 and report.vqa_call_count == roots
+
+    def test_a_backend_that_never_answered_asks_its_first_question_alone(self, tmp_path):
+        lock, in_flight, overlaps = threading.Lock(), set(), set()
+
+        class OverlapMock(SlowMock):
+            def _send_vqa(self, req):
+                with lock:
+                    overlaps.update(frozenset((req.question, other)) for other in in_flight)
+                    in_flight.add(req.question)
+                try:
+                    return super()._send_vqa(req)
+                finally:
+                    with lock:
+                        in_flight.discard(req.question)
+
+        vqa = OverlapMock(name="vqa").script_vqa("*", "yes")
+        evaluate_image(image(tmp_path), chain_graph("p", 6, set()), vqa)
+        assert overlaps  # the other five went out together
+        assert not any("Is there thing 1?" in pair for pair in overlaps)
 
 
 class TestAlignmentScore:
