@@ -137,6 +137,14 @@ def _sniff_media_type(data: bytes) -> str:
     return "image/png"
 
 
+_SUFFIXES = {"image/png": ".png", "image/jpeg": ".jpg", "image/gif": ".gif", "image/webp": ".webp"}
+
+
+def image_suffix(media_type: str) -> str:
+    """The file suffix for an image of ``media_type``; ``.bin`` for a type not sniffed here."""
+    return _SUFFIXES.get(media_type, ".bin")
+
+
 @dataclass(frozen=True)
 class ImageRef:
     """Reference to an image: either a local file (path + content digest) or a
@@ -154,12 +162,11 @@ class ImageRef:
             raise ValueError("exactly one of (path+digest) or remote_id must be set")
 
     @classmethod
-    def from_file(cls, path: Union[str, Path], media_type: Optional[str] = None) -> "ImageRef":
-        """A local image; its media type is ``media_type`` if given, else read
-        from the file's magic bytes (PNG, JPEG, GIF, WebP; PNG otherwise)."""
+    def from_file(cls, path: Union[str, Path]) -> "ImageRef":
+        """A local image; its media type is read from the file's magic bytes
+        (PNG, JPEG, GIF, WebP; PNG otherwise)."""
         data = Path(path).read_bytes()
-        media_type = media_type or _sniff_media_type(data)
-        return cls(path=str(path), digest=sha256_hex(data), media_type=media_type)
+        return cls(path=str(path), digest=sha256_hex(data), media_type=_sniff_media_type(data))
 
     def read_bytes(self) -> bytes:
         if self.path is None:
@@ -227,6 +234,13 @@ def embed_digest(payload: Union[str, ImageRef]) -> str:
     return sha256_hex(canonical_json({"kind": "embed", "payload": key}))
 
 
+# mkstemp creates its files 0600; a written file gets the mode open() would
+# give it under the process umask, read once here since reading it sets it.
+_UMASK = os.umask(0o022)
+os.umask(_UMASK)
+_FILE_MODE = 0o666 & ~_UMASK
+
+
 def write_file_atomic(path: Path, data: bytes) -> None:
     """Write ``data`` to ``path`` through a temp file in the same directory and
     ``os.replace``, so a reader or a concurrent writer never sees a partial file."""
@@ -234,6 +248,7 @@ def write_file_atomic(path: Path, data: bytes) -> None:
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
+        os.chmod(tmp, _FILE_MODE)
         os.replace(tmp, path)
     except BaseException:
         with suppress(OSError):
@@ -264,7 +279,7 @@ class BackendConfig:
 class CallRecord:
     """Journal entry for one operation invocation that reached the transport.
 
-    Never contains auth material; response text is truncated to an excerpt.
+    Never contains auth material; a response is kept only as its digest.
     """
 
     op: str
@@ -275,7 +290,6 @@ class CallRecord:
     model: str = ""
     error: Optional[str] = None
     response_digest: Optional[str] = None
-    response_excerpt: Optional[str] = None
 
     def summary(self) -> dict:
         return {
@@ -393,7 +407,7 @@ class Backend:
         start = time.monotonic()
         attempts = 0
         delay = self.config.backoff_base
-        error = result = rdigest = excerpt = None
+        error = result = rdigest = None
         while True:
             attempts += 1
             self._limiter.wait()
@@ -414,8 +428,7 @@ class Backend:
         if error is None and isinstance(result, bytes):
             rdigest = sha256_hex(result)
         elif error is None:
-            text = result if isinstance(result, str) else canonical_json(result)
-            rdigest, excerpt = sha256_hex(text), text[:200]
+            rdigest = sha256_hex(result if isinstance(result, str) else canonical_json(result))
         latency = time.monotonic() - start
         if error is None:
             self._last_latency[op] = latency
@@ -429,7 +442,6 @@ class Backend:
                 model=self.config.model,
                 error=None if error is None else f"{type(error).__name__}: {error}",
                 response_digest=rdigest,
-                response_excerpt=excerpt,
             )
         ])
         if error is not None:
@@ -473,10 +485,11 @@ class Backend:
             if self._image_dir is None:
                 self._image_dir = Path(tempfile.mkdtemp(prefix="promptrefine-img-"))
             self._image_dir.mkdir(parents=True, exist_ok=True)
-        path = self._image_dir / f"{digest[:24]}.png"
+        media_type = _sniff_media_type(data)
+        path = self._image_dir / f"{digest[:24]}{image_suffix(media_type)}"
         if not path.exists():
             write_file_atomic(path, data)
-        return ImageRef(path=str(path), digest=digest)
+        return ImageRef(path=str(path), digest=digest, media_type=media_type)
 
     def embed(self, payload: Union[str, ImageRef]) -> List[float]:
         if not self.config.supports_embedding:

@@ -20,6 +20,9 @@ logger = logging.getLogger(__name__)
 
 MODES = ("baseline", "optimized", "both")
 
+# CLIP-score scale (Hessel et al., 2021): relevance is 100 x clipped cosine.
+CLIP_SCALE = 100.0
+
 
 class DuplicateItemId(ValueError):
     def __init__(self, item_id: str):
@@ -218,10 +221,8 @@ def aggregate(items: List[ItemResult], mode: str = "both") -> BenchReport:
     )
 
 
-def clip_relevance(text_vec: Sequence[float], image_vec: Sequence[float], w: float = 100.0) -> float:
-    """Scaled, zero-clipped cosine similarity between two embeddings."""
-    if w <= 0:
-        raise ValueError("w must be positive")
+def clip_relevance(text_vec: Sequence[float], image_vec: Sequence[float]) -> float:
+    """CLIP_SCALE times the zero-clipped cosine similarity of two embeddings."""
     if len(text_vec) != len(image_vec):
         raise DimensionMismatch(f"dimensions differ: {len(text_vec)} vs {len(image_vec)}")
     dot = math.fsum(a * b for a, b in zip(text_vec, image_vec))
@@ -229,7 +230,7 @@ def clip_relevance(text_vec: Sequence[float], image_vec: Sequence[float], w: flo
     norm_b = math.sqrt(math.fsum(b * b for b in image_vec))
     if norm_a == 0.0 or norm_b == 0.0:
         raise ZeroVector("embeddings must be nonzero")
-    return w * max(dot / (norm_a * norm_b), 0.0)
+    return CLIP_SCALE * max(dot / (norm_a * norm_b), 0.0)
 
 
 def _cell(value: Optional[float]) -> str:

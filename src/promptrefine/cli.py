@@ -99,18 +99,7 @@ def cmd_run_bench(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         ext = "md" if args.format == "markdown" else "csv"
         (out_dir / f"bench-report.{ext}").write_text(table, encoding="utf-8")
-        rows = [
-            {
-                "item_id": i.item_id,
-                "category": i.category,
-                "baseline_score": i.baseline_score,
-                "optimized_score": i.optimized_score,
-                "clip": i.clip,
-                "error": i.error,
-                "error_kind": i.error_kind,
-            }
-            for i in report.items
-        ]
+        rows = [dataclasses.asdict(i) for i in report.items]
         (out_dir / "bench-items.json").write_text(
             json.dumps(rows, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
         )

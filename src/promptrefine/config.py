@@ -25,8 +25,11 @@ defaults to its role and its backoff_base to 0. The pipeline section takes
 parallelism, width and height. ``templates`` takes only ``dir`` and
 ``keywords`` only ``file``. Any other key, at the top level, among the backend
 roles (llm, vqa, t2i, embed) or in any section, is a ConfigError that names the
-section and the key. The limits are fixed, not configured: 3 attempts per text
-stage, prompts of at most 480 characters, at most 200 questions per graph.
+section and the key; so is ``script`` on an http backend. The limits are fixed
+constants that neither a config file nor a library call sets:
+``templates.STAGE_ATTEMPTS`` (3 attempts per text stage),
+``optimizer.MAX_PROMPT_CHARS`` (prompts of at most 480 characters) and
+``scene_graph.MAX_QUESTIONS`` (at most 200 questions per graph).
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ class ConfigError(Exception):
 
 _TOP_KEYS = {"backends", "pipeline", "templates", "keywords"}
 _BACKEND_ROLES = {"llm", "vqa", "t2i", "embed"}
-_BACKEND_KEYS = {f.name for f in fields(BackendConfig)} | {"type", "script"}
+_BACKEND_KEYS = {f.name for f in fields(BackendConfig)} | {"type"}
 # backends, templates, keywords and out_dir come from other sections or the caller.
 _PIPELINE_KEYS = {f.name for f in fields(PipelineConfig)} - {
     "backends", "templates", "keywords", "out_dir"
@@ -96,8 +99,10 @@ def _interpolate(value, path: str):
 def _build_backend(section: dict, role: str, image_dir: Optional[Path], base_dir: Path):
     if not isinstance(section, dict):
         raise ConfigError(f"backends.{role} must be a mapping")
-    _reject_unknown(section, _BACKEND_KEYS, f"backends.{role}")
     kind = section.get("type", "http")
+    # Only a mock reads a script.
+    allowed = _BACKEND_KEYS | {"script"} if kind == "mock" else _BACKEND_KEYS
+    _reject_unknown(section, allowed, f"backends.{role}")
     cfg_kwargs = {k: v for k, v in section.items() if k not in ("type", "script")}
     if role == "embed":
         cfg_kwargs.setdefault("supports_embedding", True)

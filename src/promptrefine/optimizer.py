@@ -15,7 +15,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 from promptrefine import scene_graph as sg
 from promptrefine.backends.base import Backend
 from promptrefine.reflection import AnswerValue, ReflectionReport
-from promptrefine.templates import StageExhausted, TemplateSet, run_stage
+from promptrefine.templates import STAGE_ATTEMPTS, StageExhausted, TemplateSet, run_stage
 
 logger = logging.getLogger(__name__)
 
@@ -130,7 +130,6 @@ def expand_concepts(
     report: ReflectionReport,
     llm: Backend,
     templates: TemplateSet,
-    max_attempts: int = 3,
 ) -> ExpansionResult:
     """Ask the model for additional tuples that enrich only the missing concepts.
 
@@ -146,7 +145,7 @@ def expand_concepts(
     request = stage.request(render_expansion_input(prompt, graph, report))
     last_error: Optional[Exception] = None
     empty_retried = False
-    for _ in range(max_attempts):
+    for _ in range(STAGE_ATTEMPTS):
         raw = llm.complete(request)
         try:
             emitted = sg.parse_tuple_lines(raw)
@@ -171,7 +170,7 @@ def expand_concepts(
             targeted_ids=frozenset(report.missing_ids),
             raw_transcript=raw,
         )
-    raise StageExhausted("expansion", max_attempts, last_error)
+    raise StageExhausted("expansion", STAGE_ATTEMPTS, last_error)
 
 
 def regenerate_prompt(
@@ -179,7 +178,6 @@ def regenerate_prompt(
     all_tuples,
     llm: Backend,
     templates: TemplateSet,
-    max_attempts: int = 3,
 ) -> str:
     """Compose a single-line prompt from the full concept set."""
 
@@ -196,11 +194,7 @@ def regenerate_prompt(
         return text
 
     text, _ = run_stage(
-        llm,
-        templates.stage("regeneration"),
-        render_regeneration_input(original, all_tuples),
-        parse,
-        max_attempts=max_attempts,
+        llm, templates.stage("regeneration"), render_regeneration_input(original, all_tuples), parse
     )
     return text
 
@@ -250,7 +244,6 @@ def decorate_prompt(
     llm: Backend,
     keyword_table: KeywordClassTable,
     templates: TemplateSet,
-    max_attempts: int = 3,
 ) -> str:
     """Append model-selected aesthetic keywords to the prompt.
 
@@ -261,11 +254,7 @@ def decorate_prompt(
         raise ValueError("prompt must be non-empty")
 
     line, _ = run_stage(
-        llm,
-        templates.stage("decoration"),
-        render_decoration_input(prompt, keyword_table),
-        _parse_keyword_line,
-        max_attempts=max_attempts,
+        llm, templates.stage("decoration"), render_decoration_input(prompt, keyword_table), _parse_keyword_line
     )
     keywords = select_keywords(line, prompt, keyword_table)
     if not keywords:

@@ -28,6 +28,7 @@ from promptrefine.backends.base import (
     CallJournal,
     ImageGenRequest,
     ImageRef,
+    image_suffix,
     recording,
     write_file_atomic,
 )
@@ -485,43 +486,46 @@ def persist_record(record: RunRecord, out_dir: Union[str, Path]) -> Path:
     """Write a run directory: record.json, graph.json, images/, transcripts/.
 
     Image files are hard-linked into the run directory, or copied where the
-    filesystem cannot link, and referenced by paths relative to it.
-    record.json is replaced whole, so a failed write leaves the previous one
-    intact. Returns the record.json path.
+    filesystem cannot link, and referenced by paths relative to it as
+    ``images/<label>.<ext>``. record.json is encoded before anything is
+    written, and it, graph.json and the transcripts are each replaced whole,
+    so a record that cannot be encoded, or a failed write, leaves the previous
+    files intact. Returns the record.json path.
     """
     try:
         run_dir = Path(out_dir) / record.run_id
-        run_dir.mkdir(parents=True, exist_ok=True)
-
+        links: List[Tuple[str, Path]] = []
         rebased: List[Tuple[str, ImageRef, int]] = []
         for label, ref, seed in record.image_refs:
             if ref.path is not None and Path(ref.path).exists():
-                rel = f"images/{label}.png"
-                dest = run_dir / rel
-                dest.parent.mkdir(parents=True, exist_ok=True)
-                if not dest.exists():
-                    _link_or_copy(ref.path, dest)
+                rel = f"images/{label}{image_suffix(ref.media_type)}"
+                links.append((ref.path, run_dir / rel))
                 rebased.append((label, ImageRef(path=rel, digest=ref.digest, media_type=ref.media_type), seed))
             else:
                 rebased.append((label, ref, seed))
-
-        if record.graph is not None:
-            (run_dir / "graph.json").write_text(sg.serialize_graph(record.graph), encoding="utf-8")
-        if record.outcome is not None and record.outcome.transcripts:
-            tdir = run_dir / "transcripts"
-            tdir.mkdir(exist_ok=True)
-            for stage, text in record.outcome.transcripts.items():
-                (tdir / f"{stage}.txt").write_text(text + "\n", encoding="utf-8")
 
         doc = record_to_doc(record)
         doc["image_refs"] = [
             [label, _image_ref_to_doc(ref), seed] for label, ref, seed in rebased
         ]
-        path = run_dir / "record.json"
         try:
             text = json.dumps(doc, ensure_ascii=False) + "\n"
         except (TypeError, ValueError) as exc:
             raise IoFailure(f"could not serialize record: {exc}") from exc
+
+        run_dir.mkdir(parents=True, exist_ok=True)
+        for src, dest in links:
+            dest.parent.mkdir(parents=True, exist_ok=True)
+            if not dest.exists():
+                _link_or_copy(src, dest)
+        if record.graph is not None:
+            write_file_atomic(run_dir / "graph.json", sg.serialize_graph(record.graph).encode("utf-8"))
+        if record.outcome is not None and record.outcome.transcripts:
+            tdir = run_dir / "transcripts"
+            tdir.mkdir(exist_ok=True)
+            for stage, t in record.outcome.transcripts.items():
+                write_file_atomic(tdir / f"{stage}.txt", (t + "\n").encode("utf-8"))
+        path = run_dir / "record.json"
         write_file_atomic(path, text.encode("utf-8"))
         return path
     except OSError as exc:

@@ -85,23 +85,16 @@ def build_dsg(
     prompt: str,
     llm: Backend,
     templates: TemplateSet,
-    max_attempts: int = 3,
 ) -> sg.SceneGraph:
     """Three staged text-model calls: tuples, then questions, then dependencies.
 
     Each stage's output is parsed and validated; invalid output re-invokes that
-    stage up to max_attempts before StageExhausted.
+    stage up to STAGE_ATTEMPTS times before StageExhausted.
     """
     if not prompt.strip():
         raise ValueError("prompt must be non-empty")
 
-    tuples, _ = run_stage(
-        llm,
-        templates.stage("tuples"),
-        prompt,
-        sg.parse_tuples,
-        max_attempts=max_attempts,
-    )
+    tuples, _ = run_stage(llm, templates.stage("tuples"), prompt, sg.parse_tuples)
 
     def parse_matching_questions(raw: str):
         questions = sg.parse_questions(raw)
@@ -113,25 +106,13 @@ def build_dsg(
         return questions
 
     prompt_and_tuples = render_prompt_tuples_input(prompt, tuples)
-    questions, _ = run_stage(
-        llm,
-        templates.stage("questions"),
-        prompt_and_tuples,
-        parse_matching_questions,
-        max_attempts=max_attempts,
-    )
+    questions, _ = run_stage(llm, templates.stage("questions"), prompt_and_tuples, parse_matching_questions)
 
     def parse_and_assemble(raw: str):
         edges = sg.parse_dependencies(raw)
         return sg.build_graph(prompt, tuples, questions, edges)
 
-    graph, _ = run_stage(
-        llm,
-        templates.stage("dependencies"),
-        prompt_and_tuples,
-        parse_and_assemble,
-        max_attempts=max_attempts,
-    )
+    graph, _ = run_stage(llm, templates.stage("dependencies"), prompt_and_tuples, parse_and_assemble)
     return graph
 
 

@@ -21,7 +21,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
-# Guard against runaway model output; override via build_graph(max_questions=...).
+# Guard against runaway model output.
 MAX_QUESTIONS = 200
 
 
@@ -131,7 +131,6 @@ class Question:
 
     id: int
     text: str
-    tuple_id: int
 
     def __post_init__(self):
         if self.id < 1:
@@ -290,7 +289,7 @@ def parse_questions(raw: str) -> List[Question]:
         if qid in seen:
             raise DuplicateId(qid)
         seen.add(qid)
-        questions.append(Question(id=qid, text=text, tuple_id=qid))
+        questions.append(Question(id=qid, text=text))
     return questions
 
 
@@ -357,15 +356,14 @@ def build_graph(
     tuples: Sequence[ConceptTuple],
     questions: Sequence[Question],
     edges: Iterable[DependencyEdge],
-    max_questions: int = MAX_QUESTIONS,
 ) -> SceneGraph:
     """Assemble and fully validate a SceneGraph from parsed parts."""
     tuples = tuple(sorted(tuples, key=lambda t: t.id))
     questions = tuple(sorted(questions, key=lambda q: q.id))
     edge_set = frozenset(edges)
 
-    if len(questions) > max_questions:
-        raise GraphTooLarge(len(questions), max_questions)
+    if len(questions) > MAX_QUESTIONS:
+        raise GraphTooLarge(len(questions), MAX_QUESTIONS)
     if len(tuples) != len(questions):
         raise CountMismatch(f"{len(tuples)} tuples vs {len(questions)} questions")
 
@@ -381,9 +379,6 @@ def build_graph(
         raise NonContiguousIds(tuple_ids)
     if tuple_ids != question_ids:
         raise CountMismatch(f"tuple ids {tuple_ids} do not match question ids {question_ids}")
-    for q in questions:
-        if q.tuple_id != q.id:
-            raise CountMismatch(f"question {q.id} is bound to tuple {q.tuple_id}")
 
     id_set = set(question_ids)
     for e in edge_set:
@@ -493,7 +488,7 @@ def graph_from_doc(doc: dict) -> SceneGraph:
             raise SchemaViolation(path, "expected object")
         qid = _expect(item, "id", int, path)
         text = _expect(item, "text", str, path)
-        questions.append(Question(id=qid, text=text, tuple_id=qid))
+        questions.append(Question(id=qid, text=text))
 
     edges = set()
     for i, item in enumerate(raw_edges):

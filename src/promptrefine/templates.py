@@ -26,6 +26,10 @@ logger = logging.getLogger(__name__)
 
 T = TypeVar("T")
 
+# Every few-shot stage is asked at most this many times before StageExhausted.
+STAGE_ATTEMPTS = 3
+
+
 class TemplateError(Exception):
     pass
 
@@ -115,22 +119,19 @@ def run_stage(
     stage: StageTemplate,
     input_text: str,
     parse: Callable[[str], T],
-    max_attempts: int = 3,
 ) -> Tuple[T, str]:
-    """Invoke a stage until its output parses, up to max_attempts.
+    """Invoke a stage until its output parses, up to STAGE_ATTEMPTS times.
 
     Returns (parsed value, raw model output). Invalid output (any ValueError
     from ``parse``) triggers a re-invocation; backend errors propagate.
     """
-    if max_attempts < 1:
-        raise ValueError("max_attempts must be >= 1")
     request = stage.request(input_text)
     last_error: Optional[Exception] = None
-    for attempt in range(1, max_attempts + 1):
+    for attempt in range(1, STAGE_ATTEMPTS + 1):
         raw = llm.complete(request)
         try:
             return parse(raw), raw
         except ValueError as exc:
             last_error = exc
             logger.debug("stage %s attempt %d invalid: %s", stage.name, attempt, exc)
-    raise StageExhausted(stage.name, max_attempts, last_error)
+    raise StageExhausted(stage.name, STAGE_ATTEMPTS, last_error)

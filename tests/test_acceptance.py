@@ -41,7 +41,7 @@ from promptrefine.reflection import (
     build_dsg,
     evaluate_image,
 )
-from promptrefine.templates import StageExhausted, default_template_set
+from promptrefine.templates import STAGE_ATTEMPTS, StageExhausted, default_template_set
 
 from fixtures import (
     DECORATED_MOTORCYCLE,
@@ -254,7 +254,7 @@ def _random_graph(rng):
         for i in ids
     ]
     questions = [
-        sg.Question(id=i, text=_random_text(rng) + "?", tuple_id=i) for i in ids
+        sg.Question(id=i, text=_random_text(rng) + "?") for i in ids
     ]
     edges = {sg.DependencyEdge(p, c) for p, c in pairs}
     return sg.build_graph(_random_text(rng), tuples, questions, edges)
@@ -319,7 +319,7 @@ def test_grammar_round_trips():
 def test_retry_contract(tmp_path):
     """Criterion 6: fail (n-1) times then succeed => exactly n calls; n failures
     => StageExhausted naming the stage."""
-    attempts = 3
+    attempts = STAGE_ATTEMPTS
     graph = sg.build_graph(
         MOTORCYCLE_PROMPT,
         sg.parse_tuples(MOTORCYCLE_TUPLES),
@@ -341,15 +341,13 @@ def test_retry_contract(tmp_path):
 
     def drive(stage, llm):
         if stage in ("tuples", "questions", "dependencies"):
-            build_dsg(MOTORCYCLE_PROMPT, llm, TEMPLATES, max_attempts=attempts)
+            build_dsg(MOTORCYCLE_PROMPT, llm, TEMPLATES)
         elif stage == "expansion":
-            expand_concepts(MOTORCYCLE_PROMPT, graph, report, llm, TEMPLATES, max_attempts=attempts)
+            expand_concepts(MOTORCYCLE_PROMPT, graph, report, llm, TEMPLATES)
         elif stage == "regeneration":
-            regenerate_prompt(MOTORCYCLE_PROMPT, graph.tuples, llm, TEMPLATES, max_attempts=attempts)
+            regenerate_prompt(MOTORCYCLE_PROMPT, graph.tuples, llm, TEMPLATES)
         else:
-            decorate_prompt(
-                MOTORCYCLE_PROMPT, llm, default_keyword_table(), TEMPLATES, max_attempts=attempts
-            )
+            decorate_prompt(MOTORCYCLE_PROMPT, llm, default_keyword_table(), TEMPLATES)
 
     for stage in valid:
         # fail (attempts - 1) times, then succeed

@@ -88,11 +88,6 @@ class TestRequestTypes:
         p.write_bytes(head)
         assert ImageRef.from_file(p).media_type == media_type
 
-    def test_explicit_media_type_wins(self, tmp_path):
-        p = tmp_path / "photo.jpg"
-        p.write_bytes(b"\xff\xd8\xff\xe0")
-        assert ImageRef.from_file(p, media_type="image/x-raw").media_type == "image/x-raw"
-
     def test_vqa_question_non_empty(self):
         with pytest.raises(ValueError):
             VqaRequest(image=ImageRef(remote_id="x"), question="")

@@ -335,9 +335,6 @@ class TestClipRelevance:
         a, b = [0.3, 0.4, 0.5], [0.1, 0.9, 0.2]
         assert clip_relevance(a, b) == pytest.approx(clip_relevance(b, a))
 
-    def test_custom_scale(self):
-        assert clip_relevance([1.0], [1.0], w=2.5) == pytest.approx(2.5)
-
 
 class TestRenderReport:
     def _single_category_report(self, mean):

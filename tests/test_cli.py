@@ -207,9 +207,15 @@ class TestLoadConfig:
             ("backends", {"embedd": {"type": "mock"}}, "backends", "embedd"),
             ("templates", {"dirr": "my-templates"}, "templates", "dirr"),
             ("keywords", {"fil": "keywords.json"}, "keywords", "fil"),
+            (
+                "backends",
+                {"llm": {"type": "http", "endpoint": "http://localhost:1", "script": "script.json"}},
+                "backends.llm",
+                "script",
+            ),
         ],
     )
-    def test_unknown_section_key(self, tmp_path, section, entry, where, key):
+    def test_unknown_section_key(self, tmp_path, capsys, section, entry, where, key):
         write_script(tmp_path)
         doc = yaml.safe_load(write_config(tmp_path).read_text())
         doc.setdefault(section, {}).update(entry)
@@ -219,6 +225,8 @@ class TestLoadConfig:
             load_config(path)
         assert where in str(exc.value)
         assert repr(key) in str(exc.value)
+        assert main(["dsg", "--prompt", MOTORCYCLE_PROMPT, "--config", str(path)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("section", ["templates", "keywords"])
     def test_non_mapping_section_exits_2(self, tmp_path, capsys, section):

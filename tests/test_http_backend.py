@@ -24,6 +24,7 @@ from promptrefine.backends import (
 )
 
 from promptrefine.backends import http
+from promptrefine.backends.base import sha256_hex
 
 from fixtures import PNG_BLACK, PNG_WHITE, journal
 
@@ -257,7 +258,8 @@ class TestVqaWire:
     def test_body_length_is_the_bytes_sent(self, tmp_path):
         p = tmp_path / "img.png"
         p.write_bytes(PNG_WHITE)
-        ref = ImageRef.from_file(p, media_type='image/"png"')
+        # a record loaded from disk may carry any media type
+        ref = ImageRef(path=str(p), digest=sha256_hex(PNG_WHITE), media_type='image/"png"')
         be, session = backend([FakeResponse(payload=chat_payload("yes"))], model="m\u00e9")
         be.answer_binary(VqaRequest(image=ref, question='Is the caf\u00e9 "open"?'))
         call = session.calls[0]
@@ -281,6 +283,18 @@ class TestImagesWire:
         assert (reads(), encodes()) == (0, 0)
         url = session.calls[1]["json"]["messages"][0]["content"][0]["image_url"]["url"]
         assert url == "data:image/png;base64," + base64.b64encode(PNG_BLACK).decode()
+
+    def test_a_generated_jpeg_is_stored_and_sent_as_a_jpeg(self, tmp_path):
+        jpeg = b"\xff\xd8\xff\xe0\x00\x10JFIF\x00\x01"
+        payload = {"data": [{"b64_json": base64.b64encode(jpeg).decode()}]}
+        be, session = backend(
+            [FakeResponse(payload=payload), FakeResponse(payload=chat_payload("yes"))], image_dir=tmp_path
+        )
+        ref = be.generate_image(ImageGenRequest(prompt="a fox", width=64, height=64))
+        assert ref.media_type == "image/jpeg" and ref.path.endswith(".jpg")
+        assert be.answer_binary(VqaRequest(image=ref, question="Q?")) is True
+        url = session.calls[1]["json"]["messages"][0]["content"][0]["image_url"]["url"]
+        assert url == "data:image/jpeg;base64," + base64.b64encode(jpeg).decode()
 
     def test_generation_payload_and_decode(self, tmp_path):
         payload = {"data": [{"b64_json": base64.b64encode(PNG_WHITE).decode()}]}

@@ -1,6 +1,6 @@
 import pytest
 
-from promptrefine.backends import MockBackend
+from promptrefine.backends import CallJournal, MockBackend, recording
 from promptrefine.optimizer import (
     EmptyExpansion,
     KeywordClassTable,
@@ -14,7 +14,7 @@ from promptrefine.optimizer import (
     select_keywords,
 )
 from promptrefine.reflection import NO, PRUNED_NO, YES, ReflectionReport
-from promptrefine.templates import StageExhausted, default_template_set
+from promptrefine.templates import STAGE_ATTEMPTS, StageExhausted, default_template_set
 
 from fixtures import chain_graph, motorcycle_graph
 
@@ -135,12 +135,12 @@ class TestExpandConcepts:
     def test_garbage_retried_then_exhausted(self, templates):
         g, report = fence_missing_report()
         llm = expansion_llm(["garbage", "garbage", FENCE_EXPANSION])
-        result = expand_concepts("p", g, report, llm, templates, max_attempts=3)
+        result = expand_concepts("p", g, report, llm, templates)
         assert len(result.new_tuples) == 2
 
         llm = expansion_llm("garbage")
         with pytest.raises(StageExhausted) as exc:
-            expand_concepts("p", g, report, llm, templates, max_attempts=3)
+            expand_concepts("p", g, report, llm, templates)
         assert exc.value.stage == "expansion"
 
     def test_originals_never_altered(self, templates):
@@ -184,9 +184,11 @@ class TestRegeneratePrompt:
         g, _ = fence_missing_report()
         llm = regeneration_llm("x" * 600)
         with pytest.raises(StageExhausted) as exc:
-            regenerate_prompt("orig", g.tuples, llm, templates, max_attempts=2)
+            with recording(CallJournal()) as journal:
+                regenerate_prompt("orig", g.tuples, llm, templates)
         assert exc.value.stage == "regeneration"
-        assert exc.value.attempts == 2
+        assert exc.value.attempts == STAGE_ATTEMPTS
+        assert len(journal.records()) == STAGE_ATTEMPTS
 
 
 def decoration_llm(response):

@@ -322,6 +322,24 @@ class TestPersistence:
         assert loaded.image_refs[0][1].read_bytes() == PNG_WHITE
         assert loaded.image_refs[1][1].read_bytes() == PNG_BLACK
 
+    def test_jpeg_images_keep_their_media_type_and_suffix(self, tmp_path):
+        jpeg = b"\xff\xd8\xff\xe0\x00\x10JFIF\x00\x01"
+        backends = motorcycle_backends(tmp_path / "images")
+        t2i = (
+            MockBackend(name="t2i", image_dir=tmp_path / "images")
+            .script_image(MOTORCYCLE_PROMPT, jpeg)
+            .script_image(DECORATED_MOTORCYCLE, PNG_BLACK)
+        )
+        record = run_single(MOTORCYCLE_PROMPT, pipeline_cfg(tmp_path, dataclasses.replace(backends, t2i=t2i)))
+        first = record.image_refs[0][1]
+        assert (first.media_type, os.path.splitext(first.path)[1]) == ("image/jpeg", ".jpg")
+        path = persist_record(record, tmp_path / "runs")
+        stored = [entry[1]["path"] for entry in json.loads(path.read_text())["image_refs"]]
+        assert stored == ["images/round-1.jpg", "images/final.png"]
+        loaded = load_record(path)
+        assert loaded.image_refs[0][1].read_bytes() == jpeg
+        assert loaded.image_refs[0][1].media_type == "image/jpeg"
+
     def test_images_hard_linked_on_one_filesystem(self, tmp_path):
         record = self._record(tmp_path)
         path = persist_record(record, tmp_path / "runs")
@@ -349,6 +367,14 @@ class TestPersistence:
         assert (run_dir / "graph.json").is_file()
         assert (run_dir / "transcripts" / "expansion.txt").is_file()
         assert (run_dir / "images" / "round-1.png").is_file()
+
+    def test_run_dir_files_get_the_umask_mode(self, tmp_path):
+        umask = os.umask(0o022)
+        os.umask(umask)
+        run_dir = persist_record(self._record(tmp_path), tmp_path / "runs").parent
+        files = [p for p in run_dir.rglob("*") if p.is_file()]
+        assert len(files) == 7  # record, graph, two images, three transcripts
+        assert {p.stat().st_mode & 0o777 for p in files} == {0o666 & ~umask}
 
     def test_byte_stable(self, tmp_path):
         record = self._record(tmp_path)
@@ -435,14 +461,19 @@ class TestPersistence:
     def test_failed_write_keeps_previous_record(self, tmp_path, monkeypatch):
         record = self._record(tmp_path)
         path = persist_record(record, tmp_path / "runs")
-        before = path.read_bytes()
+        graph_path = path.parent / "graph.json"
+        before, graph_before = path.read_bytes(), graph_path.read_bytes()
         listing = sorted(p.name for p in path.parent.iterdir())
         assert listing == ["graph.json", "images", "record.json", "transcripts"]
+        changed = dataclasses.replace(
+            record, graph=dataclasses.replace(record.graph, source_prompt="changed")
+        )
 
-        bad = dataclasses.replace(record, backend_journal=[{"op": object()}])
+        bad = dataclasses.replace(changed, backend_journal=[{"op": object()}])
         with pytest.raises(IoFailure):
             persist_record(bad, tmp_path / "runs")
         assert path.read_bytes() == before
+        assert graph_path.read_bytes() == graph_before
         assert sorted(p.name for p in path.parent.iterdir()) == listing
 
         def failing_replace(src, dst):
@@ -450,8 +481,9 @@ class TestPersistence:
 
         monkeypatch.setattr(os, "replace", failing_replace)
         with pytest.raises(IoFailure):
-            persist_record(dataclasses.replace(record, error="changed"), tmp_path / "runs")
+            persist_record(dataclasses.replace(changed, error="changed"), tmp_path / "runs")
         assert path.read_bytes() == before
+        assert graph_path.read_bytes() == graph_before
         assert sorted(p.name for p in path.parent.iterdir()) == listing
 
 

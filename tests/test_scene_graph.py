@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from promptrefine.scene_graph import (
+    MAX_QUESTIONS,
     Category,
     ConceptTuple,
     CountMismatch,
@@ -107,10 +108,6 @@ class TestParseQuestions:
         assert [q.id for q in got] == [1, 2]
         assert got[0].text == "Is there a motorcycle?"
 
-    def test_tuple_id_mirrors_id(self):
-        got = parse_questions("1 | Is there a fence?")
-        assert got == [Question(1, "Is there a fence?", 1)]
-
     def test_missing_separator(self):
         with pytest.raises(MalformedLine) as exc:
             parse_questions("1 Is there a fence?")
@@ -201,13 +198,13 @@ class TestBuildGraph:
         assert g.question_ids() == []
 
     def test_max_questions_guard(self):
+        n = MAX_QUESTIONS + 1
         with pytest.raises(GraphTooLarge):
             build_graph(
                 "p",
-                parse_tuples("\n".join(f"{i} | entity - whole (x{i})" for i in range(1, 4))),
-                parse_questions("\n".join(f"{i} | Q{i}?" for i in range(1, 4))),
+                parse_tuples("\n".join(f"{i} | entity - whole (x{i})" for i in range(1, n + 1))),
+                parse_questions("\n".join(f"{i} | Q{i}?" for i in range(1, n + 1))),
                 set(),
-                max_questions=2,
             )
 
     def test_cycle_agrees_with_oracle_on_random_digraphs(self):
@@ -370,7 +367,7 @@ def graphs(draw):
         )
         for i in range(1, n + 1)
     ]
-    questions = [Question(id=i, text=draw(_short_text) + "?", tuple_id=i) for i in range(1, n + 1)]
+    questions = [Question(id=i, text=draw(_short_text) + "?") for i in range(1, n + 1)]
     edges = set()
     for child in range(2, n + 1):
         for parent in range(1, child):
