@@ -5,6 +5,9 @@ along as a base64 data URL), generation through ``POST
 {endpoint}/images/generations``, embeddings through ``POST
 {endpoint}/embeddings``. Bearer-token auth; timeouts, retries, and rate limit
 come from BackendConfig.
+
+``requests`` is imported by the first ``HttpBackend``, not with the package,
+so a process whose backends are all mocks never loads the HTTP client stack.
 """
 
 from __future__ import annotations
@@ -14,8 +17,6 @@ import functools
 import json
 import threading
 from typing import List, Optional, Tuple, Union
-
-import requests
 
 from promptrefine.backends.base import (
     AuthFailure,
@@ -80,6 +81,8 @@ class HttpBackend(Backend):
     def __init__(self, config: BackendConfig, image_dir=None, session=None):
         if not config.endpoint:
             raise ValueError("HttpBackend requires an endpoint")
+        import requests
+
         super().__init__(config, image_dir=image_dir)
         self._session = session or requests.Session()
 
@@ -93,6 +96,8 @@ class HttpBackend(Backend):
 
     def _post(self, path: str, payload: dict, image: Optional[ImageRef] = None) -> dict:
         """POST ``payload`` as JSON; a local ``image`` fills its _URL_SLOT."""
+        import requests  # loaded by __init__, so only a sys.modules lookup
+
         url = self.config.endpoint.rstrip("/") + path
         headers = {"Content-Type": "application/json"}
         if self.config.auth_token:

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from promptrefine import bench as bench_mod
-from promptrefine.backends.base import BackendError, ImageRef
+from promptrefine.backends.base import BackendError, ImageRef, write_file_atomic
 from promptrefine.config import ConfigError, load_config
 from promptrefine.optimizer import EmptyExpansion
 from promptrefine.pipeline import IoFailure, RunRecord, run_single
@@ -98,10 +98,11 @@ def cmd_run_bench(args) -> int:
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         ext = "md" if args.format == "markdown" else "csv"
-        (out_dir / f"bench-report.{ext}").write_text(table, encoding="utf-8")
+        write_file_atomic(out_dir / f"bench-report.{ext}", table.encode("utf-8"))
         rows = [dataclasses.asdict(i) for i in report.items]
-        (out_dir / "bench-items.json").write_text(
-            json.dumps(rows, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
+        write_file_atomic(
+            out_dir / "bench-items.json",
+            (json.dumps(rows, indent=2, ensure_ascii=False) + "\n").encode("utf-8"),
         )
     return EXIT_OK
 

@@ -4,6 +4,7 @@ keywords chosen from fixed classes."""
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import re
@@ -71,7 +72,9 @@ def load_keyword_table(path: Union[str, Path]) -> KeywordClassTable:
     return KeywordClassTable(classes=tuple(classes))
 
 
+@functools.cache
 def default_keyword_table() -> KeywordClassTable:
+    """The bundled table, read once per process (it is frozen)."""
     path = resources.files("promptrefine").joinpath("data", "keywords.json")
     return load_keyword_table(Path(str(path)))
 

@@ -11,7 +11,6 @@ import errno
 import json
 import logging
 import os
-import shutil
 import time
 import uuid
 from concurrent.futures import ThreadPoolExecutor
@@ -473,13 +472,15 @@ def _link_or_copy(src: str, dest: Path) -> None:
 
     A run's images are content-addressed files that are only ever replaced
     whole, never rewritten in place, so a link cannot change under a record.
+    A copy goes through a temp file: persist_record skips an image that
+    exists, so one cut short must never appear at ``dest``.
     """
     try:
         os.link(src, dest)
     except OSError as exc:
         if exc.errno not in _NO_LINK:
             raise
-        shutil.copyfile(src, dest)
+        write_file_atomic(dest, Path(src).read_bytes())
 
 
 def persist_record(record: RunRecord, out_dir: Union[str, Path]) -> Path:

@@ -1,5 +1,6 @@
 import base64
 import json
+import os
 import shutil
 from importlib import resources
 from pathlib import Path
@@ -439,6 +440,33 @@ class TestCliRunBench:
         assert items[0]["error"] is None and items[0]["error_kind"] is None
         # baseline runs write run directories too
         assert len(list(out.glob("*/record.json"))) == 1
+
+    def test_a_failed_write_keeps_the_previous_outputs(self, tmp_path, monkeypatch, capsys):
+        write_script(tmp_path)
+        config = write_config(tmp_path)
+        dataset = self._dataset(tmp_path)
+        out = tmp_path / "bench-out"
+        out.mkdir()
+        (out / "bench-items.json").write_text("[]\n")
+        replace = os.replace
+
+        def failing_replace(src, dst):
+            if Path(dst) == out / "bench-items.json":
+                raise OSError("disk gone")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        code = main(
+            ["run-bench", "--dataset", str(dataset), "--config", str(config),
+             "--mode", "baseline", "--format", "csv", "--out", str(out)]
+        )
+        assert code == 1
+        assert "disk gone" in capsys.readouterr().err
+        assert (out / "bench-items.json").read_text() == "[]\n"
+        assert (out / "bench-report.csv").is_file()
+        assert sorted(p.name for p in out.iterdir() if p.is_file()) == [
+            "bench-items.json", "bench-report.csv"
+        ]
 
     def test_failed_items_carry_their_error_kind(self, tmp_path, capsys):
         # the motorcycle's generate fails on the transport; the kite's graph

@@ -3,11 +3,17 @@
 import base64
 import json
 import json as _json  # StubSession.post's parameter `json` shadows the module name
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 import requests
+import yaml
 
+import promptrefine
 from promptrefine.backends import (
     AuthFailure,
     BackendConfig,
@@ -373,3 +379,32 @@ def test_rate_limiter_spaces_requests():
         be.complete(TextGenRequest(preamble="", exemplars=(), input="x"))
     elapsed = time.monotonic() - start
     assert elapsed >= 3 * (1 / 200.0)
+
+
+# Loads the package the way the CLI and bench do, then a config; prints
+# whether the HTTP client stack was imported along the way.
+_IMPORT_PROBE = """
+import sys
+import promptrefine, promptrefine.bench, promptrefine.cli
+from promptrefine.config import load_config
+load_config(sys.argv[1])
+print("requests" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("http_role", [None, "llm"])
+def test_requests_loads_only_with_an_http_backend(tmp_path, http_role):
+    # A fresh interpreter: this test process has imported requests itself.
+    sections = {role: {"type": "mock"} for role in ("llm", "vqa", "t2i")}
+    if http_role is not None:
+        sections[http_role] = {"type": "http", "endpoint": "http://127.0.0.1:9/v1", "model": "m"}
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump({"backends": sections}), encoding="utf-8")
+    src = str(Path(promptrefine.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-c", _IMPORT_PROBE, str(config)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [str(http_role is not None)]

@@ -72,6 +72,9 @@ class TestKeywordTable:
         assert table.class_of("soft lighting") == "light"
         assert table.class_of("nonexistent keyword") is None
 
+    def test_default_table_is_read_once(self):
+        assert default_keyword_table() is default_keyword_table()
+
     def test_missing_class_rejected(self):
         with pytest.raises(ValueError):
             KeywordClassTable(classes=(("quality", ("4k",)),))

@@ -360,6 +360,40 @@ class TestPersistence:
             assert os.stat(stored.path).st_ino != os.stat(ref.path).st_ino
             assert stored.read_bytes() == ref.read_bytes()
 
+    def test_a_copy_cut_short_is_not_kept(self, tmp_path, monkeypatch):
+        # persist_record skips an image that exists, so a copy that fails
+        # part-way (a full disk, say) must leave nothing at the image's path.
+        record = self._record(tmp_path)
+
+        def cross_device(src, dst):
+            raise OSError(errno.EXDEV, "Invalid cross-device link")
+
+        fdopen = os.fdopen
+        opened = []
+
+        def first_write_cut_short(fd, *args, **kwargs):
+            opened.append(fd)
+            if len(opened) > 1:
+                return fdopen(fd, *args, **kwargs)
+            os.write(fd, PNG_WHITE[:10])
+            os.close(fd)
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "link", cross_device)
+        monkeypatch.setattr(os, "fdopen", first_write_cut_short)
+        with pytest.raises(IoFailure, match="No space left"):
+            persist_record(record, tmp_path / "runs")
+        assert len(opened) == 1
+        monkeypatch.setattr(os, "fdopen", fdopen)
+
+        path = persist_record(record, tmp_path / "runs")
+        loaded = load_record(path)
+        for (_, ref, _), (_, stored, _) in zip(record.image_refs, loaded.image_refs):
+            assert stored.read_bytes() == ref.read_bytes()
+        assert sorted(p.name for p in (path.parent / "images").iterdir()) == [
+            "final.png", "round-1.png"
+        ]
+
     def test_run_dir_layout(self, tmp_path):
         record = self._record(tmp_path)
         path = persist_record(record, tmp_path / "runs")
