@@ -8,9 +8,10 @@ import io
 import json
 import logging
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from promptrefine import scene_graph as sg
 from promptrefine.pipeline import PipelineConfig, RunRecord, _error_kind, run_single
@@ -125,30 +126,53 @@ def _try_embed(embedder, payload):
 
 
 def _clip_pairings(result: ItemResult, item: DatasetItem, record: RunRecord,
-                   cfg: PipelineConfig, optimized: bool) -> None:
-    """Relevance of the user prompt to the round-1 image and, for an optimized
-    run, of both prompts to the final image. The embeds are sent together; a
-    pairing is recorded when both of its embeds succeed."""
+                   cfg: PipelineConfig, optimized: bool) -> Callable[[], None]:
+    """Send the embeds that score the relevance of the user prompt to the
+    round-1 image and, for an optimized run, of both prompts to the final
+    image, together on the shared pool. Returns the step that collects them:
+    it records a pairing when both of its embeds succeed."""
     embedder = cfg.backends.embed
     if embedder is None:
-        return
+        return lambda: None
     payloads = [item.prompt, record.image_refs[0][1]]
     pairings = {"baseline": (0, 1)}  # name -> (text, image) indices into payloads
     if optimized:
         payloads += [record.image_refs[-1][1], record.final_prompt(), item.prompt]
         pairings.update(optimized_prompt=(3, 2), original_prompt=(4, 2))
-    embeds = join([submit(_try_embed, embedder, payload) for payload in payloads])
-    errors = [error for _, error in embeds if error is not None]
-    for name, (text, image) in pairings.items():
-        (text_vec, _), (image_vec, _) = embeds[text], embeds[image]
-        if text_vec is None or image_vec is None:
-            continue
-        try:
-            result.clip[name] = clip_relevance(text_vec, image_vec)
-        except ValueError as exc:  # mismatched or zero vectors
-            errors.append(exc)
-    if errors:
-        logger.warning("clip scoring failed for %s: %s", result.item_id, errors[0])
+    tasks = [submit(_try_embed, embedder, payload) for payload in payloads]
+
+    def collect() -> None:
+        embeds = join(tasks)
+        errors = [error for _, error in embeds if error is not None]
+        for name, (text, image) in pairings.items():
+            (text_vec, _), (image_vec, _) = embeds[text], embeds[image]
+            if text_vec is None or image_vec is None:
+                continue
+            try:
+                result.clip[name] = clip_relevance(text_vec, image_vec)
+            except ValueError as exc:  # mismatched or zero vectors
+                errors.append(exc)
+        if errors:
+            logger.warning("clip scoring failed for %s: %s", result.item_id, errors[0])
+
+    return collect
+
+
+@contextmanager
+def _item_errors(result: ItemResult) -> Iterator[None]:
+    """Record an exception as the item's error: one bad item must not sink the run."""
+    try:
+        yield
+    except Exception as exc:  # noqa: BLE001
+        result.error = f"{type(exc).__name__}: {exc}"
+        result.error_kind = result.error_kind or _error_kind(exc)
+        logger.warning("item %s failed: %s", result.item_id, result.error)
+
+
+def _collect_scores(scoring: List[Tuple[ItemResult, Callable[[], None]]]) -> None:
+    for result, collect in scoring:
+        with _item_errors(result):
+            collect()
 
 
 def run_benchmark(
@@ -162,15 +186,20 @@ def run_benchmark(
     image generated from the raw prompt; optimized runs the full pipeline and
     also scores the final image. Items with embedded graphs skip graph
     construction. With ``cfg.out_dir`` set, each item's run directory is
-    written there, in either mode.
+    written there, in either mode. An item's relevance embeds are in flight
+    while the next item runs; they are collected, in item order, before the
+    report is made.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     optimized = mode != "baseline"
     results: List[ItemResult] = []
+    scoring: List[Tuple[ItemResult, Callable[[], None]]] = []  # the last item's, in flight
     for item in dataset:
         result = ItemResult(item_id=item.item_id, category=item.category)
-        try:
+        results.append(result)
+        in_flight, scoring = scoring, []
+        with _item_errors(result):
             record = run_single(item.prompt, cfg, graph=item.graph, evaluate_only=not optimized)
             if record.status != "completed":
                 result.error_kind = record.error_kind
@@ -178,12 +207,9 @@ def run_benchmark(
             result.baseline_score = record.reports[0].score
             if optimized:
                 result.optimized_score = record.reports[-1].score
-            _clip_pairings(result, item, record, cfg, optimized)
-        except Exception as exc:  # noqa: BLE001 - one bad item must not sink the run
-            result.error = f"{type(exc).__name__}: {exc}"
-            result.error_kind = result.error_kind or _error_kind(exc)
-            logger.warning("item %s failed: %s", item.item_id, result.error)
-        results.append(result)
+            scoring.append((result, _clip_pairings(result, item, record, cfg, optimized)))
+        _collect_scores(in_flight)
+    _collect_scores(scoring)
     return aggregate(results, mode)
 
 

@@ -519,8 +519,9 @@ def persist_record(record: RunRecord, out_dir: Union[str, Path]) -> Path:
             dest.parent.mkdir(parents=True, exist_ok=True)
             if not dest.exists():
                 _link_or_copy(src, dest)
-        if record.graph is not None:
-            write_file_atomic(run_dir / "graph.json", sg.serialize_graph(record.graph).encode("utf-8"))
+        if doc["graph"] is not None:  # the document record.json holds, encoded as serialize_graph does
+            graph_text = json.dumps(doc["graph"], ensure_ascii=False) + "\n"
+            write_file_atomic(run_dir / "graph.json", graph_text.encode("utf-8"))
         if record.outcome is not None and record.outcome.transcripts:
             tdir = run_dir / "transcripts"
             tdir.mkdir(exist_ok=True)

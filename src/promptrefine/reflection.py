@@ -3,11 +3,12 @@ generated image against it with entailment-based pruning."""
 
 from __future__ import annotations
 
+import functools
 import logging
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from promptrefine import scene_graph as sg
 from promptrefine.backends.base import Backend, CallJournal, ImageRef, VqaRequest, journal_calls, recording
@@ -86,10 +87,16 @@ def build_dsg(
     llm: Backend,
     templates: TemplateSet,
 ) -> sg.SceneGraph:
-    """Three staged text-model calls: tuples, then questions, then dependencies.
+    """Three staged text-model calls: tuples, then questions and dependencies.
 
     Each stage's output is parsed and validated; invalid output re-invokes that
-    stage up to STAGE_ATTEMPTS times before StageExhausted.
+    stage up to STAGE_ATTEMPTS times before StageExhausted. The questions and
+    the dependencies stages both take the prompt and the tuples. If the llm's
+    last call took at least FAN_OUT_MIN_S, the questions stage is asked on the
+    shared pool while the dependencies stage is asked here; otherwise they are
+    asked one after the other. The graph, the journal order and the error
+    raised are the same either way, but when the questions stage fails the
+    dependencies stage has been asked too.
     """
     if not prompt.strip():
         raise ValueError("prompt must be non-empty")
@@ -106,14 +113,40 @@ def build_dsg(
         return questions
 
     prompt_and_tuples = render_prompt_tuples_input(prompt, tuples)
-    questions, _ = run_stage(llm, templates.stage("questions"), prompt_and_tuples, parse_matching_questions)
+    ask_questions = functools.partial(
+        run_stage, llm, templates.stage("questions"), prompt_and_tuples, parse_matching_questions
+    )
 
-    def parse_and_assemble(raw: str):
-        edges = sg.parse_dependencies(raw)
-        return sg.build_graph(prompt, tuples, questions, edges)
+    def ask_dependencies(questions: Callable[[], Sequence[sg.Question]]) -> sg.SceneGraph:
+        def parse_and_assemble(raw: str):
+            edges = sg.parse_dependencies(raw)  # invalid syntax re-asks without waiting for questions
+            return sg.build_graph(prompt, tuples, questions(), edges)
 
-    graph, _ = run_stage(llm, templates.stage("dependencies"), prompt_and_tuples, parse_and_assemble)
-    return graph
+        graph, _ = run_stage(llm, templates.stage("dependencies"), prompt_and_tuples, parse_and_assemble)
+        return graph
+
+    if not _fan_out(llm, "complete"):
+        questions, _ = ask_questions()
+        return ask_dependencies(lambda: questions)
+
+    task = submit(ask_questions)
+
+    def asked_questions():
+        nonlocal task
+        task = settle(task, ask_questions)
+        return task[0].result()[0]  # a failed questions stage ends the dependencies stage
+
+    dependency_calls = CallJournal()
+    try:
+        with recording(dependency_calls):
+            return ask_dependencies(asked_questions)
+    finally:
+        # Journal both stages in the serial order. A failed questions stage
+        # raises its own error, as it would have before the dependencies.
+        try:
+            join([settle(task, ask_questions)])
+        finally:
+            journal_calls(dependency_calls.records())
 
 
 # At most 8 pooled requests in flight per process; one run's evaluation thus
@@ -122,10 +155,11 @@ POOL_WORKERS = 8
 # A thread handoff costs ~50 us of CPU per question; only slower calls gain from overlap.
 FAN_OUT_MIN_S = 0.001
 
-# Shared by the VQA fan-out and the question-graph build that run_single starts
-# beside the first generate. No task on it submits to it or waits on it, so
-# sharing cannot deadlock. Threads start on the first submit, so an unused
-# pool costs nothing.
+# Shared by the VQA fan-out, the question-graph build that run_single starts
+# beside the first generate, the build's questions stage and bench embeds.
+# A task on it may wait only on a task that it can take back and run itself
+# (``settle``), so sharing cannot deadlock: the build settles its questions
+# stage. Threads start on the first submit, so an unused pool costs nothing.
 POOL = ThreadPoolExecutor(max_workers=POOL_WORKERS, thread_name_prefix="promptrefine-io")
 
 
@@ -155,9 +189,27 @@ def join(tasks: Sequence[Tuple[Future, CallJournal]]) -> list:
     return [future.result() for future, _ in tasks]
 
 
-def _fan_out(vqa: Backend) -> Optional[bool]:
-    """Whether VQA calls are slow enough to overlap; None before the first answer."""
-    latency = vqa.last_latency_s("answer_binary")
+def settle(task: Tuple[Future, CallJournal], fn, *args) -> Tuple[Future, CallJournal]:
+    """``task``, from ``submit(fn, *args)``, once it is done. If no worker has
+    started it, it is taken back and run on this thread: a pool task waiting
+    on a queued task could otherwise hold a worker that the queued task needs.
+    Collect the result with ``join``."""
+    future, journal = task
+    if not future.cancel():
+        wait([future])
+        return task
+    done: Future = Future()
+    with recording(journal):
+        try:
+            done.set_result(fn(*args))
+        except Exception as exc:  # noqa: BLE001 - kept for join, as a pool keeps it
+            done.set_exception(exc)
+    return done, journal
+
+
+def _fan_out(backend: Backend, op: str) -> Optional[bool]:
+    """Whether ``op`` calls are slow enough to overlap; None before the first success."""
+    latency = backend.last_latency_s(op)
     return None if latency is None else latency >= FAN_OUT_MIN_S
 
 
@@ -173,13 +225,13 @@ def evaluate_image(image: ImageRef, graph: sg.SceneGraph, vqa: Backend) -> Refle
     """
     answers: Dict[int, Answer] = {}
     calls = 0
-    fan_out = _fan_out(vqa)
+    fan_out = _fan_out(vqa, "answer_binary")
     for level in sg.topological_levels(graph):
         pending = [qid for qid in level if qid not in answers]  # others pruned by an earlier No
         results: List[bool] = []
         if pending and fan_out is None:
             results.append(_ask(vqa, image, graph, pending[0]))
-            fan_out = _fan_out(vqa)
+            fan_out = _fan_out(vqa, "answer_binary")
         rest = pending[len(results):]
         if fan_out and len(rest) > 1:
             results += join([submit(_ask, vqa, image, graph, qid) for qid in rest])

@@ -39,6 +39,7 @@ from fixtures import (
     MOTORCYCLE_QUESTIONS,
     MOTORCYCLE_TUPLES,
     PNG_WHITE,
+    Gauge,
     SlowMock,
     motorcycle_backends,
     stage_llm,
@@ -293,6 +294,72 @@ class TestRunBenchmark:
         assert all("baseline" in i.clip for i in report.items)
         # each run keeps its calls; only the prompt and image embeds land here
         assert [r.op for r in outer.records()] == ["embed"] * 2 * len(items)
+
+    def _pipelined(self, tmp_path, gauge=None, failing=None):
+        """Four baseline items, each prompt embedding to its own vector, the
+        ``failing`` item's with an error; a generate takes 20 ms and an embed
+        10 ms, both counted on ``gauge``."""
+        items, vqa = four_item_dataset()
+        embed = SlowMock(name="embed", op_delays={"embed": 0.01}, gauge=gauge)
+        for k, item in enumerate(items):
+            embed.script_embed(item.prompt, AuthFailure("denied") if item.item_id == failing else [1.0, float(k)])
+        embed.script_embed("*", [1.0, 0.0])  # every item's image
+        t2i = SlowMock(name="t2i", image_dir=tmp_path / "img", op_delays={"generate_image": 0.02}, gauge=gauge)
+        t2i.script_image("*", PNG_WHITE)
+        return items, bench_cfg(tmp_path, vqa, embed=embed, t2i=t2i)
+
+    def test_each_items_embeds_are_in_flight_while_the_next_item_runs(self, tmp_path):
+        gauge = Gauge()
+        items, cfg = self._pipelined(tmp_path, gauge)
+        report = run_benchmark(items, cfg, mode="baseline")
+        assert frozenset({"embed", "generate_image"}) in gauge.together
+        # item order and each item's relevance are as scored one item at a time
+        assert [i.item_id for i in report.items] == [i.item_id for i in items]
+        assert [i.clip for i in report.items] == [
+            {"baseline": pytest.approx(clip_relevance([1.0, float(k)], [1.0, 0.0]))} for k in range(len(items))
+        ]
+
+    def test_an_embed_failure_is_charged_to_its_item(self, tmp_path, caplog, monkeypatch):
+        items, cfg = self._pipelined(tmp_path, failing="item-b")
+        with caplog.at_level(logging.WARNING, logger="promptrefine.bench"):
+            report = run_benchmark(items, cfg, mode="baseline")
+        assert [bool(i.clip) for i in report.items] == [True, False, True, True]
+        assert not any(i.failed for i in report.items)
+        warnings = [r.getMessage() for r in caplog.records]
+        assert len(warnings) == 1 and warnings[0].startswith("clip scoring failed for item-b:")
+
+        # an error that escapes the embeds fails their item alone
+        try_embed = bench._try_embed
+
+        def escaping(embedder, payload):
+            if payload == "prompt c":
+                raise RuntimeError("lost")
+            return try_embed(embedder, payload)
+
+        monkeypatch.setattr(bench, "_try_embed", escaping)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="promptrefine.bench"):
+            report = run_benchmark(items, cfg, mode="baseline")
+        assert [(i.error, i.error_kind) for i in report.items] == [
+            (None, None), (None, None), ("RuntimeError: lost", "other"), (None, None)
+        ]
+        assert report.items[2].baseline_score == 0.75 and report.failed_count == 1
+        assert [r.getMessage() for r in caplog.records if "lost" in r.getMessage()] == [
+            "item item-c failed: RuntimeError: lost"
+        ]
+
+    def test_the_last_items_embeds_are_collected_before_the_report(self, tmp_path, monkeypatch):
+        items, cfg = self._pipelined(tmp_path)
+        seen = []
+        real_aggregate = bench.aggregate
+
+        def aggregate(results, mode):
+            seen.extend(dict(i.clip) for i in results)
+            return real_aggregate(results, mode)
+
+        monkeypatch.setattr(bench, "aggregate", aggregate)
+        run_benchmark(items, cfg, mode="baseline")
+        assert all("baseline" in clip for clip in seen) and len(seen) == len(items)
 
     def test_unknown_mode(self, tmp_path):
         items, vqa = four_item_dataset()

@@ -8,6 +8,7 @@ import threading
 
 import pytest
 
+from promptrefine import reflection, scene_graph
 from promptrefine.backends import MockBackend, TransportError
 from promptrefine.pipeline import (
     Backends,
@@ -288,6 +289,29 @@ class TestRunBatch:
         assert not worker.is_alive()
         assert [normalized(r) for r in batches[0]] == [reference] * 24
 
+    def test_a_batch_wider_than_the_pool_finishes(self, tmp_path):
+        # More runs than pool workers, so builds fill the pool and their
+        # questions stages queue behind other builds; a build that only
+        # waited for its questions stage would hang here.
+        assert 16 > reflection.POOL_WORKERS
+        slow = functools.partial(SlowMock, op_delays={"complete": 0.002, "generate_image": 0.003})
+        backends = motorcycle_backends(tmp_path / "images", fence_answers=("yes",), cls=slow)
+        cfg = pipeline_cfg(tmp_path, backends=backends, parallelism=16)
+        reference = normalized(run_single(MOTORCYCLE_PROMPT, cfg))
+        batches = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            worker = threading.Thread(
+                target=lambda: batches.append(run_batch([MOTORCYCLE_PROMPT] * 32, cfg)), daemon=True
+            )
+            worker.start()
+            worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive()
+        assert [normalized(r) for r in batches[0]] == [reference] * 32
+
     def test_empty_batch_rejected(self, tmp_path):
         cfg = pipeline_cfg(tmp_path)
         with pytest.raises(ValueError):
@@ -431,6 +455,17 @@ class TestPersistence:
         graph_text = (path.parent / "graph.json").read_text(encoding="utf-8")
         assert graph_text == serialize_graph(record.graph)
         assert graph_text.count("\n") == 1
+
+    def test_graph_file_is_the_records_graph_document(self, tmp_path, monkeypatch):
+        record = self._record(tmp_path)
+        record = dataclasses.replace(record, graph=dataclasses.replace(record.graph, source_prompt="une clôture 🏍"))
+        built = []
+        graph_to_doc = scene_graph.graph_to_doc
+        monkeypatch.setattr(scene_graph, "graph_to_doc", lambda graph: built.append(graph) or graph_to_doc(graph))
+        path = persist_record(record, tmp_path / "runs")
+        assert built == [record.graph]  # one document, for record.json and graph.json
+        monkeypatch.undo()
+        assert (path.parent / "graph.json").read_bytes() == serialize_graph(record.graph).encode("utf-8")
 
     def test_non_ascii_prompt_written_unescaped(self, tmp_path):
         record = self._record(tmp_path)

@@ -1,7 +1,9 @@
+import functools
 import itertools
 import random
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import pytest
@@ -57,9 +59,10 @@ def templates():
     return default_template_set()
 
 
-def scripted_llm(tuples=MOTORCYCLE_TUPLES, questions=MOTORCYCLE_QUESTIONS, deps=MOTORCYCLE_DEPENDENCIES):
+def scripted_llm(tuples=MOTORCYCLE_TUPLES, questions=MOTORCYCLE_QUESTIONS, deps=MOTORCYCLE_DEPENDENCIES,
+                 cls=MockBackend):
     return (
-        MockBackend(name="llm")
+        cls(name="llm")
         .script_text("*", tuples, preamble="*Decompose*")
         .script_text("*", questions, preamble="*yes/no verification questions*")
         .script_text("*", deps, preamble="*presume*")
@@ -168,6 +171,129 @@ class TestBuildDsg:
     def test_empty_prompt_rejected(self, templates):
         with pytest.raises(ValueError):
             build_dsg("  ", MockBackend(), templates)
+
+
+QUESTIONS_MARK = "yes/no verification questions"
+DEPENDENCIES_MARK = "presume"
+
+
+def slow_llm(cls=SlowMock, **stages):
+    """scripted_llm on a mock whose text calls take twice FAN_OUT_MIN_S."""
+    return scripted_llm(cls=functools.partial(cls, op_delays={"complete": 2 * reflection.FAN_OUT_MIN_S}), **stages)
+
+
+def response_digests(*blocks):
+    return [backends_base.sha256_hex(b) for b in blocks]
+
+
+class TestConcurrentBuildDsg:
+    """A slow llm is asked the questions and dependencies stages together."""
+
+    def test_both_stages_are_in_flight_at_once(self, templates, journal):
+        # Each stage waits until the other is in flight; asked one after the
+        # other they break the barrier.
+        barrier = threading.Barrier(2)
+
+        class BarrierLlm(SlowMock):
+            def _send_text(self, req):
+                if QUESTIONS_MARK in req.preamble or DEPENDENCIES_MARK in req.preamble:
+                    barrier.wait(timeout=5)
+                return super()._send_text(req)
+
+        graph = build_dsg(MOTORCYCLE_PROMPT, slow_llm(BarrierLlm), templates)
+        assert graph == motorcycle_graph() and len(journal) == 3
+
+    def test_a_fast_llm_stays_serial(self, templates, journal, monkeypatch):
+        def no_submit(*args):
+            raise AssertionError("stages under FAN_OUT_MIN_S must not overlap")
+
+        monkeypatch.setattr(reflection, "POOL", SimpleNamespace(submit=no_submit))
+        assert build_dsg(MOTORCYCLE_PROMPT, scripted_llm(), templates) == motorcycle_graph()
+        assert len(journal) == 3
+
+    def test_journal_keeps_the_serial_order_when_dependencies_answer_first(self, templates, journal):
+        answered = threading.Event()
+
+        class DependenciesFirst(SlowMock):
+            def _send_text(self, req):
+                if QUESTIONS_MARK in req.preamble:
+                    assert answered.wait(timeout=5)
+                try:
+                    return super()._send_text(req)
+                finally:
+                    if DEPENDENCIES_MARK in req.preamble:
+                        answered.set()
+
+        graph = build_dsg(MOTORCYCLE_PROMPT, slow_llm(DependenciesFirst), templates)
+        assert graph == motorcycle_graph()
+        assert [r.response_digest for r in journal.records()] == response_digests(
+            MOTORCYCLE_TUPLES, MOTORCYCLE_QUESTIONS, MOTORCYCLE_DEPENDENCIES
+        )
+
+    def test_question_id_mismatch_reasks_only_the_questions_stage(self, templates, journal):
+        llm = slow_llm()
+        llm._text[1].responses = ["1 | Only one question?", MOTORCYCLE_QUESTIONS]
+        assert build_dsg(MOTORCYCLE_PROMPT, llm, templates) == motorcycle_graph()
+        assert [r.response_digest for r in journal.records()] == response_digests(
+            MOTORCYCLE_TUPLES, "1 | Only one question?", MOTORCYCLE_QUESTIONS, MOTORCYCLE_DEPENDENCIES
+        )
+
+    def test_a_cycle_reasks_only_the_dependencies_stage(self, templates, journal):
+        cyclic = "1 | 2\n2 | 1\n3 | 0\n4 | 0\n5 | 0"
+        llm = slow_llm()
+        llm._text[2].responses = [cyclic, MOTORCYCLE_DEPENDENCIES]
+        assert build_dsg(MOTORCYCLE_PROMPT, llm, templates) == motorcycle_graph()
+        assert [r.response_digest for r in journal.records()] == response_digests(
+            MOTORCYCLE_TUPLES, MOTORCYCLE_QUESTIONS, cyclic, MOTORCYCLE_DEPENDENCIES
+        )
+
+    @pytest.mark.parametrize(
+        "slow, deps, dependency_calls",
+        [
+            (False, MOTORCYCLE_DEPENDENCIES, 0),  # serial: never asked
+            (True, MOTORCYCLE_DEPENDENCIES, 1),  # parses, then waits for the questions
+            (True, "garbage", 3),  # runs out of attempts on its own
+        ],
+        ids=["serial", "dependencies-valid", "dependencies-invalid"],
+    )
+    def test_an_exhausted_questions_stage_raises_its_own_error(
+        self, templates, journal, slow, deps, dependency_calls
+    ):
+        llm = (slow_llm if slow else scripted_llm)(questions="garbage", deps=deps)
+        with pytest.raises(StageExhausted) as exc:
+            build_dsg(MOTORCYCLE_PROMPT, llm, templates)
+        assert (exc.value.stage, exc.value.attempts) == ("questions", 3)
+        # the dependencies calls an overlapping build made stay in the journal, after the questions
+        assert [r.response_digest for r in journal.records()] == response_digests(
+            MOTORCYCLE_TUPLES, *["garbage"] * 3, *[deps] * dependency_calls
+        )
+
+    def test_settle_runs_a_task_no_worker_has_started_here(self, monkeypatch, journal):
+        pool = ThreadPoolExecutor(max_workers=1)
+        release, started = threading.Event(), threading.Event()
+        pool.submit(release.wait, 10)  # holds the only worker
+        monkeypatch.setattr(reflection, "POOL", pool)
+        llm = MockBackend(name="llm").script_text("*", "ok")
+        req = TextGenRequest(preamble="p", exemplars=(), input="x")
+
+        def ask():
+            started.set()
+            return threading.current_thread(), llm.complete(req)
+
+        try:
+            queued = reflection.submit(ask)
+            assert reflection.join([reflection.settle(queued, ask)]) == [(threading.current_thread(), "ok")]
+            assert queued[0].cancelled()
+            release.set()
+            started.clear()
+            running = reflection.submit(ask)
+            assert started.wait(timeout=5)  # a worker has it: settle waits for the worker's result
+            [(thread, answer)] = reflection.join([reflection.settle(running, ask)])
+            assert thread is not threading.current_thread() and answer == "ok"
+            assert [r.digest for r in journal.records()] == [request_digest(req)] * 2
+        finally:
+            release.set()
+            pool.shutdown()
 
 
 class TestEvaluateImage:
