@@ -7,9 +7,12 @@ answer extraction, content-addressed image persistence, and journaling.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 import json
 import logging
+import math
 import os
 import re
 import tempfile
@@ -18,6 +21,7 @@ import time
 from contextlib import contextmanager, suppress
 from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
@@ -96,6 +100,26 @@ def sha256_hex(data: Union[str, bytes]) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+# The canonical text of a request is built from fragments, each the exact
+# canonical_json of one part, so that the parts a run repeats are encoded once:
+# a stage's preamble and exemplars, an image reference. Only strings and
+# tuples of strings are cached by value; for them equal values encode equally.
+FRAGMENT_CACHE = 64
+
+
+@functools.lru_cache(maxsize=FRAGMENT_CACHE)
+def _cached_json(value: Union[str, Tuple[Tuple[str, str], ...]]) -> str:
+    return _CANONICAL.encode(value)
+
+
+def _number_json(value) -> str:
+    """canonical_json of a number: json writes ints and finite floats by their repr."""
+    kind = type(value)
+    if kind is int or (kind is float and math.isfinite(value)):
+        return kind.__repr__(value)
+    return _CANONICAL.encode(value)
+
+
 @dataclass(frozen=True)
 class TextGenRequest:
     """A few-shot text completion request."""
@@ -113,7 +137,12 @@ class TextGenRequest:
             raise ValueError(f"temperature out of range: {self.temperature}")
         if self.max_tokens < 1:
             raise ValueError("max_tokens must be positive")
-        object.__setattr__(self, "exemplars", tuple(tuple(p) for p in self.exemplars))
+        exemplars = tuple(tuple(p) for p in self.exemplars)
+        if not isinstance(self.preamble, str) or not all(
+            len(p) == 2 and isinstance(p[0], str) and isinstance(p[1], str) for p in exemplars
+        ):
+            raise ValueError("preamble must be text and exemplars (input, output) text pairs")
+        object.__setattr__(self, "exemplars", exemplars)
 
     def canonical(self) -> dict:
         return {
@@ -124,6 +153,17 @@ class TextGenRequest:
             "temperature": self.temperature,
             "max_tokens": self.max_tokens,
         }
+
+    def canonical_text(self) -> str:
+        """``canonical_json(self.canonical())``; the preamble and exemplars
+        are encoded once per distinct value."""
+        return "".join((
+            '{"exemplars":', _cached_json(self.exemplars),
+            ',"input":', _CANONICAL.encode(self.input),
+            ',"kind":"text","max_tokens":', _number_json(self.max_tokens),
+            ',"preamble":', _cached_json(self.preamble),
+            ',"temperature":', _number_json(self.temperature), "}",
+        ))
 
 
 def _sniff_media_type(data: bytes) -> str:
@@ -179,6 +219,12 @@ class ImageRef:
     def canonical(self) -> dict:
         return {"kind": "image_ref", "locator": self.locator(), "media_type": self.media_type}
 
+    # Kept in the instance __dict__ on first use, as SceneGraph keeps its
+    # indexes: a pure function of the frozen fields, outside equality and repr.
+    @cached_property
+    def _canonical_text(self) -> str:
+        return canonical_json(self.canonical())
+
 
 @dataclass(frozen=True)
 class VqaRequest:
@@ -193,6 +239,13 @@ class VqaRequest:
 
     def canonical(self) -> dict:
         return {"kind": "vqa", "image": self.image.canonical(), "question": self.question}
+
+    def canonical_text(self) -> str:
+        """``canonical_json(self.canonical())``; the image part is encoded once per image."""
+        return "".join((
+            '{"image":', self.image._canonical_text,
+            ',"kind":"vqa","question":', _CANONICAL.encode(self.question), "}",
+        ))
 
 
 @dataclass(frozen=True)
@@ -222,10 +275,14 @@ class ImageGenRequest:
             "extra": [list(p) for p in self.extra],
         }
 
+    def canonical_text(self) -> str:
+        return canonical_json(self.canonical())
+
 
 def request_digest(req) -> str:
-    """Stable digest of a canonicalized request; field-order insensitive."""
-    return sha256_hex(canonical_json(req.canonical()))
+    """Stable digest of a canonicalized request: sha256 of
+    ``canonical_json(req.canonical())``, which ``req.canonical_text()`` builds."""
+    return sha256_hex(req.canonical_text())
 
 
 def embed_digest(payload: Union[str, ImageRef]) -> str:
@@ -234,21 +291,25 @@ def embed_digest(payload: Union[str, ImageRef]) -> str:
     return sha256_hex(canonical_json({"kind": "embed", "payload": key}))
 
 
-# mkstemp creates its files 0600; a written file gets the mode open() would
-# give it under the process umask, read once here since reading it sets it.
-_UMASK = os.umask(0o022)
-os.umask(_UMASK)
-_FILE_MODE = 0o666 & ~_UMASK
+# A temp name holds the pid and a per-process count, so no two writers in one
+# process share one; O_EXCL refuses a name another process left behind.
+_TEMP_NAMES = itertools.count()
 
 
 def write_file_atomic(path: Path, data: bytes) -> None:
     """Write ``data`` to ``path`` through a temp file in the same directory and
-    ``os.replace``, so a reader or a concurrent writer never sees a partial file."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    ``os.replace``, so a reader or a concurrent writer never sees a partial file.
+    The file gets the mode ``open()`` would give it under the process umask."""
+    while True:
+        tmp = os.path.join(path.parent, f".{path.name}.{os.getpid()}.{next(_TEMP_NAMES)}.tmp")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_CLOEXEC, 0o666)
+            break
+        except FileExistsError:  # left by a process that had this pid
+            continue
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
-        os.chmod(tmp, _FILE_MODE)
         os.replace(tmp, path)
     except BaseException:
         with suppress(OSError):
@@ -367,6 +428,16 @@ class _RateLimiter:
             self._last = now
 
 
+# VQA answers repeat ("yes", "no"), so the digests of short text responses
+# are kept; a longer text is hashed each time.
+SHORT_RESPONSE = 64
+
+
+@functools.lru_cache(maxsize=FRAGMENT_CACHE)
+def _short_text_digest(text: str) -> str:
+    return sha256_hex(text)
+
+
 _FIRST_WORD = re.compile(r"[A-Za-z]+")
 _STRICT_SUFFIX = ' Answer strictly with the single word "yes" or "no".'
 MIN_IMAGE_DIM, MAX_IMAGE_DIM = 16, 4096
@@ -425,7 +496,9 @@ class Backend:
                 if wait > 0:
                     time.sleep(wait)
                 delay = min(delay * 2 if delay else 0.0, 30.0)
-        if error is None and isinstance(result, bytes):
+        if error is None and isinstance(result, str) and len(result) <= SHORT_RESPONSE:
+            rdigest = _short_text_digest(result)
+        elif error is None and isinstance(result, bytes):
             rdigest = sha256_hex(result)
         elif error is None:
             rdigest = sha256_hex(result if isinstance(result, str) else canonical_json(result))

@@ -483,6 +483,17 @@ def _link_or_copy(src: str, dest: Path) -> None:
         write_file_atomic(dest, Path(src).read_bytes())
 
 
+def _dumps_with_graph(doc: dict, graph_text: str) -> str:
+    """``json.dumps(doc, ensure_ascii=False)`` for a ``record_to_doc`` document
+    whose ``doc["graph"]`` is already encoded as ``graph_text``: the keys either
+    side of "graph" are encoded as two objects and joined around it."""
+    keys = list(doc)
+    at = keys.index("graph")  # neither the first key nor the last
+    head = json.dumps({k: doc[k] for k in keys[:at]}, ensure_ascii=False)
+    tail = json.dumps({k: doc[k] for k in keys[at + 1:]}, ensure_ascii=False)
+    return f'{head[:-1]}, "graph": {graph_text}, {tail[1:]}'
+
+
 def persist_record(record: RunRecord, out_dir: Union[str, Path]) -> Path:
     """Write a run directory: record.json, graph.json, images/, transcripts/.
 
@@ -510,7 +521,8 @@ def persist_record(record: RunRecord, out_dir: Union[str, Path]) -> Path:
             [label, _image_ref_to_doc(ref), seed] for label, ref, seed in rebased
         ]
         try:
-            text = json.dumps(doc, ensure_ascii=False) + "\n"
+            graph_text = json.dumps(doc["graph"], ensure_ascii=False)
+            text = _dumps_with_graph(doc, graph_text) + "\n"
         except (TypeError, ValueError) as exc:
             raise IoFailure(f"could not serialize record: {exc}") from exc
 
@@ -519,9 +531,8 @@ def persist_record(record: RunRecord, out_dir: Union[str, Path]) -> Path:
             dest.parent.mkdir(parents=True, exist_ok=True)
             if not dest.exists():
                 _link_or_copy(src, dest)
-        if doc["graph"] is not None:  # the document record.json holds, encoded as serialize_graph does
-            graph_text = json.dumps(doc["graph"], ensure_ascii=False) + "\n"
-            write_file_atomic(run_dir / "graph.json", graph_text.encode("utf-8"))
+        if doc["graph"] is not None:  # the text record.json holds, as serialize_graph writes it
+            write_file_atomic(run_dir / "graph.json", (graph_text + "\n").encode("utf-8"))
         if record.outcome is not None and record.outcome.transcripts:
             tdir = run_dir / "transcripts"
             tdir.mkdir(exist_ok=True)

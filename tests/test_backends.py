@@ -1,11 +1,19 @@
+import itertools
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import promptrefine
 from promptrefine.backends import (
     BackendConfig,
     CallJournal,
@@ -22,7 +30,13 @@ from promptrefine.backends import (
     request_digest,
 )
 from promptrefine.backends import base as backends_base
-from promptrefine.backends.base import RateLimited, sha256_hex
+from promptrefine.backends.base import (
+    RateLimited,
+    canonical_json,
+    embed_digest,
+    sha256_hex,
+    write_file_atomic,
+)
 
 from fixtures import PNG_BLACK, PNG_WHITE, journal
 
@@ -91,6 +105,188 @@ class TestRequestTypes:
     def test_vqa_question_non_empty(self):
         with pytest.raises(ValueError):
             VqaRequest(image=ImageRef(remote_id="x"), question="")
+
+
+def oracle_digest(req) -> str:
+    """The definition every request digest must meet."""
+    return sha256_hex(canonical_json(req.canonical()))
+
+
+texts = st.text()
+nonblank = st.text().filter(lambda s: s.strip())
+temperatures = st.one_of(
+    st.floats(min_value=0.0, max_value=2.0), st.integers(0, 2), st.sampled_from([-0.0, 0.0, 1.0, 2.0])
+)
+text_requests = st.builds(
+    TextGenRequest,
+    preamble=texts,
+    exemplars=st.lists(st.tuples(texts, texts), max_size=4),
+    input=nonblank,
+    temperature=temperatures,
+    max_tokens=st.integers(1, 1 << 40),
+)
+image_refs = st.one_of(
+    st.builds(ImageRef, path=texts, digest=texts, media_type=texts),
+    st.builds(ImageRef, remote_id=texts, media_type=texts),
+)
+vqa_requests = st.builds(VqaRequest, image=image_refs, question=nonblank)
+image_gen_requests = st.builds(
+    ImageGenRequest,
+    prompt=nonblank,
+    seed=st.integers(-(1 << 63), 1 << 63),
+    width=st.integers(1, 1 << 16),
+    height=st.integers(1, 1 << 16),
+    extra=st.lists(st.tuples(texts, texts), max_size=3),
+)
+
+# Taken from the definition before digests were built from cached fragments.
+GOLDEN = [
+    (TextGenRequest(preamble='Rate "this"\n', exemplars=(("in ü", "out\t1"), ("\x00", "\u2028")),
+                    input="a cat — 猫", temperature=0.7, max_tokens=256),
+     "6703a7b02bd846c2a553c6510ce3ada9b42b73ed86025d27eba066852bdc019b"),
+    (TextGenRequest(preamble="", exemplars=(), input="x"),
+     "e2238fb6f5e14feb3b8f2571a416b643439dd7ca68917bb2fdbccd055db66598"),
+    (VqaRequest(ImageRef(path="/x/a.png", digest="ab" * 32, media_type="image/jpeg"), 'Is there a "cat"?'),
+     "a1ac22a3425959fcc0612dbd39782e117bbdb8794d307ecf101937a6a733a156"),
+    (VqaRequest(ImageRef(remote_id="file-123"), "Is it red?"),
+     "2a18a3607b4e4547b1e089598606d796fc741547d93bf6ec003270c4dd2b0bc8"),
+    (ImageGenRequest(prompt="a red motorcycle", seed=7, width=512, height=768, extra=(("style", "photo"),)),
+     "ea0e81978bfb697dc0c3985a8ddf85bafd8e28f2a42963652c78d605ec0f2358"),
+]
+
+
+class TestDigests:
+    @given(st.one_of(text_requests, vqa_requests, image_gen_requests))
+    def test_request_digest_is_sha256_of_the_canonical_json(self, req):
+        assert request_digest(req) == oracle_digest(req)
+
+    @given(st.one_of(texts, image_refs))
+    def test_embed_digest_is_sha256_of_the_canonical_json(self, payload):
+        key = payload if isinstance(payload, str) else payload.locator()
+        assert embed_digest(payload) == sha256_hex(canonical_json({"kind": "embed", "payload": key}))
+
+    @pytest.mark.parametrize("req,digest", GOLDEN, ids=["text", "text-defaults", "vqa-local", "vqa-remote", "image-gen"])
+    def test_golden_digests(self, req, digest):
+        assert request_digest(req) == digest
+
+    def test_golden_embed_digests(self):
+        assert embed_digest("a cat") == "9bf339136e7bbb9e433a68e15d00cef49eb1c39aa57b5e353f6878ee9f932c5b"
+        assert embed_digest(ImageRef(remote_id="file-123")) == (
+            "7c847e51b6c39fdbd1efe5cf1b5c8648c9706b0bfa89c0c576932e3264ee1437"
+        )
+
+    @pytest.mark.parametrize("temperature", [0.0, -0.0, 0, 1, 1.0, True])
+    def test_equal_temperatures_keep_their_own_json(self, temperature):
+        # 0.0 == -0.0 == 0 and 1 == 1.0 == True, but each is written differently.
+        req = TextGenRequest(preamble="p", exemplars=(("i", "o"),), input="x", temperature=temperature)
+        assert request_digest(req) == oracle_digest(req)
+
+    def test_a_cached_fragment_is_not_reused_for_another_value(self):
+        reqs = [
+            TextGenRequest(preamble=p, exemplars=e, input="x")
+            for p in ("one", "two") for e in ((), (("one", "two"),), (("two", "one"),))
+        ]
+        for req in reqs + reqs:
+            assert request_digest(req) == oracle_digest(req)
+        assert len({request_digest(r) for r in reqs}) == len(reqs)
+
+    def test_concurrent_digests_meet_the_definition(self):
+        # More distinct preambles than the fragment cache holds, so entries are
+        # evicted while other threads read them; images shared by many questions.
+        images = [ImageRef(remote_id=f"img-{i}") for i in range(3)]
+        reqs = []
+        for i in range(400):
+            reqs.append(TextGenRequest(preamble=f"p{i % 97}", exemplars=((f"i{i % 5}", "o"),), input=f"x{i}"))
+            reqs.append(VqaRequest(image=images[i % 3], question=f"q{i}?"))
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                got = list(pool.map(request_digest, reqs, timeout=60))
+        finally:
+            sys.setswitchinterval(old)
+        assert got == [oracle_digest(r) for r in reqs]
+
+    @pytest.mark.parametrize("exemplars", [(("i", 1),), (("i", "o", "x"),), ((b"i", "o"),)])
+    def test_exemplars_must_be_text_pairs(self, exemplars):
+        with pytest.raises(ValueError, match="exemplars"):
+            TextGenRequest(preamble="p", exemplars=exemplars, input="x")
+
+    def test_preamble_must_be_text(self):
+        with pytest.raises(ValueError, match="preamble"):
+            TextGenRequest(preamble=None, exemplars=(), input="x")
+
+    @pytest.mark.parametrize("raw", ["yes", "No.", "y" * 500])
+    def test_response_digest_is_sha256_of_the_text(self, raw, journal):
+        backend = MockBackend().script_text("*", raw)
+        backend.complete(text_req("x"))
+        backend.complete(text_req("x"))
+        assert [r.response_digest for r in journal.records()] == [sha256_hex(raw)] * 2
+
+
+class TestWriteFileAtomic:
+    def test_importing_the_package_never_sets_the_umask(self):
+        # Setting the umask, even to read it, changes it for every thread.
+        code = (
+            "import os\n"
+            "calls = []\n"
+            "real = os.umask\n"
+            "os.umask = lambda mask: calls.append(mask) or real(mask)\n"
+            "import promptrefine.backends, promptrefine.bench, promptrefine.cli, promptrefine.pipeline\n"
+            "assert calls == [], calls\n"
+        )
+        src = str(Path(promptrefine.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+
+    def test_file_gets_the_umask_mode(self, tmp_path):
+        old = os.umask(0o077)
+        try:
+            write_file_atomic(tmp_path / "a.json", b"{}")
+        finally:
+            os.umask(old)
+        assert (tmp_path / "a.json").stat().st_mode & 0o777 == 0o600
+        assert (tmp_path / "a.json").read_bytes() == b"{}"
+
+    def test_a_stale_temp_file_is_stepped_over(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(backends_base, "_TEMP_NAMES", itertools.count())
+        stale = tmp_path / f".a.json.{os.getpid()}.0.tmp"
+        stale.write_bytes(b"stale")
+        write_file_atomic(tmp_path / "a.json", b"new")
+        assert (tmp_path / "a.json").read_bytes() == b"new"
+        assert stale.read_bytes() == b"stale"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [stale.name, "a.json"]
+
+    def test_concurrent_writers_leave_one_whole_file(self, tmp_path):
+        target = tmp_path / "a.json"
+        payloads = [bytes([65 + i]) * 4096 for i in range(8)]
+
+        def write_many(data):
+            for _ in range(50):
+                write_file_atomic(target, data)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(len(payloads)) as pool:
+                list(pool.map(write_many, payloads, timeout=60))
+        finally:
+            sys.setswitchinterval(old)
+        assert target.read_bytes() in payloads
+        assert [p.name for p in tmp_path.iterdir()] == ["a.json"]
+
+    def test_a_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        (tmp_path / "a.json").write_bytes(b"old")
+
+        def refuse(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="No space left"):
+            write_file_atomic(tmp_path / "a.json", b"new")
+        assert [p.name for p in tmp_path.iterdir()] == ["a.json"]
+        assert (tmp_path / "a.json").read_bytes() == b"old"
 
 
 class TestMockScripting:

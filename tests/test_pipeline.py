@@ -456,6 +456,34 @@ class TestPersistence:
         assert graph_text == serialize_graph(record.graph)
         assert graph_text.count("\n") == 1
 
+    @pytest.mark.parametrize("parts", ["graph and outcome", "graph only", "neither"])
+    def test_files_are_the_documents_json_lines(self, tmp_path, parts):
+        record = self._record(tmp_path)
+        prompt = 'une moto "bleue" près d’une clôture\u2028青いバイク 🏍\x00'
+        record = dataclasses.replace(
+            record,
+            prompt_history=[("user", prompt)] + record.prompt_history[1:],
+            graph=dataclasses.replace(record.graph, source_prompt=prompt),
+            error="échec",
+        )
+        if parts != "graph and outcome":
+            record = dataclasses.replace(record, outcome=None)
+        if parts == "neither":
+            record = dataclasses.replace(record, graph=None, reports=[])
+        path = persist_record(record, tmp_path / "runs")
+        doc = record_to_doc(record)
+        doc["image_refs"] = [
+            [label, {"path": f"images/{label}.png", "digest": ref.digest, "remote_id": None,
+                     "media_type": ref.media_type}, seed]
+            for label, ref, seed in record.image_refs
+        ]
+        assert path.read_bytes() == (json.dumps(doc, ensure_ascii=False) + "\n").encode("utf-8")
+        graph_file = path.parent / "graph.json"
+        if record.graph is None:
+            assert not graph_file.exists()
+        else:
+            assert graph_file.read_bytes() == serialize_graph(record.graph).encode("utf-8")
+
     def test_graph_file_is_the_records_graph_document(self, tmp_path, monkeypatch):
         record = self._record(tmp_path)
         record = dataclasses.replace(record, graph=dataclasses.replace(record.graph, source_prompt="une clôture 🏍"))
