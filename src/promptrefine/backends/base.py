@@ -23,7 +23,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 logger = logging.getLogger(__name__)
 
@@ -366,43 +366,53 @@ class CallRecord:
 
 
 class CallJournal:
-    """Thread-safe append-only log of backend calls."""
+    """Thread-safe append-only log of backend calls. An entry is a call or a
+    slot, a child journal that holds its calls' place: ``records`` reads
+    every call in entry order, each slot's where the slot stands."""
 
     def __init__(self):
-        self._records: List[CallRecord] = []
+        self._entries: List[Union[CallRecord, CallJournal]] = []
         self._lock = threading.Lock()
 
     def append(self, record: CallRecord) -> None:
         with self._lock:
-            self._records.append(record)
+            self._entries.append(record)
+
+    def slot(self) -> "CallJournal":
+        """Append an empty child journal and return it."""
+        child = CallJournal()
+        with self._lock:
+            self._entries.append(child)
+        return child
 
     def records(self) -> List[CallRecord]:
         with self._lock:
-            return list(self._records)
+            entries = list(self._entries)
+        records: List[CallRecord] = []
+        for entry in entries:
+            records += entry.records() if isinstance(entry, CallJournal) else [entry]
+        return records
 
     def summaries(self) -> List[dict]:
         return [r.summary() for r in self.records()]
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._records)
+        return len(self.records())
 
 
 _current_journal: ContextVar[Optional[CallJournal]] = ContextVar("promptrefine_journal", default=None)
 
 
-def journal_calls(records: Iterable[CallRecord]) -> None:
-    """Append calls to the innermost open ``recording``'s journal, if any."""
-    journal = _current_journal.get()
-    if journal is not None:  # not ``if journal``: an empty journal is falsy
-        for record in records:
-            journal.append(record)
+def current_journal() -> Optional[CallJournal]:
+    """The innermost open ``recording``'s journal, or None outside any."""
+    return _current_journal.get()
 
 
 @contextmanager
-def recording(journal: CallJournal) -> Iterator[CallJournal]:
-    """Journal every backend call made in this context to ``journal``. Calls
-    made outside any ``recording`` are not kept; a new thread starts outside."""
+def recording(journal: Optional[CallJournal]) -> Iterator[Optional[CallJournal]]:
+    """Journal every backend call made in this context to ``journal`` (None
+    keeps none). Calls made outside any ``recording`` are not kept; a new
+    thread starts outside."""
     token = _current_journal.set(journal)
     try:
         yield journal
@@ -505,8 +515,9 @@ class Backend:
         latency = time.monotonic() - start
         if error is None:
             self._last_latency[op] = latency
-        journal_calls([
-            CallRecord(
+        journal = _current_journal.get()
+        if journal is not None:  # not ``if journal``: an empty journal is falsy
+            journal.append(CallRecord(
                 op=op,
                 digest=digest,
                 ok=error is None,
@@ -515,8 +526,7 @@ class Backend:
                 model=self.config.model,
                 error=None if error is None else f"{type(error).__name__}: {error}",
                 response_digest=rdigest,
-            )
-        ])
+            ))
         if error is not None:
             raise error
         return result, rdigest

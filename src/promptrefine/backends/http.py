@@ -115,12 +115,10 @@ class HttpBackend(Backend):
         if resp.status_code in (401, 403):
             raise AuthFailure(f"authentication rejected by {path}")
         if resp.status_code == 429:
-            retry_after = None
-            try:
-                retry_after = float(resp.headers.get("Retry-After", ""))
-            except ValueError:
-                pass
-            raise RateLimited(retry_after=retry_after)
+            # RFC 9110 delay-seconds is digits only; any other value, such as
+            # an HTTP-date or "inf", counts as absent.
+            delay = resp.headers.get("Retry-After", "").strip()
+            raise RateLimited(retry_after=int(delay) if delay.isascii() and delay.isdigit() else None)
         if resp.status_code == 400 and b"content_policy" in resp.content:
             raise ContentRejected(f"service rejected the request: {resp.text[:200]}")
         if resp.status_code >= 400:

@@ -10,13 +10,13 @@ therefore subject to the normal retry policy.
 A ``responses`` list belongs to the backend, not to a run: every run that uses
 the backend shares its cursor. Under ``pipeline.run_batch`` concurrent runs
 consume one list in the order their requests arrive, so which run gets which
-response changes from batch to batch. When VQA fans out (a subclass whose
-last answer took 1 ms or more, see ``reflection.evaluate_image``), the
-questions of one DAG level are asked concurrently too, as are a bench item's
-embeds, and a list under a glob that matches several of them is consumed in
-arrival order, not in question id order. To keep answers fixed, script each
-request by its exact text (or digest), and use a list only where one caller
-sends that request one call after another.
+response changes from batch to batch. The questions of one DAG level are
+asked concurrently too unless the backend's last answer took under 1 ms (see
+``reflection.evaluate_image``), so a fresh mock's first level always is, and
+so are a bench item's embeds. A list under a glob that matches several of
+them is consumed in arrival order, not in question id order. To keep answers
+fixed, script each request by its exact text (or digest), and use a list only
+where one caller sends that request one call after another.
 """
 
 from __future__ import annotations

@@ -80,9 +80,7 @@ def load_dataset(path: Union[str, Path]) -> List[DatasetItem]:
     items: List[DatasetItem] = []
     seen = set()
     text = Path(path).read_text(encoding="utf-8")
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
+    for line_no, line in sg.split_lines(text):
         try:
             doc = json.loads(line)
         except json.JSONDecodeError as exc:

@@ -157,10 +157,10 @@ def run_single(
 
     The concept graph depends only on the user prompt, so it is built on the
     shared pool while the round-1 image generates, and reused; pass ``graph``
-    to skip construction entirely. The build's calls are journaled after the
-    generate's, where its result is collected. If the generate fails, its error
-    is the run's, and the build's calls are still journaled. The run's journal
-    is its own: an enclosing ``recording`` sees none of its calls.
+    to skip construction entirely. The build's calls are journaled before the
+    generate's, where the build was submitted. If the generate fails, its
+    error is the run's, and the build's calls are still journaled. The run's
+    journal is its own: an enclosing ``recording`` sees none of its calls.
     """
     if not prompt.strip():
         raise ValueError("prompt must be non-empty")
@@ -185,13 +185,12 @@ def run_single(
     status, failed_stage, error, error_kind = "completed", None, None, None
 
     build, build_error = None, None
-    if graph is None:
-        build = submit(_timed_build, prompt, cfg.backends.llm, templates)
-
     current = prompt
     stage = "generate"
     try:
         with recording(CallJournal()) as journal:
+            if graph is None:
+                build = submit(_timed_build, prompt, cfg.backends.llm, templates)
             for step in range(1, cfg.rounds + 2):
                 final = step > cfg.rounds
                 label = "final" if final else f"round-{step}"

@@ -8,10 +8,10 @@ import logging
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, Sequence, Tuple
 
 from promptrefine import scene_graph as sg
-from promptrefine.backends.base import Backend, CallJournal, ImageRef, VqaRequest, journal_calls, recording
+from promptrefine.backends.base import Backend, ImageRef, VqaRequest, current_journal, recording
 from promptrefine.templates import StageExhausted, TemplateSet, run_stage
 
 logger = logging.getLogger(__name__)
@@ -129,24 +129,19 @@ def build_dsg(
         questions, _ = ask_questions()
         return ask_dependencies(lambda: questions)
 
-    task = submit(ask_questions)
+    task = submit(ask_questions)  # its slot comes before every dependencies call
 
     def asked_questions():
         nonlocal task
-        task = settle(task, ask_questions)
+        task = settle(task)
         return task[0].result()[0]  # a failed questions stage ends the dependencies stage
 
-    dependency_calls = CallJournal()
     try:
-        with recording(dependency_calls):
-            return ask_dependencies(asked_questions)
+        return ask_dependencies(asked_questions)
     finally:
-        # Journal both stages in the serial order. A failed questions stage
-        # raises its own error, as it would have before the dependencies.
-        try:
-            join([settle(task, ask_questions)])
-        finally:
-            journal_calls(dependency_calls.records())
+        # A failed questions stage raises its own error, as it would have
+        # before the dependencies.
+        join([settle(task)])
 
 
 # At most 8 pooled requests in flight per process; one run's evaluation thus
@@ -167,76 +162,69 @@ def _ask(vqa: Backend, image: ImageRef, graph: sg.SceneGraph, qid: int) -> bool:
     return vqa.answer_binary(VqaRequest(image=image, question=graph.question_by_id(qid).text))
 
 
-def submit(fn, *args) -> Tuple[Future, CallJournal]:
-    """Start ``fn(*args)`` on POOL; collect it with ``join``. Its calls go to
-    a journal of its own, set inside the task: pool threads start outside."""
-    journal = CallJournal()
+Task = Tuple[Future, Callable[[], Any]]  # a pooled task's future, and the closure the pool runs
 
-    def task():
-        with recording(journal):
+
+def submit(fn, *args) -> Task:
+    """Start ``fn(*args)`` on POOL; collect it with ``join``. Its calls are
+    journaled where it was submitted, in a slot of the current journal."""
+    journal = current_journal()
+    slot = None if journal is None else journal.slot()
+
+    def run():
+        with recording(slot):  # set inside the task: pool threads start outside
             return fn(*args)
 
-    return POOL.submit(task), journal
+    return POOL.submit(run), run
 
 
-def join(tasks: Sequence[Tuple[Future, CallJournal]]) -> list:
+def join(tasks: Sequence[Task]) -> list:
     """Wait for every task and return their results; the first failing task
-    in order raises its error. A pooled task's calls are journaled where its
-    result is collected: here, in task order, as if run one after another."""
+    in order raises its error."""
     wait([future for future, _ in tasks])
-    for _, journal in tasks:
-        journal_calls(journal.records())
     return [future.result() for future, _ in tasks]
 
 
-def settle(task: Tuple[Future, CallJournal], fn, *args) -> Tuple[Future, CallJournal]:
-    """``task``, from ``submit(fn, *args)``, once it is done. If no worker has
-    started it, it is taken back and run on this thread: a pool task waiting
-    on a queued task could otherwise hold a worker that the queued task needs.
-    Collect the result with ``join``."""
-    future, journal = task
+def settle(task: Task) -> Task:
+    """``task`` once it is done. If no worker has started it, it is taken back
+    and run on this thread: a pool task waiting on a queued task could
+    otherwise hold a worker that the queued task needs. Collect the result
+    with ``join``."""
+    future, run = task
     if not future.cancel():
         wait([future])
         return task
     done: Future = Future()
-    with recording(journal):
-        try:
-            done.set_result(fn(*args))
-        except Exception as exc:  # noqa: BLE001 - kept for join, as a pool keeps it
-            done.set_exception(exc)
-    return done, journal
+    try:
+        done.set_result(run())
+    except Exception as exc:  # noqa: BLE001 - kept for join, as a pool keeps it
+        done.set_exception(exc)
+    return done, run
 
 
-def _fan_out(backend: Backend, op: str) -> Optional[bool]:
-    """Whether ``op`` calls are slow enough to overlap; None before the first success."""
+def _fan_out(backend: Backend, op: str) -> bool:
+    """Whether ``op`` calls may overlap: unless the last one took under FAN_OUT_MIN_S."""
     latency = backend.last_latency_s(op)
-    return None if latency is None else latency >= FAN_OUT_MIN_S
+    return latency is None or latency >= FAN_OUT_MIN_S
 
 
 def evaluate_image(image: ImageRef, graph: sg.SceneGraph, vqa: Backend) -> ReflectionReport:
     """Answer the graph's questions about an image, one DAG level at a time.
 
     A No answer marks every dependent question as missing without querying it.
-    If the backend's last answer took at least FAN_OUT_MIN_S, the unpruned
-    questions of each level are asked together on the shared pool. A backend
-    that has never answered is asked the first question alone, and its
-    latency decides. Answers, pruning, the call count and the journal order
-    are the same either way.
+    A level's unpruned questions, if two or more, are asked together on the
+    shared pool, unless the backend's last answer took under FAN_OUT_MIN_S.
+    Answers, pruning, the call count and the journal order are the same
+    either way.
     """
     answers: Dict[int, Answer] = {}
     calls = 0
-    fan_out = _fan_out(vqa, "answer_binary")
     for level in sg.topological_levels(graph):
         pending = [qid for qid in level if qid not in answers]  # others pruned by an earlier No
-        results: List[bool] = []
-        if pending and fan_out is None:
-            results.append(_ask(vqa, image, graph, pending[0]))
-            fan_out = _fan_out(vqa, "answer_binary")
-        rest = pending[len(results):]
-        if fan_out and len(rest) > 1:
-            results += join([submit(_ask, vqa, image, graph, qid) for qid in rest])
+        if len(pending) > 1 and _fan_out(vqa, "answer_binary"):
+            results = join([submit(_ask, vqa, image, graph, qid) for qid in pending])
         else:
-            results += [_ask(vqa, image, graph, qid) for qid in rest]
+            results = [_ask(vqa, image, graph, qid) for qid in pending]
         for qid, is_yes in zip(pending, results):
             calls += 1
             if is_yes:

@@ -214,10 +214,14 @@ class SceneGraph:
         return max((t.id for t in self.tuples), default=0)
 
 
-def _split_lines(raw: str) -> List[Tuple[int, str]]:
-    """Non-blank lines with their 1-based line numbers."""
+def split_lines(raw: str) -> List[Tuple[int, str]]:
+    """Non-blank lines with their 1-based line numbers. Lines end at a line
+    feed, and a carriage return before it is dropped. Unlike
+    ``str.splitlines``, U+2028, U+2029 and U+0085 stay inside a line, as
+    ``json.dumps(..., ensure_ascii=False)`` writes them raw."""
     out = []
-    for no, line in enumerate(raw.splitlines(), start=1):
+    for no, line in enumerate(raw.split("\n"), start=1):
+        line = line.removesuffix("\r")
         if line.strip():
             out.append((no, line))
     return out
@@ -261,7 +265,7 @@ def parse_tuple_line(line: str, line_no: int = 0) -> ConceptTuple:
 
 def parse_tuple_lines(raw: str) -> List[ConceptTuple]:
     """Parse every non-blank line as a tuple, keeping the ids as written."""
-    return [parse_tuple_line(line, no) for no, line in _split_lines(raw)]
+    return [parse_tuple_line(line, no) for no, line in split_lines(raw)]
 
 
 def parse_tuples(raw: str) -> List[ConceptTuple]:
@@ -281,7 +285,7 @@ def parse_questions(raw: str) -> List[Question]:
     """Parse a question block of `<id> | <question text>` lines."""
     questions = []
     seen: Set[int] = set()
-    for no, line in _split_lines(raw):
+    for no, line in split_lines(raw):
         qid, text = _split_id(line, no)
         text = text.strip()
         if not text:
@@ -296,7 +300,7 @@ def parse_questions(raw: str) -> List[Question]:
 def parse_dependencies(raw: str) -> Set[DependencyEdge]:
     """Parse a dependency block. `<id> | 0` declares a root (no parents)."""
     edges: Set[DependencyEdge] = set()
-    for no, line in _split_lines(raw):
+    for no, line in split_lines(raw):
         child, rest = _split_id(line, no)
         parts = [p.strip() for p in rest.split(",")]
         if not parts or any(not p.isdecimal() for p in parts):

@@ -137,8 +137,9 @@ def test_fan_out_changes_timing_only(tmp_path):
 
 class InlinePool:
     """Stands in for a thread pool: runs a task on the caller's thread as it is
-    submitted, so the run makes its calls one after another. The task's calls
-    are still journaled where its result is collected."""
+    submitted, so the run makes its calls one after another, the graph
+    build's before the first generate's. The task's calls are journaled in
+    the slot that its submit took, as on the pool."""
 
     def submit(self, fn, *args):
         future = Future()

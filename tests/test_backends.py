@@ -538,6 +538,23 @@ class TestJournal:
             backend.complete(text_req("outer"))
         assert (len(outer), len(inner)) == (1, 1)
 
+    def test_slots_hold_their_calls_place(self):
+        # A slot's calls read where the slot was taken, however late they
+        # are made; a slot in a slot reads where it stands in its parent.
+        backend = MockBackend().script_text("*", "ok")
+        with recording(CallJournal()) as journal:
+            backend.complete(text_req("a"))
+            outer = journal.slot()
+            backend.complete(text_req("e"))
+        with recording(outer):
+            backend.complete(text_req("b"))
+            inner = outer.slot()
+            backend.complete(text_req("d"))
+        with recording(inner):
+            backend.complete(text_req("c"))
+        assert [r.digest for r in journal.records()] == [request_digest(text_req(x)) for x in "abcde"]
+        assert (len(journal), len(outer), len(inner)) == (5, 3, 1)
+
     def test_one_image_dir_per_backend(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TMPDIR", str(tmp_path))
         monkeypatch.setattr(tempfile, "tempdir", None)

@@ -102,6 +102,17 @@ class TestLoadDataset:
         assert items[0].graph == g
         assert items[1].graph is None
 
+    def test_unicode_line_separators_stay_inside_a_line(self, tmp_path):
+        # json.dumps(..., ensure_ascii=False) writes these raw; only "\n" ends a line
+        prompts = [f"a cat{sep}on a mat" for sep in ("\u2028", "\u2029", "\u0085")]
+        lines = [
+            json.dumps({"item_id": str(i), "category": "c", "prompt": p}, ensure_ascii=False)
+            for i, p in enumerate(prompts)
+        ]
+        path = tmp_path / "data.jsonl"
+        path.write_bytes(("\r\n".join(lines) + "\r\n").encode("utf-8"))
+        assert [item.prompt for item in load_dataset(path)] == prompts
+
     def test_missing_prompt_field(self, tmp_path):
         lines = [json.dumps({"item_id": "1", "category": "c"})]
         with pytest.raises(SchemaViolation) as exc:

@@ -23,6 +23,7 @@ from promptrefine.backends import (
     HttpBackend,
     ImageGenRequest,
     ImageRef,
+    RateLimited,
     TextGenRequest,
     TransportError,
     VqaRequest,
@@ -31,8 +32,9 @@ from promptrefine.backends import (
 
 from promptrefine.backends import http
 from promptrefine.backends.base import sha256_hex
+from promptrefine.reflection import evaluate_image
 
-from fixtures import PNG_BLACK, PNG_WHITE, journal
+from fixtures import PNG_BLACK, PNG_WHITE, chain_graph, journal
 
 
 class FakeResponse:
@@ -147,6 +149,24 @@ class TestChatCompletions:
         assert be.complete(TextGenRequest(preamble="", exemplars=(), input="x")) == "ok"
         assert len(session.calls) == 2
 
+    @pytest.mark.parametrize("value", ["inf", "1e400", "1.5", "-1", "Wed, 21 Oct 2015 07:28:00 GMT"])
+    def test_a_retry_after_that_is_not_delay_seconds_counts_as_absent(self, value):
+        be, session = backend(
+            [
+                FakeResponse(status_code=429, headers={"Retry-After": value}),
+                FakeResponse(payload=chat_payload("ok")),
+            ],
+            max_retries=1,
+        )
+        assert be.complete(TextGenRequest(preamble="", exemplars=(), input="x")) == "ok"
+        assert len(session.calls) == 2
+
+    def test_retry_after_delay_seconds_is_kept(self):
+        be, _ = backend([FakeResponse(status_code=429, headers={"Retry-After": " 7 "})], max_retries=0)
+        with pytest.raises(RateLimited) as exc:
+            be.complete(TextGenRequest(preamble="", exemplars=(), input="x"))
+        assert exc.value.retry_after == 7
+
     def test_server_error_is_retryable_transport(self):
         be, session = backend([FakeResponse(status_code=503)], max_retries=2)
         with pytest.raises(TransportError):
@@ -260,6 +280,27 @@ class TestVqaWire:
         assert results == [True] * 16
         assert (len(reads), encodes()) == (1, 1)
         assert len(session.calls) == 16 and sum(map(len, thread_journals)) == 16 and len(journal) == 0
+
+    def test_a_cold_level_that_fans_out_reads_and_encodes_the_image_once(self, tmp_path, monkeypatch, journal):
+        # A fresh backend sends the first level of an evaluation of a file
+        # image from pool threads at once; they share one encoding.
+        roots = 6
+        p = tmp_path / "img.png"
+        p.write_bytes(PNG_WHITE)
+        ref = ImageRef.from_file(p)
+        reads, encodes = counting(monkeypatch, ImageRef, "read_bytes"), counting(monkeypatch, base64, "b64encode")
+        barrier = threading.Barrier(roots)
+
+        class GatedSession(StubSession):
+            def post(self, *args, **kwargs):
+                barrier.wait(timeout=5)  # asked one at a time, the questions break the barrier
+                return super().post(*args, **kwargs)
+
+        session = GatedSession([FakeResponse(payload=chat_payload("yes"))])
+        be = HttpBackend(BackendConfig(endpoint="http://models.test/v1", model="m"), session=session)
+        report = evaluate_image(ref, chain_graph("p", roots, set()), be)
+        assert report.score == 1.0 and len(session.calls) == len(journal) == roots
+        assert (reads(), encodes()) == (1, 1)
 
     def test_body_length_is_the_bytes_sent(self, tmp_path):
         p = tmp_path / "img.png"

@@ -10,6 +10,7 @@ import pytest
 
 from promptrefine import reflection, scene_graph
 from promptrefine.backends import MockBackend, TransportError
+from promptrefine.backends.base import sha256_hex
 from promptrefine.pipeline import (
     Backends,
     IoFailure,
@@ -26,7 +27,10 @@ from promptrefine.scene_graph import SchemaViolation, serialize_graph
 
 from fixtures import (
     DECORATED_MOTORCYCLE,
+    MOTORCYCLE_DEPENDENCIES,
     MOTORCYCLE_PROMPT,
+    MOTORCYCLE_QUESTIONS,
+    MOTORCYCLE_TUPLES,
     PNG_BLACK,
     PNG_WHITE,
     Gauge,
@@ -115,6 +119,33 @@ class TestRunSingle:
         # only the round-1 build can have a text call in flight during a generate
         assert frozenset({"complete", "generate_image"}) in gauge.together
 
+    def test_the_build_is_journaled_before_the_generate_in_serial_order(self, tmp_path):
+        # The generate returns first and the dependencies stage answers before
+        # the questions stage, which runs on the pool inside the build task.
+        # Both the build's slot and its questions stage's slot hold their place.
+        answered = threading.Event()
+
+        class DependenciesFirst(SlowMock):
+            def _send_text(self, req):
+                if "yes/no verification questions" in req.preamble:
+                    assert answered.wait(timeout=5)
+                try:
+                    return super()._send_text(req)
+                finally:
+                    if "presume" in req.preamble:
+                        answered.set()
+
+        cls = functools.partial(DependenciesFirst, op_delays={"complete": 2 * reflection.FAN_OUT_MIN_S})
+        record = run_single(MOTORCYCLE_PROMPT, pipeline_cfg(tmp_path, motorcycle_backends(tmp_path / "images", cls=cls)))
+        assert record.status == "completed" and answered.is_set()
+        responses = [e["response_digest"] for e in record.backend_journal[:4]]
+        assert responses == [
+            sha256_hex(MOTORCYCLE_TUPLES),
+            sha256_hex(MOTORCYCLE_QUESTIONS),
+            sha256_hex(MOTORCYCLE_DEPENDENCIES),
+            sha256_hex(PNG_WHITE),
+        ]
+
     def test_t2i_down_marks_generate_failed(self, tmp_path):
         backends = motorcycle_backends(tmp_path / "images")
         backends.t2i = MockBackend(name="t2i").script_image("*", TransportError("down"))
@@ -126,9 +157,10 @@ class TestRunSingle:
         assert record.error == "TransportError: down"
         assert record.prompt_history == [("user", MOTORCYCLE_PROMPT)]
         assert "round-1.generate" in record.timings
-        # the graph built beside the failed generate is paid for, so it is kept
+        # the graph built beside the failed generate is paid for, so it is kept,
+        # journaled where it was submitted: before the generate
         calls = [(e["op"], e["ok"]) for e in record.backend_journal]
-        assert calls == [("generate_image", False)] + [("complete", True)] * 3
+        assert calls == [("complete", True)] * 3 + [("generate_image", False)]
         assert record.graph == motorcycle_graph()
 
     def test_stage_exhausted_marks_build_failed(self, tmp_path):
@@ -140,7 +172,7 @@ class TestRunSingle:
         assert record.failed_stage == "build_dsg"
         assert record.error_kind == "stage_exhausted"
         calls = [(e["op"], e["ok"]) for e in record.backend_journal]
-        assert calls == [("generate_image", True)] + [("complete", True)] * 3
+        assert calls == [("complete", True)] * 3 + [("generate_image", True)]
         assert [label for label, _, _ in record.image_refs] == ["round-1"]
         assert "build_dsg" in record.timings
 
@@ -153,7 +185,7 @@ class TestRunSingle:
         assert (record.failed_stage, record.error_kind) == ("generate", "backend")
         assert record.error == "TransportError: down"
         calls = [(e["op"], e["ok"]) for e in record.backend_journal]
-        assert calls == [("generate_image", False)] + [("complete", True)] * 3
+        assert calls == [("complete", True)] * 3 + [("generate_image", False)]
         assert record.graph is None
 
     def test_evaluate_only_stops_after_round_one(self, tmp_path):
@@ -165,7 +197,7 @@ class TestRunSingle:
         assert record.outcome is None
         assert record.prompt_history == [("user", MOTORCYCLE_PROMPT)]
         ops = [e["op"] for e in record.backend_journal]
-        assert ops == ["generate_image"] + ["complete"] * 3 + ["answer_binary"] * 3
+        assert ops == ["complete"] * 3 + ["generate_image"] + ["answer_binary"] * 3
 
     def test_every_backend_call_journaled_once(self, tmp_path):
         cfg = pipeline_cfg(tmp_path)

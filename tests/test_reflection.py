@@ -12,11 +12,13 @@ from promptrefine import reflection
 from promptrefine.backends import base as backends_base
 from promptrefine.backends import (
     AuthFailure,
+    CallJournal,
     ContentRejected,
     MockBackend,
     TextGenRequest,
     UnparseableAnswer,
     VqaRequest,
+    recording,
     request_digest,
 )
 from promptrefine.reflection import (
@@ -282,15 +284,34 @@ class TestConcurrentBuildDsg:
 
         try:
             queued = reflection.submit(ask)
-            assert reflection.join([reflection.settle(queued, ask)]) == [(threading.current_thread(), "ok")]
+            assert reflection.join([reflection.settle(queued)]) == [(threading.current_thread(), "ok")]
             assert queued[0].cancelled()
             release.set()
             started.clear()
             running = reflection.submit(ask)
             assert started.wait(timeout=5)  # a worker has it: settle waits for the worker's result
-            [(thread, answer)] = reflection.join([reflection.settle(running, ask)])
+            [(thread, answer)] = reflection.join([reflection.settle(running)])
             assert thread is not threading.current_thread() and answer == "ok"
             assert [r.digest for r in journal.records()] == [request_digest(req)] * 2
+        finally:
+            release.set()
+            pool.shutdown()
+
+    def test_a_task_taken_back_by_settle_journals_in_its_own_slot(self, monkeypatch, journal):
+        pool = ThreadPoolExecutor(max_workers=1)
+        release = threading.Event()
+        pool.submit(release.wait, 10)  # holds the only worker
+        monkeypatch.setattr(reflection, "POOL", pool)
+        llm = MockBackend(name="llm").script_text("*", "ok")
+        queued_req, later_req = (TextGenRequest(preamble="p", exemplars=(), input=x) for x in ("queued", "later"))
+        try:
+            queued = reflection.submit(llm.complete, queued_req)
+            llm.complete(later_req)
+            # taken back under another recording, it still journals where it was submitted
+            with recording(CallJournal()) as elsewhere:
+                assert reflection.join([reflection.settle(queued)]) == ["ok"]
+            assert queued[0].cancelled() and len(elsewhere) == 0
+            assert [r.digest for r in journal.records()] == [request_digest(queued_req), request_digest(later_req)]
         finally:
             release.set()
             pool.shutdown()
@@ -474,10 +495,13 @@ class TestFanOut:
         monkeypatch.setattr(backends_base, "time", fake_time)
         monkeypatch.setattr(reflection, "POOL", SimpleNamespace(submit=no_submit))
         g = chain_graph("p", 12, set())
+        img = image(tmp_path)
         vqa = MockBackend(name="vqa").script_vqa("*", "yes")
-        # the first evaluation reads its first answer's latency, the second the last answer's
+        # a backend that has never answered fans out, so this one answers first
+        assert vqa.answer_binary(VqaRequest(image=img, question="Warm up?"))
+        # each evaluation reads the last answer's latency
         for _ in range(2):
-            assert evaluate_image(image(tmp_path), g, vqa).vqa_call_count == 12
+            assert evaluate_image(img, g, vqa).vqa_call_count == 12
         assert vqa.last_latency_s("answer_binary") == pytest.approx(reflection.FAN_OUT_MIN_S / 2)
 
     def test_a_backend_that_has_answered_asks_a_first_level_together(self, tmp_path):
@@ -500,24 +524,39 @@ class TestFanOut:
         report = evaluate_image(img, chain_graph("p", roots, set()), vqa)
         assert report.score == 1.0 and report.vqa_call_count == roots
 
-    def test_a_backend_that_never_answered_asks_its_first_question_alone(self, tmp_path):
-        lock, in_flight, overlaps = threading.Lock(), set(), set()
+    def test_a_backend_that_never_answered_asks_its_first_level_together(self, tmp_path):
+        # Every root waits until all of them are in flight; asked one at a time
+        # they break the barrier.
+        roots = 6
+        barrier = threading.Barrier(roots)
 
-        class OverlapMock(SlowMock):
+        class GatedMock(SlowMock):
             def _send_vqa(self, req):
-                with lock:
-                    overlaps.update(frozenset((req.question, other)) for other in in_flight)
-                    in_flight.add(req.question)
-                try:
-                    return super()._send_vqa(req)
-                finally:
-                    with lock:
-                        in_flight.discard(req.question)
+                barrier.wait(timeout=5)
+                return super()._send_vqa(req)
 
-        vqa = OverlapMock(name="vqa").script_vqa("*", "yes")
-        evaluate_image(image(tmp_path), chain_graph("p", 6, set()), vqa)
-        assert overlaps  # the other five went out together
-        assert not any("Is there thing 1?" in pair for pair in overlaps)
+        vqa = GatedMock(name="vqa").script_vqa("*", "yes")
+        assert vqa.last_latency_s("answer_binary") is None
+        report = evaluate_image(image(tmp_path), chain_graph("p", roots, set()), vqa)
+        assert report.score == 1.0 and report.vqa_call_count == roots
+        assert vqa.gauge.peak["answer_binary"] == roots
+
+    def test_a_pooled_task_is_journaled_where_it_was_submitted(self, journal):
+        # The task's call returns after a later call on this thread; it is
+        # still journaled first, in the slot that its submit took.
+        llm = MockBackend(name="llm").script_text("*", "ok")
+        first, later = (TextGenRequest(preamble="p", exemplars=(), input=x) for x in ("first", "later"))
+        asked_later = threading.Event()
+
+        def ask_first():
+            assert asked_later.wait(timeout=10)
+            return llm.complete(first)
+
+        task = reflection.submit(ask_first)
+        llm.complete(later)
+        asked_later.set()
+        assert reflection.join([task]) == ["ok"]
+        assert [r.digest for r in journal.records()] == [request_digest(first), request_digest(later)]
 
 
 class TestAlignmentScore:

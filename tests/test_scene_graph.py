@@ -123,6 +123,15 @@ class TestParseQuestions:
         with pytest.raises(DuplicateId):
             parse_questions("1 | A?\n1 | B?")
 
+    @pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\u0085"])
+    def test_unicode_line_separators_stay_inside_a_question(self, sep):
+        questions = [Question(1, f"Is there a{sep}cat?"), Question(2, "Is it black?")]
+        assert parse_questions(render_questions(questions)) == questions
+
+    def test_crlf_line_ends(self):
+        got = parse_questions("1 | Is there a cat?\r\n2 | Is it black?\r\n")
+        assert [q.text for q in got] == ["Is there a cat?", "Is it black?"]
+
     def test_question_text_may_contain_pipe(self):
         got = parse_questions("1 | Is it black | white?")
         assert got[0].text == "Is it black | white?"
@@ -348,8 +357,9 @@ class TestGraphIndex:
 
 
 _categories = st.sampled_from(list(Category))
+# The Unicode line and paragraph separators and NEL are not line ends in the grammars.
 _short_text = st.text(
-    alphabet=st.characters(whitelist_categories=("L", "N"), whitelist_characters=" "),
+    alphabet=st.characters(whitelist_categories=("L", "N"), whitelist_characters=" \u2028\u2029\u0085"),
     min_size=1,
     max_size=20,
 ).map(str.strip).filter(bool)
