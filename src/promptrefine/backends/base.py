@@ -496,22 +496,21 @@ class Backend:
                 result = send()
                 break
             except BackendError as exc:
-                if not exc.retryable or attempts > self.config.max_retries:
+                retry_after = getattr(exc, "retry_after", None) or 0  # set only on RateLimited
+                # A wait longer than a request may take fails the call at once.
+                if (not exc.retryable or attempts > self.config.max_retries
+                        or retry_after > self.config.timeout):
                     error = exc
                     break
-                wait = delay
-                if isinstance(exc, RateLimited) and exc.retry_after:
-                    wait = max(wait, exc.retry_after)
+                wait = max(delay, retry_after)
                 logger.debug("%s failed (attempt %d), retrying in %.2fs: %s", op, attempts, wait, exc)
                 if wait > 0:
                     time.sleep(wait)
                 delay = min(delay * 2 if delay else 0.0, 30.0)
         if error is None and isinstance(result, str) and len(result) <= SHORT_RESPONSE:
             rdigest = _short_text_digest(result)
-        elif error is None and isinstance(result, bytes):
-            rdigest = sha256_hex(result)
         elif error is None:
-            rdigest = sha256_hex(result if isinstance(result, str) else canonical_json(result))
+            rdigest = sha256_hex(result if isinstance(result, (str, bytes)) else canonical_json(result))
         latency = time.monotonic() - start
         if error is None:
             self._last_latency[op] = latency

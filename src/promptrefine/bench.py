@@ -11,7 +11,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from promptrefine import scene_graph as sg
 from promptrefine.pipeline import PipelineConfig, RunRecord, _error_kind, run_single
@@ -211,36 +211,33 @@ def run_benchmark(
     return aggregate(results, mode)
 
 
-def _mean(values: List[float]) -> Optional[float]:
-    return math.fsum(values) / len(values) if values else None
+def _mean(values: Iterable[Optional[float]]) -> Optional[float]:
+    scores = [v for v in values if v is not None]
+    return math.fsum(scores) / len(scores) if scores else None
+
+
+def _means(items: List[ItemResult]) -> Dict[str, Optional[float]]:
+    """The mean baseline and optimized scores of ``items``, over those that have one."""
+    return {
+        "baseline": _mean(i.baseline_score for i in items),
+        "optimized": _mean(i.optimized_score for i in items),
+    }
 
 
 def aggregate(items: List[ItemResult], mode: str = "both") -> BenchReport:
     """Fold item results into per-category and overall means."""
-    categories: Dict[str, List[ItemResult]] = {}
-    for item in items:
-        if not item.failed:
-            categories.setdefault(item.category, []).append(item)
-    category_means = {
-        cat: {
-            "baseline": _mean([i.baseline_score for i in members if i.baseline_score is not None]),
-            "optimized": _mean(
-                [i.optimized_score for i in members if i.optimized_score is not None]
-            ),
-            "count": len(members),
-        }
-        for cat, members in sorted(categories.items())
-    }
     ok = [i for i in items if not i.failed]
-    overall = {
-        "baseline": _mean([i.baseline_score for i in ok if i.baseline_score is not None]),
-        "optimized": _mean([i.optimized_score for i in ok if i.optimized_score is not None]),
+    categories: Dict[str, List[ItemResult]] = {}
+    for item in ok:
+        categories.setdefault(item.category, []).append(item)
+    category_means = {
+        cat: {**_means(members), "count": len(members)} for cat, members in sorted(categories.items())
     }
     return BenchReport(
         mode=mode,
         items=items,
         category_means=category_means,
-        overall=overall,
+        overall=_means(ok),
         failed_count=sum(1 for i in items if i.failed),
     )
 

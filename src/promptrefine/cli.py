@@ -1,6 +1,6 @@
 """Command-line entry points.
 
-Exit codes: 0 success, 2 config error, 3 backend failure, 4 stage exhausted.
+Exit codes: 0 success, 2 config error, 3 backend failure, 4 stage exhausted, 1 any other error.
 """
 
 from __future__ import annotations
@@ -14,13 +14,11 @@ from pathlib import Path
 from typing import List, Optional
 
 from promptrefine import bench as bench_mod
-from promptrefine.backends.base import BackendError, ImageRef, write_file_atomic
+from promptrefine.backends.base import ImageRef, write_file_atomic
 from promptrefine.config import ConfigError, load_config
-from promptrefine.optimizer import EmptyExpansion
-from promptrefine.pipeline import IoFailure, RunRecord, run_single
+from promptrefine.pipeline import RunRecord, _error_kind, run_single
 from promptrefine.reflection import build_dsg, evaluate_image
-from promptrefine.scene_graph import GraphError, serialize_graph
-from promptrefine.templates import StageExhausted
+from promptrefine.scene_graph import serialize_graph
 
 logger = logging.getLogger(__name__)
 
@@ -30,13 +28,15 @@ EXIT_BACKEND = 3
 EXIT_STAGE = 4
 EXIT_OTHER = 1
 
-_KIND_CODES = {"backend": EXIT_BACKEND, "stage_exhausted": EXIT_STAGE}
+# An error_kind's exit code and message prefix; every other kind gets _OTHER_KIND.
+_KINDS = {"backend": (EXIT_BACKEND, "backend failure"), "stage_exhausted": (EXIT_STAGE, "stage exhausted")}
+_OTHER_KIND = (EXIT_OTHER, "error")
 
 
 def _record_exit_code(record: RunRecord) -> int:
     if record.status == "completed":
         return EXIT_OK
-    return _KIND_CODES.get(record.error_kind or "", EXIT_OTHER)
+    return _KINDS.get(record.error_kind, _OTHER_KIND)[0]
 
 
 def _print_record(record: RunRecord) -> None:
@@ -161,15 +161,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except BackendError as exc:
-        print(f"backend failure: {exc}", file=sys.stderr)
-        return EXIT_BACKEND
-    except (StageExhausted, EmptyExpansion) as exc:
-        print(f"stage exhausted: {exc}", file=sys.stderr)
-        return EXIT_STAGE
-    except (GraphError, IoFailure, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_OTHER
+    except Exception as exc:  # noqa: BLE001 - every failure exits with its kind's code
+        logger.debug("command failed", exc_info=True)
+        code, prefix = _KINDS.get(_error_kind(exc), _OTHER_KIND)
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 def main_entry() -> None:

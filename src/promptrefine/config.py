@@ -120,10 +120,7 @@ def _build_backend(section: dict, role: str, image_dir: Optional[Path], base_dir
     if kind == "mock":
         script = section.get("script")
         if script:
-            script_path = Path(script)
-            if not script_path.is_absolute():
-                script_path = base_dir / script_path
-            return MockBackend.from_file(script_path, cfg, image_dir=image_dir)
+            return MockBackend.from_file(base_dir / script, cfg, image_dir=image_dir)
         return MockBackend(cfg, image_dir=image_dir)
     raise ConfigError(f"backends.{role}: unknown type {kind!r}")
 
@@ -168,20 +165,15 @@ def load_config(path: Union[str, Path], out_dir: Optional[Path] = None) -> Pipel
     templates = None
     templates_doc = _section(doc, "templates", {"dir"})
     if templates_doc.get("dir"):
-        tdir = Path(templates_doc["dir"])
-        if not tdir.is_absolute():
-            tdir = base_dir / tdir
         try:
-            templates = load_template_set(tdir)
+            templates = load_template_set(base_dir / templates_doc["dir"])
         except TemplateError as exc:
             raise ConfigError(str(exc)) from exc
 
     keywords = None
     keywords_doc = _section(doc, "keywords", {"file"})
     if keywords_doc.get("file"):
-        kfile = Path(keywords_doc["file"])
-        if not kfile.is_absolute():
-            kfile = base_dir / kfile
+        kfile = base_dir / keywords_doc["file"]
         try:
             keywords = load_keyword_table(kfile)
         except (OSError, ValueError) as exc:

@@ -196,10 +196,9 @@ def regenerate_prompt(
             raise ValueError(f"prompt length {len(text)} exceeds cap {MAX_PROMPT_CHARS}")
         return text
 
-    text, _ = run_stage(
+    return run_stage(
         llm, templates.stage("regeneration"), render_regeneration_input(original, all_tuples), parse
     )
-    return text
 
 
 def select_keywords(raw_line: str, prompt: str, table: KeywordClassTable) -> List[str]:
@@ -256,7 +255,7 @@ def decorate_prompt(
     if not prompt.strip():
         raise ValueError("prompt must be non-empty")
 
-    line, _ = run_stage(
+    line = run_stage(
         llm, templates.stage("decoration"), render_decoration_input(prompt, keyword_table), _parse_keyword_line
     )
     keywords = select_keywords(line, prompt, keyword_table)

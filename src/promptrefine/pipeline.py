@@ -15,7 +15,7 @@ import time
 import uuid
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
@@ -87,9 +87,7 @@ class PipelineConfig:
             raise ValueError("parallelism must be >= 1")
 
     def template_set(self) -> TemplateSet:
-        if self.templates is None:
-            object.__setattr__(self, "templates", default_template_set())
-        return self.templates
+        return self.templates if self.templates is not None else default_template_set()
 
 
 @dataclass
@@ -131,15 +129,6 @@ def _error_kind(exc: Exception) -> str:
     return "other"
 
 
-def _timed_build(prompt: str, llm: Backend, templates: TemplateSet):
-    """build_dsg on a pool thread: (graph or None, its error or None, seconds)."""
-    start = time.perf_counter()
-    try:
-        return build_dsg(prompt, llm, templates), None, time.perf_counter() - start
-    except Exception as exc:  # noqa: BLE001 - run_single raises it once the generate is done
-        return None, exc, time.perf_counter() - start
-
-
 def run_single(
     prompt: str,
     cfg: PipelineConfig,
@@ -177,6 +166,10 @@ def run_single(
         finally:
             timings[label] = time.perf_counter() - start
 
+    def build_graph() -> sg.SceneGraph:
+        with timed("build_dsg"):
+            return build_dsg(prompt, cfg.backends.llm, templates)
+
     prompt_history: List[Tuple[str, str]] = [("user", prompt)]
     image_refs: List[Tuple[str, ImageRef, int]] = []
     reports: List[ReflectionReport] = []
@@ -190,7 +183,7 @@ def run_single(
     try:
         with recording(CallJournal()) as journal:
             if graph is None:
-                build = submit(_timed_build, prompt, cfg.backends.llm, templates)
+                build = submit(build_graph)
             for step in range(1, cfg.rounds + 2):
                 final = step > cfg.rounds
                 label = "final" if final else f"round-{step}"
@@ -203,7 +196,10 @@ def run_single(
                         )
                 finally:
                     if build is not None:
-                        [(graph, build_error, timings["build_dsg"])] = join([build])
+                        try:
+                            [graph] = join([build])
+                        except Exception as exc:  # noqa: BLE001 - raised once the generate is done
+                            build_error = exc
                         build = None
                 image_refs.append((label, ref, seed))
                 if build_error is not None:
@@ -515,10 +511,7 @@ def persist_record(record: RunRecord, out_dir: Union[str, Path]) -> Path:
             else:
                 rebased.append((label, ref, seed))
 
-        doc = record_to_doc(record)
-        doc["image_refs"] = [
-            [label, _image_ref_to_doc(ref), seed] for label, ref, seed in rebased
-        ]
+        doc = record_to_doc(replace(record, image_refs=rebased))
         try:
             graph_text = json.dumps(doc["graph"], ensure_ascii=False)
             text = _dumps_with_graph(doc, graph_text) + "\n"

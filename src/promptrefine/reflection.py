@@ -101,7 +101,7 @@ def build_dsg(
     if not prompt.strip():
         raise ValueError("prompt must be non-empty")
 
-    tuples, _ = run_stage(llm, templates.stage("tuples"), prompt, sg.parse_tuples)
+    tuples = run_stage(llm, templates.stage("tuples"), prompt, sg.parse_tuples)
 
     def parse_matching_questions(raw: str):
         questions = sg.parse_questions(raw)
@@ -122,11 +122,10 @@ def build_dsg(
             edges = sg.parse_dependencies(raw)  # invalid syntax re-asks without waiting for questions
             return sg.build_graph(prompt, tuples, questions(), edges)
 
-        graph, _ = run_stage(llm, templates.stage("dependencies"), prompt_and_tuples, parse_and_assemble)
-        return graph
+        return run_stage(llm, templates.stage("dependencies"), prompt_and_tuples, parse_and_assemble)
 
     if not _fan_out(llm, "complete"):
-        questions, _ = ask_questions()
+        questions = ask_questions()
         return ask_dependencies(lambda: questions)
 
     task = submit(ask_questions)  # its slot comes before every dependencies call
@@ -134,7 +133,7 @@ def build_dsg(
     def asked_questions():
         nonlocal task
         task = settle(task)
-        return task[0].result()[0]  # a failed questions stage ends the dependencies stage
+        return task[0].result()  # a failed questions stage ends the dependencies stage
 
     try:
         return ask_dependencies(asked_questions)

@@ -13,6 +13,7 @@ lives under ``promptrefine/data/templates``.
 
 from __future__ import annotations
 
+import functools
 import logging
 import re
 from dataclasses import dataclass
@@ -109,7 +110,9 @@ def load_template_set(directory: Union[str, Path]) -> TemplateSet:
     return TemplateSet(stages=stages)
 
 
+@functools.cache
 def default_template_set() -> TemplateSet:
+    """The bundled set, read once per process and shared by every caller."""
     root = resources.files("promptrefine").joinpath("data", "templates")
     return load_template_set(Path(str(root)))
 
@@ -119,18 +122,18 @@ def run_stage(
     stage: StageTemplate,
     input_text: str,
     parse: Callable[[str], T],
-) -> Tuple[T, str]:
+) -> T:
     """Invoke a stage until its output parses, up to STAGE_ATTEMPTS times.
 
-    Returns (parsed value, raw model output). Invalid output (any ValueError
-    from ``parse``) triggers a re-invocation; backend errors propagate.
+    Returns the parsed value. Invalid output (any ValueError from ``parse``)
+    triggers a re-invocation; backend errors propagate.
     """
     request = stage.request(input_text)
     last_error: Optional[Exception] = None
     for attempt in range(1, STAGE_ATTEMPTS + 1):
         raw = llm.complete(request)
         try:
-            return parse(raw), raw
+            return parse(raw)
         except ValueError as exc:
             last_error = exc
             logger.debug("stage %s attempt %d invalid: %s", stage.name, attempt, exc)

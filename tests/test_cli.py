@@ -370,6 +370,42 @@ class TestCliDsgAndReflect:
         assert "Is there a motorcycle?" in captured.out
 
 
+class TestCliExceptionExits:
+    """Failures that reach ``main`` as exceptions, not through a run record."""
+
+    def test_dsg_with_garbage_llm_output_exits_4(self, tmp_path, capsys):
+        write_script(tmp_path, llm_garbage=True)
+        config = write_config(tmp_path)
+        code = main(["dsg", "--prompt", MOTORCYCLE_PROMPT, "--config", str(config)])
+        assert code == 4
+        assert capsys.readouterr().err.startswith("stage exhausted: ")
+
+    def test_reflect_with_failing_vqa_exits_3(self, tmp_path, capsys):
+        script = json.loads(write_script(tmp_path).read_text())
+        script["vqa"] = [{"match": "*", "response": {"error": "auth"}}]
+        (tmp_path / "script.json").write_text(json.dumps(script))
+        config = write_config(tmp_path)
+        image = tmp_path / "existing.png"
+        image.write_bytes(PNG_BLACK)
+        code = main(
+            ["reflect", "--prompt", MOTORCYCLE_PROMPT, "--image", str(image), "--config", str(config)]
+        )
+        assert code == 3
+        assert capsys.readouterr().err.startswith("backend failure: ")
+
+    def test_reflect_on_a_missing_image_exits_1(self, tmp_path, capsys):
+        write_script(tmp_path)
+        config = write_config(tmp_path)
+        missing = tmp_path / "missing.png"
+        code = main(
+            ["reflect", "--prompt", MOTORCYCLE_PROMPT, "--image", str(missing), "--config", str(config)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "missing.png" in err
+
+
 class TestCliRunBench:
     def _dataset(self, tmp_path):
         lines = []

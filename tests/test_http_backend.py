@@ -7,7 +7,9 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 import requests
@@ -23,6 +25,7 @@ from promptrefine.backends import (
     HttpBackend,
     ImageGenRequest,
     ImageRef,
+    MockBackend,
     RateLimited,
     TextGenRequest,
     TransportError,
@@ -30,11 +33,13 @@ from promptrefine.backends import (
     recording,
 )
 
+from promptrefine.backends import base as backends_base
 from promptrefine.backends import http
 from promptrefine.backends.base import sha256_hex
+from promptrefine.pipeline import Backends, PipelineConfig, run_single
 from promptrefine.reflection import evaluate_image
 
-from fixtures import PNG_BLACK, PNG_WHITE, chain_graph, journal
+from fixtures import MOTORCYCLE_PROMPT, PNG_BLACK, PNG_WHITE, chain_graph, journal, motorcycle_graph
 
 
 class FakeResponse:
@@ -188,6 +193,66 @@ class TestChatCompletions:
         be, _ = backend([FakeResponse(payload={"nope": []})], max_retries=0)
         with pytest.raises(TransportError):
             be.complete(TextGenRequest(preamble="", exemplars=(), input="x"))
+
+
+class TestRetryAfterCap:
+    """A Retry-After longer than the backend's timeout fails the call at once."""
+
+    @pytest.fixture
+    def sleeps(self, monkeypatch):
+        waits = []
+        monkeypatch.setattr(backends_base, "time", SimpleNamespace(monotonic=time.monotonic, sleep=waits.append))
+        return waits
+
+    @staticmethod
+    def rate_limited_then_ok(value, **cfg):
+        return backend(
+            [
+                FakeResponse(status_code=429, headers={"Retry-After": value}),
+                FakeResponse(payload=chat_payload("ok")),
+            ],
+            max_retries=1,
+            **cfg,
+        )
+
+    @pytest.mark.parametrize("value, timeout", [("99999999999", 60.0), ("3600", 60.0), ("61", 60.0)])
+    def test_a_longer_wait_than_the_timeout_fails_after_one_request(self, sleeps, journal, value, timeout):
+        be, session = self.rate_limited_then_ok(value, timeout=timeout)
+        with pytest.raises(RateLimited) as exc:
+            be.complete(TextGenRequest(preamble="", exemplars=(), input="x"))
+        assert exc.value.retry_after == int(value)
+        assert len(session.calls) == 1
+        assert sleeps == []
+        [call] = journal.summaries()
+        assert (call["ok"], call["attempts"]) == (False, 1)
+        assert call["error"].startswith("RateLimited: ")
+
+    @pytest.mark.parametrize("value", ["1", "60"])
+    def test_a_wait_within_the_timeout_is_waited_out_and_retried(self, sleeps, value):
+        be, session = self.rate_limited_then_ok(value, timeout=60.0)
+        assert be.complete(TextGenRequest(preamble="", exemplars=(), input="x")) == "ok"
+        assert len(session.calls) == 2
+        assert sleeps == [int(value)]
+
+    def test_a_run_whose_generate_is_refused_that_long_fails_as_backend(self, tmp_path, sleeps):
+        t2i, session = backend(
+            [
+                FakeResponse(status_code=429, headers={"Retry-After": "99999999999"}),
+                FakeResponse(payload={"data": [{"b64_json": base64.b64encode(PNG_WHITE).decode()}]}),
+            ],
+            image_dir=tmp_path / "images",
+            max_retries=1,
+        )
+        cfg = PipelineConfig(
+            backends=Backends(llm=MockBackend(name="llm"), vqa=MockBackend(name="vqa"), t2i=t2i),
+            width=64,
+            height=64,
+        )
+        record = run_single(MOTORCYCLE_PROMPT, cfg, graph=motorcycle_graph())
+        assert (record.status, record.failed_stage, record.error_kind) == ("failed", "generate", "backend")
+        assert record.error.startswith("RateLimited: ")
+        assert len(session.calls) == 1
+        assert sleeps == []
 
 
 class TestVqaWire:

@@ -286,6 +286,22 @@ class TestRunBatch:
         assert [r.prompt_history[0][1] for r in records] == prompts
         assert all(r.status == "completed" for r in records)
 
+    def test_an_item_that_cannot_start_gets_a_setup_record(self, tmp_path):
+        backends = motorcycle_backends(tmp_path / "images", fence_answers=("yes",))
+        backends.t2i.script_image("*", PNG_WHITE)
+        backends.llm.script_text("*", "1 | entity - whole (thing)", preamble="*Decompose*")
+        backends.llm.script_text("*", "1 | Is there a thing?", preamble="*yes/no*")
+        backends.llm.script_text("*", "1 | 0", preamble="*presume*")
+        cfg = pipeline_cfg(tmp_path, backends=backends, parallelism=2)
+        prompts = [MOTORCYCLE_PROMPT, "prompt two", "", "prompt three"]
+        records = run_batch(prompts, cfg)
+        assert [r.prompt_history[0][1] for r in records] == prompts
+        empty = records[2]
+        assert (empty.status, empty.failed_stage, empty.error_kind) == ("failed", "setup", "other")
+        assert empty.error == "ValueError: prompt must be non-empty"
+        assert empty.backend_journal == [] and empty.image_refs == []
+        assert [r.status for i, r in enumerate(records) if i != 2] == ["completed"] * 3
+
     def test_partial_failure_counted(self, tmp_path):
         backends = motorcycle_backends(tmp_path / "images", fence_answers=("yes",))
         # only the motorcycle prompt has an image script: others fail
