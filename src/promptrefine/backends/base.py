@@ -334,6 +334,13 @@ class BackendConfig:
             raise ValueError("timeout must be > 0")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
+        # not ``<= 0``: NaN compares false to everything
+        if self.rate_limit is not None and not self.rate_limit > 0:
+            raise ValueError("rate_limit must be > 0; leave it out for no limit")
+        if not self.backoff_base >= 0:
+            raise ValueError("backoff_base must be >= 0")
+        if self.embed_dim is not None and self.embed_dim < 1:
+            raise ValueError("embed_dim must be >= 1")
 
 
 @dataclass

@@ -13,7 +13,6 @@ so a process whose backends are all mocks never loads the HTTP client stack.
 from __future__ import annotations
 
 import base64
-import functools
 import json
 import threading
 from typing import List, Optional, Tuple, Union
@@ -32,9 +31,6 @@ from promptrefine.backends.base import (
     VqaRequest,
 )
 
-# A run evaluates one image at a time, so only that image's questions reuse
-# its encoding; 1 MiB is ~1.4 MB of base64.
-ENCODED_IMAGES = 1
 # Stands in for a local image's data URL in a payload until _ImageBody fills it.
 _URL_SLOT = "\x00image-url\x00"
 
@@ -44,21 +40,44 @@ def _image_url(image: ImageRef) -> str:
     return image.remote_id if image.path is None else _URL_SLOT
 
 
-@functools.lru_cache(maxsize=ENCODED_IMAGES)
-def _encode(image: ImageRef) -> Tuple[bytes, bytes]:
+# The latest image and its JSON-escaped ``data:`` URL prefix and base64 bytes.
+# A run evaluates one image at a time, so only that image's questions reuse
+# its encoding; 1 MiB is ~1.4 MB of base64.
+_latest: Optional[Tuple[ImageRef, Tuple[bytes, bytes]]] = None
+_LATEST_LOCK = threading.Lock()
+
+
+def _keep(image: ImageRef, b64: bytes) -> Tuple[bytes, bytes]:
+    """Make ``b64`` the encoding every request about ``image`` sends; the
+    caller holds _LATEST_LOCK."""
+    global _latest
     prefix = json.dumps(f"data:{image.media_type};base64,")[1:-1].encode("ascii")
-    return prefix, base64.b64encode(image.read_bytes())
-
-
-_ENCODE_LOCK = threading.Lock()
+    _latest = image, (prefix, b64)
+    return _latest[1]
 
 
 def _encoded(image: ImageRef) -> Tuple[bytes, bytes]:
     """A local image's JSON-escaped ``data:`` URL prefix and base64 bytes,
     shared by every request that sends it. Callers that arrive together wait
     for one encoding rather than each making their own."""
-    with _ENCODE_LOCK:
-        return _encode(image)
+    with _LATEST_LOCK:
+        if _latest is not None and _latest[0] == image:
+            return _latest[1]
+        return _keep(image, base64.b64encode(image.read_bytes()))
+
+
+def _is_canonical(b64: bytes, data: bytes) -> bool:
+    """Whether ``b64``, which decodes to ``data``, is ``base64.b64encode(data)``.
+
+    A lenient decode skips characters outside the alphabet and ignores the
+    low bits of a last partial group. A text of the canonical length has no
+    character to skip, and one whose last group re-encodes to itself has no
+    stray bits; its full groups map one to one.
+    """
+    n = len(data)
+    if len(b64) != 4 * -(-n // 3):
+        return False
+    return n % 3 == 0 or b64[-4:] == base64.b64encode(data[-(n % 3):])
 
 
 class _ImageBody:
@@ -85,13 +104,21 @@ class HttpBackend(Backend):
 
         super().__init__(config, image_dir=image_dir)
         self._session = session or requests.Session()
+        # _send_image leaves the image's base64 here for generate_image, which
+        # runs on the same thread, so concurrent generates keep their own.
+        self._generated = threading.local()
 
     def generate_image(self, req: ImageGenRequest) -> ImageRef:
-        image = super().generate_image(req)
-        # Encode on the calling thread: the questions about the new image may
+        try:
+            image = super().generate_image(req)
+            b64 = self._generated.b64
+        finally:
+            self._generated.b64 = None
+        # Kept on the calling thread: the questions about the new image may
         # all go out at once from pool threads, which would hold the copy in
         # their own malloc arenas.
-        _encoded(image)
+        with _LATEST_LOCK:
+            _keep(image, b64)
         return image
 
     def _post(self, path: str, payload: dict, image: Optional[ImageRef] = None) -> dict:
@@ -107,7 +134,12 @@ class HttpBackend(Backend):
         else:
             body = {"json": payload}
         try:
-            resp = self._session.post(url, headers=headers, timeout=self.config.timeout, **body)
+            # Streamed, so the body is read in one call rather than in 10 KiB
+            # chunks; a fully read body returns its connection to the pool.
+            with self._session.post(
+                url, headers=headers, timeout=self.config.timeout, stream=True, **body
+            ) as resp:
+                content = b"".join(resp.iter_content(chunk_size=None))
         except requests.Timeout as exc:
             raise BackendTimeout(f"request to {path} timed out") from exc
         except requests.RequestException as exc:
@@ -119,12 +151,13 @@ class HttpBackend(Backend):
             # an HTTP-date or "inf", counts as absent.
             delay = resp.headers.get("Retry-After", "").strip()
             raise RateLimited(retry_after=int(delay) if delay.isascii() and delay.isdigit() else None)
-        if resp.status_code == 400 and b"content_policy" in resp.content:
-            raise ContentRejected(f"service rejected the request: {resp.text[:200]}")
+        if resp.status_code == 400 and b"content_policy" in content:
+            reason = content[:200].decode("utf-8", "replace")
+            raise ContentRejected(f"service rejected the request: {reason}")
         if resp.status_code >= 400:
             raise TransportError(f"{path} returned an error", status=resp.status_code)
         try:
-            return resp.json()
+            return json.loads(content)
         except ValueError as exc:
             raise TransportError(f"{path} returned non-JSON body") from exc
 
@@ -185,9 +218,16 @@ class HttpBackend(Backend):
         except (KeyError, IndexError, TypeError) as exc:
             raise TransportError("malformed image generation response") from exc
         try:
-            return base64.b64decode(b64)
-        except Exception as exc:
+            b64 = b64.encode("ascii")
+            data = base64.b64decode(b64)
+        except (AttributeError, ValueError) as exc:  # not text, not ASCII, or not base64
             raise TransportError("image payload is not valid base64") from exc
+        if not data:
+            raise TransportError("image payload is empty")
+        # The service's text is what the questions about this image send,
+        # unless a decode that skipped or dropped something made it differ.
+        self._generated.b64 = b64 if _is_canonical(b64, data) else base64.b64encode(data)
+        return data
 
     def _send_embed(self, payload: Union[str, ImageRef]) -> List[float]:
         image = payload if isinstance(payload, ImageRef) else None

@@ -341,6 +341,28 @@ class TestMockScripting:
         assert backend.complete(req) == backend.complete(req)
 
 
+class TestBackendConfig:
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("rate_limit", -1.0),
+            ("rate_limit", 0.0),
+            ("rate_limit", float("nan")),
+            ("backoff_base", -1.0),
+            ("backoff_base", float("nan")),
+            ("embed_dim", 0),
+        ],
+    )
+    def test_out_of_range_values_are_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be "):
+            BackendConfig(**{key: value})
+
+    def test_the_boundary_values_are_accepted(self):
+        config = BackendConfig(rate_limit=0.01, backoff_base=0.0, embed_dim=1)
+        assert (config.rate_limit, config.backoff_base, config.embed_dim) == (0.01, 0.0, 1)
+        assert BackendConfig().rate_limit is None  # unlimited
+
+
 class TestRetryPolicy:
     def test_fail_n_times_then_succeed(self, journal):
         backend = MockBackend(BackendConfig(model="mock", max_retries=2, backoff_base=0.0))

@@ -229,6 +229,21 @@ class TestLoadConfig:
         assert main(["dsg", "--prompt", MOTORCYCLE_PROMPT, "--config", str(path)]) == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value", [("rate_limit", -1), ("rate_limit", 0), ("backoff_base", -1), ("embed_dim", 0)]
+    )
+    def test_an_out_of_range_backend_value_exits_2(self, tmp_path, capsys, key, value):
+        write_script(tmp_path)
+        doc = yaml.safe_load(write_config(tmp_path).read_text())
+        doc["backends"]["vqa"][key] = value
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        assert str(exc.value).startswith(f"backends.vqa: {key} must be ")
+        assert main(["dsg", "--prompt", MOTORCYCLE_PROMPT, "--config", str(path)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("section", ["templates", "keywords"])
     def test_non_mapping_section_exits_2(self, tmp_path, capsys, section):
         write_script(tmp_path)

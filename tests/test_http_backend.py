@@ -1,19 +1,25 @@
 """Wire-format tests for the HTTP backend, driven through a stub session."""
 
 import base64
+import gc
 import json
 import json as _json  # StubSession.post's parameter `json` shadows the module name
 import os
+import random
 import subprocess
 import sys
+import tempfile
 import threading
 import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 import requests
 import yaml
+from hypothesis import given
+from hypothesis import strategies as st
 
 import promptrefine
 from promptrefine.backends import (
@@ -37,26 +43,30 @@ from promptrefine.backends import base as backends_base
 from promptrefine.backends import http
 from promptrefine.backends.base import sha256_hex
 from promptrefine.pipeline import Backends, PipelineConfig, run_single
-from promptrefine.reflection import evaluate_image
+from promptrefine.reflection import POOL_WORKERS, evaluate_image
 
 from fixtures import MOTORCYCLE_PROMPT, PNG_BLACK, PNG_WHITE, chain_graph, journal, motorcycle_graph
 
 
 class FakeResponse:
+    """A streamed response: its body is read through ``iter_content``."""
+
     def __init__(self, status_code=200, payload=None, headers=None, body=b""):
         self.status_code = status_code
-        self._payload = payload
         self.headers = headers or {}
         self.content = body if payload is None else json.dumps(payload).encode()
 
-    @property
-    def text(self):
-        return self.content.decode("utf-8", "replace")
+    def iter_content(self, chunk_size=None):
+        yield self.content
 
-    def json(self):
-        if self._payload is None:
-            raise ValueError("no json")
-        return self._payload
+    def close(self):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
 
 
 class StubSession:
@@ -71,7 +81,7 @@ class StubSession:
         self.responses = list(responses)
         self.calls = []
 
-    def post(self, url, json=None, data=None, headers=None, timeout=None):
+    def post(self, url, json=None, data=None, headers=None, timeout=None, stream=False):
         call = {"url": url, "json": json, "headers": headers, "timeout": timeout, "body": None}
         if data is not None:
             call["body"] = b"".join(data)
@@ -182,6 +192,17 @@ class TestChatCompletions:
         be, session = backend([requests.ConnectionError("refused")], max_retries=1)
         with pytest.raises(TransportError):
             be.complete(TextGenRequest(preamble="", exemplars=(), input="x"))
+        assert len(session.calls) == 2
+
+    def test_a_body_read_that_fails_is_a_retryable_transport_error(self):
+        class BrokenBody(FakeResponse):
+            def iter_content(self, chunk_size=None):
+                raise requests.exceptions.ChunkedEncodingError("connection broken mid-body")
+
+        be, session = backend([BrokenBody(payload=chat_payload("ok"))], max_retries=1)
+        with pytest.raises(TransportError) as exc:
+            be.complete(TextGenRequest(preamble="", exemplars=(), input="x"))
+        assert exc.value.retryable and "connection broken mid-body" in str(exc.value)
         assert len(session.calls) == 2
 
     def test_timeout_maps_to_backend_timeout(self):
@@ -431,6 +452,142 @@ class TestImagesWire:
         with pytest.raises(ContentRejected):
             be.generate_image(ImageGenRequest(prompt="x", width=64, height=64))
 
+    @pytest.mark.parametrize(
+        "image", [PNG_BLACK, PNG_BLACK + b"\x00", PNG_BLACK + b"\x00\x00"], ids=["groups", "tail-1", "tail-2"]
+    )
+    def test_the_services_canonical_text_is_sent_without_encoding_the_image(self, tmp_path, monkeypatch, image):
+        text = base64.b64encode(image).decode()
+        be, session = backend(
+            [FakeResponse(payload={"data": [{"b64_json": text}]}), FakeResponse(payload=chat_payload("yes"))],
+            image_dir=tmp_path,
+        )
+        encoded, b64encode = [], base64.b64encode
+        monkeypatch.setattr(base64, "b64encode", lambda s, *a: encoded.append(s) or b64encode(s, *a))
+        reads = counting(monkeypatch, ImageRef, "read_bytes")
+        ref = be.generate_image(ImageGenRequest(prompt="a fox", width=64, height=64))
+        assert be.answer_binary(VqaRequest(image=ref, question="Q?")) is True
+        # at most the last partial group is re-encoded, to check it
+        assert all(len(data) < 3 for data in encoded) and reads() == 0
+        url = session.calls[1]["json"]["messages"][0]["content"][0]["image_url"]["url"]
+        assert url == "data:image/png;base64," + text
+
+    @pytest.mark.parametrize(
+        "text, image",
+        [("QR==", b"A"), ("QUJD\nREVG", b"ABCDEF"), ("QUI=\n", b"AB"), ("QUJDRA==junk", b"ABCD")],
+    )
+    def test_a_text_that_is_not_canonical_is_sent_as_the_images_encoding(self, tmp_path, text, image):
+        be, session = backend(
+            [FakeResponse(payload={"data": [{"b64_json": text}]}), FakeResponse(payload=chat_payload("yes"))],
+            image_dir=tmp_path,
+        )
+        ref = be.generate_image(ImageGenRequest(prompt="a fox", width=64, height=64))
+        assert ref.read_bytes() == image
+        be.answer_binary(VqaRequest(image=ref, question="Q?"))
+        url = session.calls[1]["json"]["messages"][0]["content"][0]["image_url"]["url"]
+        assert url == "data:image/png;base64," + base64.b64encode(image).decode()
+
+    @given(st.data())
+    def test_every_lenient_rendering_is_sent_as_the_images_encoding(self, data):
+        image = data.draw(st.binary(min_size=1, max_size=40), label="image")
+        text = lenient_rendering(data, image)
+        assert base64.b64decode(text) == image
+        session = StubSession(
+            [FakeResponse(payload={"data": [{"b64_json": text}]}), FakeResponse(payload=chat_payload("yes"))]
+        )
+        config = BackendConfig(endpoint="http://models.test/v1", model="m")
+        with tempfile.TemporaryDirectory() as images:
+            be = HttpBackend(config, image_dir=images, session=session)
+            ref = be.generate_image(ImageGenRequest(prompt="a fox", width=64, height=64))
+            be.answer_binary(VqaRequest(image=ref, question="Q?"))
+        url = session.calls[1]["json"]["messages"][0]["content"][0]["image_url"]["url"]
+        assert url == f"data:{ref.media_type};base64," + base64.b64encode(image).decode()
+
+    def test_concurrent_generates_each_send_their_own_image(self, tmp_path, monkeypatch):
+        # Thread a's generate hands its text over only after thread b's whole
+        # generate has returned, so a handover that one thread could overwrite
+        # for another would give a the wrong text.
+        images = {"a": PNG_BLACK, "b": PNG_WHITE}
+        b_generated = threading.Event()
+        write = backends_base.write_file_atomic
+
+        def gated_write(path, data):
+            if data == images["a"]:
+                assert b_generated.wait(timeout=10)
+            write(path, data)
+
+        class ByPromptSession(StubSession):
+            def post(self, url, **kwargs):
+                super().post(url, **kwargs)
+                if url.endswith("/images/generations"):
+                    text = base64.b64encode(images[kwargs["json"]["prompt"]]).decode()
+                    return FakeResponse(payload={"data": [{"b64_json": text}]})
+                return FakeResponse(payload=chat_payload("yes"))
+
+        monkeypatch.setattr(backends_base, "write_file_atomic", gated_write)
+        session = ByPromptSession([None])
+        config = BackendConfig(endpoint="http://models.test/v1", model="m")
+        be = HttpBackend(config, image_dir=tmp_path, session=session)
+        errors = []
+
+        def generate_and_ask(name):
+            try:
+                ref = be.generate_image(ImageGenRequest(prompt=name, width=64, height=64))
+                if name == "b":
+                    b_generated.set()
+                be.answer_binary(VqaRequest(image=ref, question=name))
+            except BaseException as exc:  # reported by the main thread
+                errors.append(exc)
+                b_generated.set()
+
+        threads = [threading.Thread(target=generate_and_ask, args=(name,)) for name in images]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=20)
+            assert not t.is_alive()
+        assert errors == []
+        questions = [c["json"]["messages"][0]["content"] for c in session.calls if "chat" in c["url"]]
+        sent = {question[1]["text"]: question[0]["image_url"]["url"] for question in questions}
+        assert sent == {name: "data:image/png;base64," + base64.b64encode(images[name]).decode() for name in images}
+
+    @pytest.mark.parametrize("max_retries", [0, 1])
+    def test_an_empty_image_is_a_retryable_transport_error(self, tmp_path, journal, max_retries):
+        be, session = backend(
+            [
+                FakeResponse(payload={"data": [{"b64_json": ""}]}),
+                FakeResponse(payload={"data": [{"b64_json": base64.b64encode(PNG_WHITE).decode()}]}),
+            ],
+            image_dir=tmp_path,
+            max_retries=max_retries,
+        )
+        req = ImageGenRequest(prompt="a fox", width=64, height=64)
+        if max_retries:
+            assert be.generate_image(req).read_bytes() == PNG_WHITE
+        else:
+            with pytest.raises(TransportError, match="^image payload is empty$"):
+                be.generate_image(req)
+            assert list(tmp_path.iterdir()) == []
+        assert len(session.calls) == journal.records()[0].attempts == max_retries + 1
+
+
+_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+
+
+def lenient_rendering(data, image: bytes) -> str:
+    """A base64 text that a lenient decode reads as ``image``: its canonical
+    encoding, perhaps with non-zero pad bits in the last partial group and
+    with characters outside the alphabet inserted."""
+    text = base64.b64encode(image).decode()
+    pad = text.count("=")
+    if pad and data.draw(st.booleans(), label="set pad bits"):
+        last = len(text) - pad - 1  # holds 2 (one '=') or 4 (two) pad bits
+        bits = data.draw(st.integers(1, (1 << (2 * pad)) - 1), label="pad bits")
+        text = text[:last] + _ALPHABET[_ALPHABET.index(text[last]) | bits] + text[last + 1:]
+    for _ in range(data.draw(st.integers(0, 3), label="insertions")):
+        at = data.draw(st.integers(0, len(text)), label="at")
+        text = text[:at] + data.draw(st.sampled_from(["\n", "\r\n", " ", "\t", "!", "-", "_"])) + text[at:]
+    return text
+
 
 class TestEmbeddingsWire:
     def test_text_embedding(self):
@@ -472,6 +629,75 @@ class TestEmbeddingsWire:
         )
         with pytest.raises(TransportError):
             be.embed("a fox")
+
+
+class TestLoopbackServer:
+    """The backend over a real socket, to a keep-alive HTTP/1.1 server on 127.0.0.1."""
+
+    @pytest.mark.filterwarnings("error")
+    def test_streamed_bodies_go_back_to_the_connection_pool(self, tmp_path):
+        roots = 3
+        image = b"\x89PNG\r\n\x1a\n" + random.Random(0).randbytes((1 << 20) - 8)
+        image_b64 = base64.b64encode(image).decode()
+        lock, connections, paths = threading.Lock(), [0], []
+
+        class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
+            def setup(self):  # once per connection
+                super().setup()
+                with lock:
+                    connections[0] += 1
+
+            def do_POST(self):
+                payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+                with lock:
+                    paths.append(self.path)
+                if self.path.endswith("/images/generations"):
+                    doc = {"data": [{"b64_json": image_b64}]}
+                else:
+                    content = payload["messages"][-1]["content"]
+                    if isinstance(content, list):  # a question: is it about the generated image?
+                        sent = content[0]["image_url"]["url"] == "data:image/png;base64," + image_b64
+                        doc = chat_payload("yes" if sent else "no")
+                    else:
+                        doc = chat_payload(f"echo {content}")
+                body = json.dumps(doc).encode()
+                self.send_response(200)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *args):
+                pass
+
+        server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        serving = threading.Thread(target=server.serve_forever)
+        serving.start()
+        try:
+            with requests.Session() as session:
+                be = HttpBackend(
+                    BackendConfig(endpoint=f"http://127.0.0.1:{server.server_port}/v1", model="m", timeout=10),
+                    image_dir=tmp_path,
+                    session=session,
+                )
+                ref = be.generate_image(ImageGenRequest(prompt="a fox", width=64, height=64))
+                # a backend that has never answered asks a level's questions together
+                report = evaluate_image(ref, chain_graph("p", roots, set()), be)
+                text = be.complete(TextGenRequest(preamble="", exemplars=(), input="x"))
+        finally:
+            server.shutdown()
+            server.server_close()
+            serving.join(timeout=10)
+        gc.collect()  # an unclosed socket warns when it is collected
+        assert not serving.is_alive()
+        assert ref.read_bytes() == image and report.score == 1.0 and text == "echo x"
+        assert sorted(paths) == ["/v1/chat/completions"] * (roots + 1) + ["/v1/images/generations"]
+        # No more connections than requests in flight at once: a body left
+        # unread would keep its connection out of the pool, and each later
+        # request would open another.
+        assert connections[0] <= roots < POOL_WORKERS
 
 
 def test_rate_limiter_spaces_requests():
