@@ -3,8 +3,8 @@
 Text and VQA go through ``POST {endpoint}/chat/completions`` (the image rides
 along as a base64 data URL), generation through ``POST
 {endpoint}/images/generations``, embeddings through ``POST
-{endpoint}/embeddings``. Bearer-token auth; timeouts, retries, and rate limit
-come from BackendConfig.
+{endpoint}/embeddings``. Bearer-token auth, which wins over a netrc entry for
+the host; timeouts, retries, and rate limit come from BackendConfig.
 
 ``requests`` is imported by the first ``HttpBackend``, not with the package,
 so a process whose backends are all mocks never loads the HTTP client stack.
@@ -42,9 +42,13 @@ def _image_url(image: ImageRef) -> str:
 
 # The latest image and its JSON-escaped ``data:`` URL prefix and base64 bytes.
 # A run evaluates one image at a time, so only that image's questions reuse
-# its encoding; 1 MiB is ~1.4 MB of base64.
+# its encoding; 1 MiB is ~1.4 MB of base64. A generate empties the slot before
+# its request goes out, so the old copy is not alive while the new image's
+# response is parsed.
 _latest: Optional[Tuple[ImageRef, Tuple[bytes, bytes]]] = None
 _LATEST_LOCK = threading.Lock()
+
+_HEADERS = {"Content-Type": "application/json"}
 
 
 def _keep(image: ImageRef, b64: bytes) -> Tuple[bytes, bytes]:
@@ -80,6 +84,22 @@ def _is_canonical(b64: bytes, data: bytes) -> bool:
     return n % 3 == 0 or b64[-4:] == base64.b64encode(data[-(n % 3):])
 
 
+class _Bearer:
+    """requests' ``auth=`` hook: sends the token as a Bearer header.
+
+    requests gives a request sent without ``auth`` the netrc entry for its
+    host, which would replace a header set by hand. Any callable is a valid
+    hook, so this module still does not import requests on load.
+    """
+
+    def __init__(self, token: str):
+        self._header = f"Bearer {token}"
+
+    def __call__(self, request):
+        request.headers["Authorization"] = self._header
+        return request
+
+
 class _ImageBody:
     """A JSON body whose _URL_SLOT is the image's data URL, sent in parts so
     concurrent requests share one encoded copy. ``len()`` lets requests set
@@ -104,11 +124,17 @@ class HttpBackend(Backend):
 
         super().__init__(config, image_dir=image_dir)
         self._session = session or requests.Session()
+        self._auth = _Bearer(config.auth_token) if config.auth_token else None
         # _send_image leaves the image's base64 here for generate_image, which
         # runs on the same thread, so concurrent generates keep their own.
         self._generated = threading.local()
 
     def generate_image(self, req: ImageGenRequest) -> ImageRef:
+        global _latest
+        # Every question about the previous image has been asked by now; one
+        # that comes later re-reads the image's file.
+        with _LATEST_LOCK:
+            _latest = None
         try:
             image = super().generate_image(req)
             b64 = self._generated.b64
@@ -126,9 +152,6 @@ class HttpBackend(Backend):
         import requests  # loaded by __init__, so only a sys.modules lookup
 
         url = self.config.endpoint.rstrip("/") + path
-        headers = {"Content-Type": "application/json"}
-        if self.config.auth_token:
-            headers["Authorization"] = f"Bearer {self.config.auth_token}"
         if image is not None and image.path is not None:
             body = {"data": _ImageBody(payload, _encoded(image))}
         else:
@@ -137,7 +160,7 @@ class HttpBackend(Backend):
             # Streamed, so the body is read in one call rather than in 10 KiB
             # chunks; a fully read body returns its connection to the pool.
             with self._session.post(
-                url, headers=headers, timeout=self.config.timeout, stream=True, **body
+                url, headers=_HEADERS, auth=self._auth, timeout=self.config.timeout, stream=True, **body
             ) as resp:
                 content = b"".join(resp.iter_content(chunk_size=None))
         except requests.Timeout as exc:
@@ -157,8 +180,12 @@ class HttpBackend(Backend):
         if resp.status_code >= 400:
             raise TransportError(f"{path} returned an error", status=resp.status_code)
         try:
-            return json.loads(content)
-        except ValueError as exc:
+            # json.loads(content) decodes the same way, but would keep the
+            # bytes alive next to the text and the parsed document.
+            text = content.decode(json.detect_encoding(content), "surrogatepass")
+            del content
+            return json.loads(text)
+        except ValueError as exc:  # UnicodeDecodeError included
             raise TransportError(f"{path} returned non-JSON body") from exc
 
     def _chat(
@@ -212,11 +239,12 @@ class HttpBackend(Backend):
             "response_format": "b64_json",
         }
         payload.update(dict(req.extra))
-        data = self._post("/images/generations", payload)
+        doc = self._post("/images/generations", payload)
         try:
-            b64 = data["data"][0]["b64_json"]
+            b64 = doc["data"][0]["b64_json"]
         except (KeyError, IndexError, TypeError) as exc:
             raise TransportError("malformed image generation response") from exc
+        del doc  # so the text is freed once encoded below
         try:
             b64 = b64.encode("ascii")
             data = base64.b64decode(b64)

@@ -11,6 +11,8 @@ import sys
 import tempfile
 import threading
 import time
+import tracemalloc
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from types import SimpleNamespace
@@ -74,14 +76,16 @@ class StubSession:
 
     A ``data=`` body is joined and decoded, so ``json`` holds the payload
     however it was sent; ``body`` and ``body_len`` keep the raw bytes and the
-    length the body declared.
+    length the body declared. ``headers`` are the ones sent, after ``auth``.
     """
 
     def __init__(self, responses):
         self.responses = list(responses)
         self.calls = []
 
-    def post(self, url, json=None, data=None, headers=None, timeout=None, stream=False):
+    def post(self, url, json=None, data=None, headers=None, auth=None, timeout=None, stream=False):
+        if auth is not None:
+            headers = auth(SimpleNamespace(headers=dict(headers))).headers
         call = {"url": url, "json": json, "headers": headers, "timeout": timeout, "body": None}
         if data is not None:
             call["body"] = b"".join(data)
@@ -214,6 +218,28 @@ class TestChatCompletions:
         be, _ = backend([FakeResponse(payload={"nope": []})], max_retries=0)
         with pytest.raises(TransportError):
             be.complete(TextGenRequest(preamble="", exemplars=(), input="x"))
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"not json",
+            b'{"choices": [{"message": {"content": "caf\xe9"}}]}',  # Latin-1, not UTF-8
+            b"\xef\xbb\xbf" + json.dumps(chat_payload("ok")).encode(),
+            json.dumps(chat_payload("ok")).encode("utf-16"),
+            json.dumps(chat_payload("ok")).encode("utf-32-le"),
+        ],
+        ids=["not-json", "not-utf-8", "utf-8-bom", "utf-16", "utf-32-le"],
+    )
+    def test_a_body_is_decoded_as_json_loads_decodes_bytes(self, body):
+        be, _ = backend([FakeResponse(body=body)], max_retries=0)
+        req = TextGenRequest(preamble="", exemplars=(), input="x")
+        try:
+            expected = json.loads(body)["choices"][0]["message"]["content"]
+        except ValueError:
+            with pytest.raises(TransportError, match="^/chat/completions returned non-JSON body$"):
+                be.complete(req)
+        else:
+            assert be.complete(req) == expected
 
 
 class TestRetryAfterCap:
@@ -416,6 +442,60 @@ class TestImagesWire:
         assert (reads(), encodes()) == (0, 0)
         url = session.calls[1]["json"]["messages"][0]["content"][0]["image_url"]["url"]
         assert url == "data:image/png;base64," + base64.b64encode(PNG_BLACK).decode()
+
+    def test_a_generate_parses_its_response_with_at_most_two_copies_alive(self, tmp_path):
+        # The body bytes and the text, then the text and the parsed b64_json:
+        # the bytes and the parsed document are dropped as soon as they are
+        # read, and the previous image's copy before the request goes out.
+        class Received(FakeResponse):
+            """A body read off the wire: each read makes a fresh copy."""
+
+            def iter_content(self, chunk_size=None):
+                yield bytes(memoryview(self.content))
+
+        texts = [
+            base64.b64encode(b"\x89PNG\r\n\x1a\n" + random.Random(seed).randbytes((1 << 20) - 8)).decode()
+            for seed in (1, 2)
+        ]
+        be, _ = backend([Received(payload={"data": [{"b64_json": text}]}) for text in texts], image_dir=tmp_path)
+        req = ImageGenRequest(prompt="a fox", width=64, height=64)
+        tracemalloc.start()
+        try:
+            be.generate_image(req)
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            be.generate_image(req)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= 1.5 * len(texts[1])
+
+    def test_a_question_about_an_earlier_image_rereads_its_file(self, tmp_path, journal, monkeypatch):
+        texts = {"a fox": base64.b64encode(PNG_BLACK).decode(), "a cat": base64.b64encode(PNG_WHITE).decode()}
+        cached_in_flight = []
+
+        class ByPromptSession(StubSession):
+            def post(self, url, **kwargs):
+                super().post(url, **kwargs)
+                if url.endswith("/images/generations"):
+                    cached_in_flight.append(http._latest is not None)
+                    return FakeResponse(payload={"data": [{"b64_json": texts[kwargs["json"]["prompt"]]}]})
+                return FakeResponse(payload=chat_payload("yes"))
+
+        session = ByPromptSession([None])
+        config = BackendConfig(endpoint="http://models.test/v1", model="m")
+        be = HttpBackend(config, image_dir=tmp_path, session=session)
+        first = be.generate_image(ImageGenRequest(prompt="a fox", width=64, height=64))
+        question = VqaRequest(image=first, question="Q?")
+        assert be.answer_binary(question) is True
+        be.generate_image(ImageGenRequest(prompt="a cat", width=64, height=64))
+        reads = counting(monkeypatch, ImageRef, "read_bytes")
+        assert be.answer_binary(question) is True
+        assert reads() == 1 and cached_in_flight == [False, False]
+        urls = [c["json"]["messages"][0]["content"][0]["image_url"]["url"] for c in session.calls if "chat" in c["url"]]
+        assert urls == ["data:image/png;base64," + texts["a fox"]] * 2
+        asked = [dict(r.summary(), latency_s=None) for r in journal.records() if r.op == "answer_binary"]
+        assert len(asked) == 2 and asked[0] == asked[1]
 
     def test_a_generated_jpeg_is_stored_and_sent_as_a_jpeg(self, tmp_path):
         jpeg = b"\xff\xd8\xff\xe0\x00\x10JFIF\x00\x01"
@@ -631,6 +711,22 @@ class TestEmbeddingsWire:
             be.embed("a fox")
 
 
+@contextmanager
+def loopback(handler):
+    """Serve ``handler`` on 127.0.0.1; yields the server's endpoint URL."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    serving = threading.Thread(target=server.serve_forever)
+    serving.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_port}/v1"
+    finally:
+        server.shutdown()
+        server.server_close()
+        serving.join(timeout=10)
+    gc.collect()  # an unclosed socket warns when it is collected
+    assert not serving.is_alive()
+
+
 class TestLoopbackServer:
     """The backend over a real socket, to a keep-alive HTTP/1.1 server on 127.0.0.1."""
 
@@ -672,32 +768,56 @@ class TestLoopbackServer:
             def log_message(self, *args):
                 pass
 
-        server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        serving = threading.Thread(target=server.serve_forever)
-        serving.start()
-        try:
-            with requests.Session() as session:
-                be = HttpBackend(
-                    BackendConfig(endpoint=f"http://127.0.0.1:{server.server_port}/v1", model="m", timeout=10),
-                    image_dir=tmp_path,
-                    session=session,
-                )
-                ref = be.generate_image(ImageGenRequest(prompt="a fox", width=64, height=64))
-                # a backend that has never answered asks a level's questions together
-                report = evaluate_image(ref, chain_graph("p", roots, set()), be)
-                text = be.complete(TextGenRequest(preamble="", exemplars=(), input="x"))
-        finally:
-            server.shutdown()
-            server.server_close()
-            serving.join(timeout=10)
-        gc.collect()  # an unclosed socket warns when it is collected
-        assert not serving.is_alive()
+        with loopback(Handler) as endpoint, requests.Session() as session:
+            be = HttpBackend(
+                BackendConfig(endpoint=endpoint, model="m", timeout=10), image_dir=tmp_path, session=session
+            )
+            ref = be.generate_image(ImageGenRequest(prompt="a fox", width=64, height=64))
+            # a backend that has never answered asks a level's questions together
+            report = evaluate_image(ref, chain_graph("p", roots, set()), be)
+            text = be.complete(TextGenRequest(preamble="", exemplars=(), input="x"))
         assert ref.read_bytes() == image and report.score == 1.0 and text == "echo x"
         assert sorted(paths) == ["/v1/chat/completions"] * (roots + 1) + ["/v1/images/generations"]
         # No more connections than requests in flight at once: a body left
         # unread would keep its connection out of the pool, and each later
         # request would open another.
         assert connections[0] <= roots < POOL_WORKERS
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "token, sent",
+        [("top-secret", "Bearer top-secret"), ("", "Basic " + base64.b64encode(b"alice:secret").decode())],
+        ids=["token", "no-token"],
+    )
+    def test_a_configured_token_wins_over_netrc(self, tmp_path, monkeypatch, token, sent):
+        netrc = tmp_path / "netrc"
+        netrc.write_text("machine 127.0.0.1 login alice password secret\n", encoding="ascii")
+        monkeypatch.setenv("NETRC", str(netrc))
+        image = tmp_path / "img.png"
+        image.write_bytes(PNG_WHITE)
+        received = []
+
+        class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
+            def do_POST(self):
+                payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+                received.append((self.headers["Authorization"], payload["messages"][0]["content"][1]["text"]))
+                body = json.dumps(chat_payload("yes")).encode()
+                self.send_response(200)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *args):
+                pass
+
+        with loopback(Handler) as endpoint, requests.Session() as session:
+            config = BackendConfig(endpoint=endpoint, model="m", auth_token=token, timeout=10)
+            be = HttpBackend(config, session=session)
+            # a streamed image body, whose length requests re-reads after auth
+            assert be.answer_binary(VqaRequest(image=ImageRef.from_file(image), question="Q?")) is True
+        assert received == [(sent, "Q?")]
 
 
 def test_rate_limiter_spaces_requests():
