@@ -22,7 +22,6 @@ where one caller sends that request one call after another.
 from __future__ import annotations
 
 import base64
-import json
 import threading
 from dataclasses import dataclass, replace
 from fnmatch import fnmatchcase
@@ -46,6 +45,7 @@ from promptrefine.backends.base import (
     embed_digest,
     request_digest,
 )
+from promptrefine.scene_graph import Field, Schema, SchemaViolation, loads, read
 
 _ERROR_KINDS = {
     "transport": lambda: TransportError("scripted transport failure"),
@@ -111,7 +111,9 @@ class MockBackend(Backend):
         return self
 
     def script_image(self, match: str, response) -> "MockBackend":
-        self._image.append(_Entry(match, _as_list(response)))
+        """Script image bytes, or base64 text (decoded here, see
+        ``_image_bytes``); an image of no bytes is a ValueError."""
+        self._image.append(_Entry(match, [_image_bytes(v) for v in _as_list(response)]))
         return self
 
     def script_embed(self, match: str, response) -> "MockBackend":
@@ -148,8 +150,6 @@ class MockBackend(Backend):
 
     def _send_image(self, req: ImageGenRequest) -> bytes:
         value = self._lookup(self._image, "generate_image", request_digest(req), req.prompt)
-        if isinstance(value, str):
-            value = base64.b64decode(value)
         if not isinstance(value, bytes):
             raise MockMiss("generate_image", request_digest(req), hint="scripted value is not image bytes")
         return value
@@ -167,44 +167,75 @@ class MockBackend(Backend):
     def from_file(
         cls, path: Union[str, Path], config: Optional[BackendConfig] = None, image_dir=None
     ) -> "MockBackend":
-        """Load a JSON script document (see tests/data/mock_script.json)."""
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        """Load a JSON script document (see tests/data/mock_script.json). A
+        malformed one raises SchemaViolation naming the field."""
+        script = read(loads(Path(path).read_text(encoding="utf-8")), _SCRIPT)
         backend = cls(config, image_dir=image_dir)
-        for item in doc.get("text", []):
-            backend.script_text(item["match"], _decode(item, "text"), preamble=item.get("preamble"))
-        for item in doc.get("vqa", []):
-            backend.script_vqa(item["match"], _decode(item, "vqa"), image_digest=item.get("image"))
-        for item in doc.get("image", []):
-            backend.script_image(item["match"], _decode(item, "image"))
-        for item in doc.get("embed", []):
-            backend.script_embed(item["match"], _decode(item, "embed"))
+        for e in script["text"]:
+            backend.script_text(e["match"], e["responses"], preamble=e["preamble"])
+        for e in script["vqa"]:
+            backend.script_vqa(e["match"], e["responses"], image_digest=e["image"])
+        for e in script["image"]:
+            backend.script_image(e["match"], e["responses"])
+        for e in script["embed"]:
+            backend.script_embed(e["match"], e["responses"])
         return backend
 
 
-def _decode_one(value, kind: str):
-    if isinstance(value, dict) and "error" in value:
-        try:
-            return _ERROR_KINDS[value["error"]]()
-        except KeyError:
-            raise ValueError(f"unknown scripted error kind {value['error']!r}") from None
-    if kind == "image":
-        if isinstance(value, dict) and "b64" in value:
-            return base64.b64decode(value["b64"])
-        if isinstance(value, str):
-            return base64.b64decode(value)
-        raise ValueError("image responses must be base64 text")
-    if kind == "embed":
-        if isinstance(value, list):
-            return [float(v) for v in value]
-        raise ValueError("embed responses must be numeric arrays")
-    if not isinstance(value, str):
-        raise ValueError(f"{kind} responses must be text")
+def _image_bytes(value):
+    """Scripted image bytes, or base64 text, in which whitespace is skipped
+    and any other character outside the alphabet is refused. An image has at
+    least one byte."""
+    if isinstance(value, str):
+        value = base64.b64decode("".join(value.split()), validate=True)
+    if value == b"":
+        raise ValueError("scripted image has no bytes")
     return value
 
 
-def _decode(item: dict, kind: str):
-    if "responses" in item:
-        return [_decode_one(v, kind) for v in item["responses"]]
-    if "response" not in item:
-        raise ValueError(f"script entry {item.get('match')!r} has no response")
-    return _decode_one(item["response"], kind)
+def _error(error: str) -> BackendError:
+    if error not in _ERROR_KINDS:
+        raise SchemaViolation("error", f"unknown scripted error kind {error!r}")
+    return _ERROR_KINDS[error]()
+
+
+def _image(value) -> bytes:
+    """An image response: base64 text, bare or as ``{"b64": text}``."""
+    if isinstance(value, dict):
+        value = read(value, _B64)["b64"]
+    return _image_bytes(read(value, str))
+
+
+def _entry(match: str, response=None, responses=None, **extra) -> dict:
+    """A script entry, with its one ``response`` or its sequence as ``responses``."""
+    if responses is None:
+        if response is None:
+            raise SchemaViolation("response", "missing field")
+        responses = [response]
+    if not responses:
+        raise SchemaViolation("responses", "expected at least one response")
+    return dict(match=match, responses=responses, **extra)
+
+
+def _entries(kind, *extra: Field) -> list:
+    """The kind of a script section: entries whose responses are ``kind``
+    values or ``{"error": name}`` objects."""
+
+    def response(value):
+        if isinstance(value, dict) and "error" in value:
+            return read(value, _ERROR)
+        return read(value, kind)
+
+    fields = (Field("match", str), Field("response", response, None), Field("responses", [response], None))
+    return [Schema(_entry, *fields, *extra)]
+
+
+_ERROR = Schema(_error, Field("error", str))
+_B64 = Schema(dict, Field("b64", str))
+_SCRIPT = Schema(
+    dict,
+    Field("text", _entries(str, Field("preamble", str, None)), []),
+    Field("vqa", _entries(str, Field("image", str, None)), []),
+    Field("image", _entries(_image), []),
+    Field("embed", _entries([float]), []),
+)

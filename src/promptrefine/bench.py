@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import logging
 import math
 from contextlib import contextmanager
@@ -71,47 +70,37 @@ class BenchReport:
     failed_count: int
 
 
+def _nonblank(prompt: str) -> str:
+    if not prompt.strip():
+        raise ValueError("prompt is empty")
+    return prompt
+
+
+_ITEM = sg.Schema(
+    DatasetItem,
+    sg.Field("item_id", str),
+    sg.Field("category", str),
+    sg.Field("prompt", str, convert=_nonblank),
+    sg.Field("graph", sg.GRAPH, None),
+)
+
+
 def load_dataset(path: Union[str, Path]) -> List[DatasetItem]:
     """Load a line-delimited dataset: one JSON record per line.
 
     Records carry ``item_id``, ``category``, ``prompt``, and optionally an
-    inline ``graph`` in the graph-document schema.
+    inline ``graph`` in the graph-document schema. A malformed record raises
+    SchemaViolation naming its line and field (``line 3.graph``).
     """
     items: List[DatasetItem] = []
     seen = set()
     text = Path(path).read_text(encoding="utf-8")
     for line_no, line in sg.split_lines(text):
-        try:
-            doc = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise sg.SchemaViolation(f"line {line_no}", f"invalid JSON: {exc}") from None
-        if not isinstance(doc, dict):
-            raise sg.SchemaViolation(f"line {line_no}", "record is not an object")
-        for key in ("item_id", "category", "prompt"):
-            if key not in doc or not isinstance(doc[key], str):
-                raise sg.SchemaViolation(f"line {line_no}.{key}", "missing or non-string field")
-        if not doc["prompt"].strip():
-            raise sg.SchemaViolation(f"line {line_no}.prompt", "prompt is empty")
-        if doc["item_id"] in seen:
-            raise DuplicateItemId(doc["item_id"])
-        seen.add(doc["item_id"])
-        graph = None
-        if doc.get("graph") is not None:
-            try:
-                graph = sg.graph_from_doc(doc["graph"])
-            except sg.SchemaViolation as exc:
-                path = f"line {line_no}.graph.{exc.path}".rstrip(".")
-                raise sg.SchemaViolation(path, exc.reason) from None
-            except sg.GraphError as exc:  # a cycle, a dangling edge, bad ids
-                raise sg.SchemaViolation(f"line {line_no}.graph", str(exc)) from None
-        items.append(
-            DatasetItem(
-                item_id=doc["item_id"],
-                category=doc["category"],
-                prompt=doc["prompt"],
-                graph=graph,
-            )
-        )
+        item = sg.read(sg.loads(line, f"line {line_no}"), _ITEM, f"line {line_no}")
+        if item.item_id in seen:
+            raise DuplicateItemId(item.item_id)
+        seen.add(item.item_id)
+        items.append(item)
     return items
 
 

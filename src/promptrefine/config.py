@@ -25,7 +25,8 @@ defaults to its role and its backoff_base to 0. The pipeline section takes
 parallelism, width and height. ``templates`` takes only ``dir`` and
 ``keywords`` only ``file``. Any other key, at the top level, among the backend
 roles (llm, vqa, t2i, embed) or in any section, is a ConfigError that names the
-section and the key; so is ``script`` on an http backend. The limits are fixed
+section and the key; so is ``script`` on an http backend, and a mock's script
+(read here) that is missing, not JSON or malformed. The limits are fixed
 constants that neither a config file nor a library call sets:
 ``templates.STAGE_ATTEMPTS`` (3 attempts per text stage),
 ``optimizer.MAX_PROMPT_CHARS`` (prompts of at most 480 characters) and
@@ -119,9 +120,12 @@ def _build_backend(section: dict, role: str, image_dir: Optional[Path], base_dir
         return HttpBackend(cfg, image_dir=image_dir)
     if kind == "mock":
         script = section.get("script")
-        if script:
-            return MockBackend.from_file(base_dir / script, cfg, image_dir=image_dir)
-        return MockBackend(cfg, image_dir=image_dir)
+        if not script:
+            return MockBackend(cfg, image_dir=image_dir)
+        try:
+            return MockBackend.from_file(base_dir / str(script), cfg, image_dir=image_dir)
+        except (OSError, ValueError) as exc:  # unreadable, not JSON, or a SchemaViolation
+            raise ConfigError(f"backends.{role}.script: {exc}") from exc
     raise ConfigError(f"backends.{role}: unknown type {kind!r}")
 
 

@@ -5,7 +5,6 @@ keywords chosen from fixed classes."""
 from __future__ import annotations
 
 import functools
-import json
 import logging
 import re
 from dataclasses import dataclass, field
@@ -61,15 +60,10 @@ class KeywordClassTable:
 
 
 def load_keyword_table(path: Union[str, Path]) -> KeywordClassTable:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(doc, dict):
-        raise ValueError("keyword file must be a JSON object of class -> keyword list")
-    classes = []
-    for name, keywords in doc.items():
-        if not isinstance(keywords, list) or not all(isinstance(k, str) for k in keywords):
-            raise ValueError(f"keyword class {name!r} must map to a list of strings")
-        classes.append((name, tuple(keywords)))
-    return KeywordClassTable(classes=tuple(classes))
+    """Read a JSON object of class name -> keyword list; a malformed one
+    raises SchemaViolation naming the class."""
+    doc = sg.read(sg.loads(Path(path).read_text(encoding="utf-8")), {str: [str]})
+    return KeywordClassTable(classes=tuple((name, tuple(keywords)) for name, keywords in doc.items()))
 
 
 @functools.cache

@@ -17,6 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -111,9 +112,9 @@ class RunRecord:
 
     def __post_init__(self):
         if not self.prompt_history:
-            raise ValueError("prompt_history must start with the user prompt")
+            raise sg.SchemaViolation("prompt_history", "must start with the user prompt")
         if self.status == "completed" and not self.image_refs:
-            raise ValueError("a completed record must reference at least one image")
+            raise sg.SchemaViolation("image_refs", "a completed record must reference at least one image")
 
     def final_prompt(self) -> str:
         return self.prompt_history[-1][1]
@@ -316,18 +317,6 @@ def _image_ref_to_doc(ref: ImageRef) -> dict:
     }
 
 
-def _image_ref_from_doc(doc: dict, base: Optional[Path]) -> ImageRef:
-    path = doc.get("path")
-    if path is not None and base is not None and not Path(path).is_absolute():
-        path = str((base / path).resolve())
-    return ImageRef(
-        path=path,
-        digest=doc.get("digest"),
-        remote_id=doc.get("remote_id"),
-        media_type=doc.get("media_type", "image/png"),
-    )
-
-
 def _report_to_doc(report: ReflectionReport) -> dict:
     return {
         "answers": {str(qid): a.value.value for qid, a in sorted(report.answers.items())},
@@ -335,24 +324,6 @@ def _report_to_doc(report: ReflectionReport) -> dict:
         "score": report.score,
         "vqa_call_count": report.vqa_call_count,
     }
-
-
-def _report_from_doc(doc: dict, graph: sg.SceneGraph, path: str) -> ReflectionReport:
-    try:
-        answers = {}
-        for key, value in doc["answers"].items():
-            v = AnswerValue(value)
-            source = AnswerSource.PRUNED if v is AnswerValue.PRUNED_NO else AnswerSource.VQA
-            answers[int(key)] = Answer(v, source)
-        return ReflectionReport(
-            graph=graph,
-            answers=answers,
-            missing_ids=frozenset(doc["missing_ids"]),
-            score=doc["score"],
-            vqa_call_count=doc["vqa_call_count"],
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise sg.SchemaViolation(path, f"invalid report: {exc}") from exc
 
 
 def _outcome_to_doc(outcome: OptimizationOutcome) -> dict:
@@ -371,31 +342,6 @@ def _outcome_to_doc(outcome: OptimizationOutcome) -> dict:
         "expansion": expansion,
         "transcripts": dict(outcome.transcripts),
     }
-
-
-def _outcome_from_doc(doc: dict, path: str) -> OptimizationOutcome:
-    try:
-        expansion = None
-        if doc.get("expansion") is not None:
-            e = doc["expansion"]
-            expansion = ExpansionResult(
-                new_tuples=tuple(
-                    sg.tuple_from_doc(t, f"{path}.expansion.new_tuples[{i}]")
-                    for i, t in enumerate(e["new_tuples"])
-                ),
-                targeted_ids=frozenset(e["targeted_ids"]),
-                raw_transcript=e["raw_transcript"],
-            )
-        return OptimizationOutcome(
-            original_prompt=doc["original_prompt"],
-            regenerated_prompt=doc["regenerated_prompt"],
-            decorated_prompt=doc["decorated_prompt"],
-            expansion=expansion,
-            modified=doc["modified"],
-            transcripts=dict(doc.get("transcripts", {})),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise sg.SchemaViolation(path, f"invalid outcome: {exc}") from exc
 
 
 def record_to_doc(record: RunRecord) -> dict:
@@ -419,43 +365,75 @@ def record_to_doc(record: RunRecord) -> dict:
     }
 
 
-def record_from_doc(doc: dict, base: Optional[Path] = None) -> RunRecord:
-    if not isinstance(doc, dict):
-        raise sg.SchemaViolation("", "record document is not an object")
-    for key in ("run_id", "status", "prompt_history", "image_refs", "reports"):
-        if key not in doc:
-            raise sg.SchemaViolation(key, "missing field")
-    graph = sg.graph_from_doc(doc["graph"]) if doc.get("graph") is not None else None
-    reports = []
-    for i, rdoc in enumerate(doc["reports"]):
-        if graph is None:
-            raise sg.SchemaViolation(f"reports[{i}]", "report present but graph missing")
-        reports.append(_report_from_doc(rdoc, graph, f"reports[{i}]"))
-    try:
-        image_refs = [
-            (label, _image_ref_from_doc(rdoc, base), seed)
-            for label, rdoc, seed in doc["image_refs"]
-        ]
-        prompt_history = [(label, text) for label, text in doc["prompt_history"]]
-    except (TypeError, ValueError) as exc:
-        raise sg.SchemaViolation("image_refs", f"malformed entry: {exc}") from exc
-    outcome = _outcome_from_doc(doc["outcome"], "outcome") if doc.get("outcome") else None
-    return RunRecord(
-        run_id=doc["run_id"],
-        created_at=doc.get("created_at", ""),
-        status=doc["status"],
-        failed_stage=doc.get("failed_stage"),
-        error=doc.get("error"),
-        error_kind=doc.get("error_kind"),
-        converged=doc.get("converged", False),
-        prompt_history=prompt_history,
-        image_refs=image_refs,
-        graph=graph,
-        reports=reports,
-        outcome=outcome,
-        backend_journal=list(doc.get("backend_journal", [])),
-        timings=dict(doc.get("timings", {})),
+def _answer(value: str) -> Answer:
+    v = AnswerValue(value)
+    return Answer(v, AnswerSource.PRUNED if v is AnswerValue.PRUNED_NO else AnswerSource.VQA)
+
+
+_REPORT_FIELDS = (
+    sg.Field("answers", {str: _answer}, convert=lambda answers: {int(k): a for k, a in answers.items()}),
+    sg.Field("missing_ids", [int], convert=frozenset),
+    sg.Field("score", float, convert=float),  # an integer too large for a float is refused here
+    sg.Field("vqa_call_count", int),
+)
+_EXPANSION = sg.Schema(
+    ExpansionResult,
+    sg.Field("new_tuples", [sg.TUPLE], convert=tuple),
+    sg.Field("targeted_ids", [int], convert=frozenset),
+    sg.Field("raw_transcript", str),
+)
+_OUTCOME = sg.Schema(
+    OptimizationOutcome,
+    sg.Field("original_prompt", str),
+    sg.Field("regenerated_prompt", str),
+    sg.Field("decorated_prompt", str),
+    sg.Field("expansion", _EXPANSION, None),
+    sg.Field("modified", bool),
+    sg.Field("transcripts", {str: str}, {}),
+)
+
+
+def _image_ref(base: Optional[Path], path=None, **fields) -> ImageRef:
+    if path is not None and base is not None and not Path(path).is_absolute():
+        path = str((base / path).resolve())
+    return ImageRef(path=path, **fields)
+
+
+def _record(graph, reports, **fields) -> RunRecord:
+    if reports and graph is None:
+        raise sg.SchemaViolation("reports", "reports present but graph missing")
+    report = sg.Schema(partial(ReflectionReport, graph), *_REPORT_FIELDS)
+    return RunRecord(graph=graph, reports=sg.read(reports, [report], "reports"), **fields)
+
+
+def record_from_doc(doc, base: Optional[Path] = None) -> RunRecord:
+    """Read a ``record_to_doc`` document; an image path relative to ``base``
+    becomes absolute. A malformed one raises SchemaViolation naming the field."""
+    image_ref = sg.Schema(
+        partial(_image_ref, base),
+        sg.Field("path", str, None),
+        sg.Field("digest", str, None),
+        sg.Field("remote_id", str, None),
+        sg.Field("media_type", str, "image/png"),
     )
+    schema = sg.Schema(
+        _record,
+        sg.Field("run_id", str),
+        sg.Field("created_at", str, ""),
+        sg.Field("status", str),
+        sg.Field("failed_stage", str, None),
+        sg.Field("error", str, None),
+        sg.Field("error_kind", str, None),
+        sg.Field("converged", bool, False),
+        sg.Field("prompt_history", [(str, str)]),
+        sg.Field("image_refs", [(str, image_ref, int)]),
+        sg.Field("graph", sg.GRAPH, None),
+        sg.Field("reports", list),
+        sg.Field("outcome", _OUTCOME, None),
+        sg.Field("backend_journal", [dict], []),
+        sg.Field("timings", {str: float}, {}),
+    )
+    return sg.read(doc, schema)
 
 
 # What os.link raises when the filesystem cannot link these two paths.
@@ -546,8 +524,4 @@ def load_record(path: Union[str, Path]) -> RunRecord:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise IoFailure(f"could not read record: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise sg.SchemaViolation("", f"invalid JSON: {exc}") from None
-    return record_from_doc(doc, base=path.parent)
+    return record_from_doc(sg.loads(text), base=path.parent)

@@ -54,20 +54,22 @@ class ReflectionReport:
     vqa_call_count: int
 
     def __post_init__(self):
+        # Each fault names its field, so a record read back reports it at
+        # reports[i].<field>.
         ids = set(self.graph.question_ids())
         if set(self.answers) != ids:
-            raise ValueError("answers must cover every question id exactly")
+            raise sg.SchemaViolation("answers", "must cover every question id exactly")
         expect_missing = {
             i for i, a in self.answers.items() if a.value is not AnswerValue.YES
         }
         if set(self.missing_ids) != expect_missing:
-            raise ValueError("missing_ids inconsistent with answers")
+            raise sg.SchemaViolation("missing_ids", "inconsistent with answers")
         if self.vqa_call_count != sum(
             1 for a in self.answers.values() if a.source is AnswerSource.VQA
         ):
-            raise ValueError("vqa_call_count inconsistent with answers")
-        if abs(self.score - _score(self.answers)) > 1e-12:
-            raise ValueError("score inconsistent with answers")
+            raise sg.SchemaViolation("vqa_call_count", "inconsistent with answers")
+        if not abs(self.score - _score(self.answers)) <= 1e-12:  # NaN included
+            raise sg.SchemaViolation("score", "inconsistent with answers")
 
 
 def _score(answers: Dict[int, Answer]) -> float:

@@ -9,17 +9,19 @@ are the canonical interchange format emitted by the text-model stages:
     dependencies:  <child_id> | <parent_id>[, <parent_id>...]   (0 = no parents)
 
 Tuples and graphs are persisted as the JSON documents of ``tuple_to_doc`` and
-``graph_to_doc``, read back with checked types by ``tuple_from_doc`` and
-``graph_from_doc``.
+``graph_to_doc``. ``read`` is the one reader of every JSON document the
+program reads back (records, graphs, datasets, mock scripts): it checks each
+field against a ``Schema`` and names the field of the first fault.
 """
 
 from __future__ import annotations
 
 import json
+from copy import copy
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 # Guard against runaway model output.
 MAX_QUESTIONS = 200
@@ -92,7 +94,7 @@ class SchemaViolation(GraphError):
     def __init__(self, path: str, reason: str):
         self.path = path
         self.reason = reason
-        super().__init__(f"{path}: {reason}")
+        super().__init__(f"{path}: {reason}" if path else reason)
 
 
 class Category(str, Enum):
@@ -227,6 +229,13 @@ def split_lines(raw: str) -> List[Tuple[int, str]]:
     return out
 
 
+def _category(text: str) -> Category:
+    try:
+        return Category(text.lower())
+    except ValueError:
+        raise UnknownCategory(text) from None
+
+
 def _split_id(line: str, line_no: int) -> Tuple[int, str]:
     """Split a `<id> | <rest>` line into its positive integer id and the rest."""
     head, sep, rest = line.partition("|")
@@ -247,11 +256,7 @@ def parse_tuple_line(line: str, line_no: int = 0) -> ConceptTuple:
     cat_part, dash, qualifier = rest.partition("-")
     if not dash:
         raise MalformedLine(line_no, line, "missing '-' between category and detail")
-    cat_text = cat_part.strip()
-    try:
-        category = Category(cat_text.lower())
-    except ValueError:
-        raise UnknownCategory(cat_text) from None
+    category = _category(cat_part.strip())
     qualifier = qualifier.strip()
     open_idx = qualifier.find("(")
     if open_idx < 0 or not qualifier.endswith(")"):
@@ -451,67 +456,128 @@ def serialize_graph(graph: SceneGraph) -> str:
     return json.dumps(graph_to_doc(graph), ensure_ascii=False) + "\n"
 
 
-def _expect(doc: dict, key: str, kind, path: str):
-    if key not in doc:
-        raise SchemaViolation(f"{path}.{key}" if path else key, "missing field")
-    value = doc[key]
-    if not isinstance(value, kind) or isinstance(value, bool):
-        want = kind[0].__name__ if isinstance(kind, tuple) else kind.__name__
-        raise SchemaViolation(f"{path}.{key}" if path else key, f"expected {want}")
-    return value
+REQUIRED = object()  # the default of a Field that must be present
 
 
-def tuple_from_doc(item, path: str) -> ConceptTuple:
-    """Read a ``tuple_to_doc`` object, checking every field's type."""
-    if not isinstance(item, dict):
-        raise SchemaViolation(path, "expected object")
-    tid = _expect(item, "id", int, path)
-    cat_text = _expect(item, "category", str, path)
-    detail = _expect(item, "detail", str, path)
-    content = _expect(item, "content", str, path)
+class Field(NamedTuple):
+    """A key of a JSON object: the kind of its value (see ``read``), REQUIRED
+    or the value it reads as when absent (a None default also reads null),
+    and an optional converter of the value read."""
+
+    name: str
+    kind: Any
+    default: Any = REQUIRED
+    convert: Optional[Callable[[Any], Any]] = None
+
+
+class Schema:
+    """A JSON object read into ``build(**fields)``; keys no field names are ignored."""
+
+    def __init__(self, build: Callable[..., Any], *fields: Field):
+        self.build = build
+        self.fields = fields
+
+
+def loads(text: str, path: str = ""):
+    """``json.loads``; text that is not JSON is a SchemaViolation at ``path``."""
     try:
-        category = Category(cat_text.lower())
-    except ValueError:
-        raise UnknownCategory(cat_text) from None
-    return ConceptTuple(id=tid, category=category, detail=detail, content=content)
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaViolation(path, f"invalid JSON: {exc}") from None
 
 
-def graph_from_doc(doc: dict) -> SceneGraph:
-    if not isinstance(doc, dict):
-        raise SchemaViolation("", "document is not an object")
-    prompt = _expect(doc, "source_prompt", str, "")
-    raw_tuples = _expect(doc, "tuples", list, "")
-    raw_questions = _expect(doc, "questions", list, "")
-    raw_edges = _expect(doc, "edges", list, "")
+def _join(path: str, sub: str) -> str:
+    if not path or not sub:
+        return path or sub
+    return path + sub if sub.startswith("[") else f"{path}.{sub}"
 
-    tuples = [tuple_from_doc(item, f"tuples[{i}]") for i, item in enumerate(raw_tuples)]
-    questions = []
-    for i, item in enumerate(raw_questions):
-        path = f"questions[{i}]"
-        if not isinstance(item, dict):
+
+def _within(path: str, call: Callable[..., Any], /, *args, **kwargs):
+    """``call(*args, **kwargs)``. A SchemaViolation it raises has its path
+    taken as relative to ``path``; a ValueError (GraphError included) or
+    OverflowError becomes a SchemaViolation at ``path``."""
+    try:
+        return call(*args, **kwargs)
+    except SchemaViolation as exc:
+        raise SchemaViolation(_join(path, exc.path), exc.reason) from exc
+    except (OverflowError, ValueError) as exc:
+        raise SchemaViolation(path, str(exc)) from exc
+
+
+def read(value, kind, path: str = ""):
+    """``value``, a parsed JSON document, checked against ``kind`` and built.
+
+    A kind is a type (``int`` and ``float`` refuse booleans, and ``float``
+    takes integers), a Schema, ``[k]`` (an array of k), ``(k1, ..., kn)`` (an
+    array of n values, read as a tuple), ``{str: k}`` (an object of k values)
+    or a function of the value. What does not fit, and a ValueError or
+    OverflowError from a converter, build or function, is a SchemaViolation
+    whose path names the value (``reports[0].score``, ``image_refs[1][1].path``).
+    """
+    if isinstance(kind, Schema):
+        if not isinstance(value, dict):
+            raise SchemaViolation(path, "document is not an object")
+        fields = {}
+        for f in kind.fields:
+            at = _join(path, f.name)
+            if f.name not in value or (value[f.name] is None and f.default is None):
+                if f.default is REQUIRED:
+                    raise SchemaViolation(at, "missing field")
+                fields[f.name] = copy(f.default)
+            else:
+                got = read(value[f.name], f.kind, at)
+                fields[f.name] = got if f.convert is None else _within(at, f.convert, got)
+        return _within(path, kind.build, **fields)
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise SchemaViolation(path, "expected array")
+        return [read(v, kind[0], f"{path}[{i}]") for i, v in enumerate(value)]
+    if isinstance(kind, tuple):
+        if not isinstance(value, list) or len(value) != len(kind):
+            raise SchemaViolation(path, f"expected array of {len(kind)}")
+        return tuple(read(v, k, f"{path}[{i}]") for i, (v, k) in enumerate(zip(value, kind)))
+    if isinstance(kind, dict):
+        if not isinstance(value, dict):
             raise SchemaViolation(path, "expected object")
-        qid = _expect(item, "id", int, path)
-        text = _expect(item, "text", str, path)
-        questions.append(Question(id=qid, text=text))
+        return {k: read(v, kind[str], _join(path, k)) for k, v in value.items()}
+    if not isinstance(kind, type):
+        return _within(path, kind, value)
+    accepted = (int, float) if kind is float else kind  # JSON has one number type
+    if isinstance(value, accepted) and (kind is bool or not isinstance(value, bool)):
+        return value
+    raise SchemaViolation(path, f"expected {kind.__name__}")
 
-    edges = set()
-    for i, item in enumerate(raw_edges):
-        path = f"edges[{i}]"
-        if (
-            not isinstance(item, list)
-            or len(item) != 2
-            or not all(isinstance(v, int) and not isinstance(v, bool) for v in item)
-        ):
-            raise SchemaViolation(path, "expected [parent, child] integer pair")
-        edges.add(DependencyEdge(parent=item[0], child=item[1]))
 
-    return build_graph(prompt, tuples, questions, edges)
+TUPLE = Schema(
+    ConceptTuple,
+    Field("id", int),
+    Field("category", str, convert=_category),
+    Field("detail", str),
+    Field("content", str),
+)
+
+
+def _graph(source_prompt: str, tuples, questions, edges) -> SceneGraph:
+    return build_graph(source_prompt, tuples, questions, {DependencyEdge(*pair) for pair in edges})
+
+
+GRAPH = Schema(
+    _graph,
+    Field("source_prompt", str),
+    Field("tuples", [TUPLE]),
+    Field("questions", [Schema(Question, Field("id", int), Field("text", str))]),
+    Field("edges", [(int, int)]),
+)
 
 
 def parse_graph(text: str) -> SceneGraph:
-    """Parse and validate a graph document. Inverse of serialize_graph."""
+    """Parse and validate a graph document. Inverse of serialize_graph. A
+    graph rule that it breaks (an unknown category, mismatched ids, a cycle)
+    raises that rule's own GraphError, where a record or dataset line reports
+    a SchemaViolation at its graph field."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaViolation("", f"invalid JSON: {exc}") from None
-    return graph_from_doc(doc)
+        return read(loads(text), GRAPH)
+    except SchemaViolation as exc:
+        if isinstance(exc.__cause__, GraphError) and not isinstance(exc.__cause__, SchemaViolation):
+            raise exc.__cause__ from None
+        raise

@@ -258,6 +258,29 @@ class TestLoadConfig:
         assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "text, reason",
+        [
+            (None, "No such file or directory"),
+            ("{'text': []}", "invalid JSON"),
+            ('{"text": [{"match": "*", "response": "ok"}], "vqa": 5}', "vqa: expected array"),
+            ('{"text": {"match": "*"}}', "text: expected array"),
+        ],
+        ids=["missing", "not-json", "wrong-section", "entries-not-a-list"],
+    )
+    def test_a_broken_mock_script_is_a_config_error(self, tmp_path, capsys, text, reason):
+        if text is not None:
+            (tmp_path / "script.json").write_text(text, encoding="utf-8")
+        path = write_config(tmp_path)
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        assert str(exc.value).startswith("backends.llm.script: ")
+        assert reason in str(exc.value)
+        assert main(["optimize", "--prompt", MOTORCYCLE_PROMPT, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: backends.llm.script: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "key",
         [
             "build_attempts",

@@ -1,0 +1,219 @@
+"""The one document reader: records, dataset lines and mock scripts either
+load to the objects they describe or raise a SchemaViolation whose path names
+the faulty field."""
+
+import copy
+import json
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from promptrefine.backends import ImageGenRequest, MockBackend, VqaRequest
+from promptrefine.bench import load_dataset
+from promptrefine.pipeline import PipelineConfig, load_record, record_to_doc, run_single
+from promptrefine.scene_graph import SchemaViolation, graph_to_doc
+
+from fixtures import MOTORCYCLE_PROMPT, motorcycle_backends, motorcycle_graph
+
+SCRIPT = Path(__file__).parent / "data" / "mock_script.json"
+DELETE = object()  # an edit that removes the key instead of setting it
+
+
+@pytest.fixture(scope="module")
+def record_doc(tmp_path_factory):
+    """A completed two-image record with reports and an expansion."""
+    images = tmp_path_factory.mktemp("images")
+    cfg = PipelineConfig(backends=motorcycle_backends(images), width=64, height=64, seed=1234)
+    record = run_single(MOTORCYCLE_PROMPT, cfg)
+    assert record.status == "completed" and record.outcome.expansion is not None
+    return json.loads(json.dumps(record_to_doc(record)))
+
+
+def edited(doc, at, value):
+    """A deep copy of ``doc`` with the value at key path ``at`` replaced
+    (or removed, for DELETE); the empty path replaces the whole document."""
+    if not at:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in at[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[at[-1]]
+    else:
+        parent[at[-1]] = value
+    return doc
+
+
+def key_paths(doc, at=()):
+    """Every key path in a JSON document, the document's own () first."""
+    yield at
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from key_paths(value, at + (key,))
+
+
+def write_json(path, doc):
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def edits(draw, doc):
+    at = draw(st.sampled_from(list(key_paths(doc))))
+    return at, draw(json_values | (st.just(DELETE) if at else st.nothing()))
+
+
+class TestRecord:
+    @pytest.mark.parametrize(
+        "at, value, path",
+        [
+            (("run_id",), 5, "run_id"),
+            (("status",), 5, "status"),
+            (("created_at",), 5, "created_at"),
+            (("converged",), "x", "converged"),
+            (("prompt_history",), 5, "prompt_history"),
+            (("prompt_history",), [], "prompt_history"),
+            (("image_refs",), 5, "image_refs"),
+            (("image_refs", 1, 1), 5, "image_refs[1][1]"),
+            (("image_refs",), [], "image_refs"),  # a completed record needs an image
+            (("reports",), 5, "reports"),
+            (("outcome",), [1], "outcome"),
+            (("backend_journal",), 5, "backend_journal"),
+            (("timings",), [1], "timings"),
+            (("graph",), 5, "graph"),
+            # deeper fields
+            (("prompt_history", 0), ["user"], "prompt_history[0]"),
+            (("image_refs", 1, 1, "path"), 5, "image_refs[1][1].path"),
+            (("reports", 0, "score"), "x", "reports[0].score"),
+            (("reports", 0, "score"), 0.125, "reports[0].score"),  # not the answers' score
+            (("reports", 0, "score"), float("nan"), "reports[0].score"),
+            (("reports", 0, "score"), 10**400, "reports[0].score"),  # too large for a float
+            (("reports", 1, "vqa_call_count"), 0, "reports[1].vqa_call_count"),
+            (("reports", 0, "answers", "1"), "maybe", "reports[0].answers.1"),
+            (("graph", "edges"), [[1, 2], [2, 1]], "graph"),
+            (
+                ("outcome", "expansion", "new_tuples", 0, "category"),
+                "colour",
+                "outcome.expansion.new_tuples[0].category",
+            ),
+        ],
+    )
+    def test_a_malformed_field_is_named(self, tmp_path, record_doc, at, value, path):
+        record = write_json(tmp_path / "record.json", edited(record_doc, at, value))
+        with pytest.raises(SchemaViolation) as exc:
+            load_record(record)
+        assert exc.value.path == path
+
+    def test_a_record_without_the_later_fields_loads_with_their_defaults(self, tmp_path, record_doc):
+        later = ("created_at", "converged", "backend_journal", "timings")
+        doc = {k: v for k, v in record_doc.items() if k not in later}
+        doc["_comment"] = "unknown keys are ignored"
+        loaded = load_record(write_json(tmp_path / "record.json", doc))
+        assert (loaded.created_at, loaded.converged, loaded.backend_journal, loaded.timings) == ("", False, [], {})
+        assert load_record(write_json(tmp_path / "record.json", doc)).timings is not loaded.timings
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_any_value_at_any_field_loads_or_is_a_schema_violation(self, tmp_path, record_doc, data):
+        at, value = data.draw(edits(record_doc))
+        path = write_json(tmp_path / "record.json", edited(record_doc, at, value))
+        try:
+            load_record(path)
+        except SchemaViolation:
+            pass
+
+
+class TestDatasetLine:
+    @pytest.fixture
+    def line(self):
+        graph = graph_to_doc(motorcycle_graph())
+        return {"item_id": "1", "category": "c", "prompt": MOTORCYCLE_PROMPT, "graph": graph}
+
+    @pytest.mark.parametrize(
+        "at, value, path",
+        [
+            (("prompt",), " ", "line 1.prompt"),
+            (("graph", "tuples", 0, "id"), True, "line 1.graph.tuples[0].id"),
+            (("graph", "edges", 0), [1, 1], "line 1.graph"),  # a self-dependency
+            (("graph", "questions"), [], "line 1.graph"),
+        ],
+    )
+    def test_a_malformed_field_is_named(self, tmp_path, line, at, value, path):
+        with pytest.raises(SchemaViolation) as exc:
+            load_dataset(write_json(tmp_path / "data.jsonl", edited(line, at, value)))
+        assert exc.value.path == path
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_any_value_at_any_field_loads_or_is_a_schema_violation(self, tmp_path, line, data):
+        at, value = data.draw(edits(line))
+        path = write_json(tmp_path / "data.jsonl", edited(line, at, value))
+        try:
+            load_dataset(path)
+        except SchemaViolation:
+            pass
+
+
+class TestMockScript:
+    @pytest.fixture(scope="class")
+    def script(self):
+        return json.loads(SCRIPT.read_text(encoding="utf-8"))
+
+    @pytest.mark.parametrize(
+        "at, value, path",
+        [
+            ((), [], ""),
+            (("text",), 5, "text"),
+            (("text", 0, "match"), DELETE, "text[0].match"),
+            (("text", 0), "a string", "text[0]"),
+            (("text", 1, "responses", 0), {"error": "teapot"}, "text[1].responses[0].error"),
+            (("embed", 0, "response"), ["a"], "embed[0].response[0]"),
+            (("image", 0, "response"), "!!!", "image[0].response"),
+            # and a few more
+            (("image", 0, "response"), "", "image[0].response"),  # decodes to no bytes
+            (("vqa", 0, "responses"), [], "vqa[0].responses"),
+            (("vqa", 1, "response"), DELETE, "vqa[1].response"),
+        ],
+    )
+    def test_a_malformed_field_is_named(self, tmp_path, script, at, value, path):
+        with pytest.raises(SchemaViolation) as exc:
+            MockBackend.from_file(write_json(tmp_path / "script.json", edited(script, at, value)))
+        assert exc.value.path == path
+
+    @pytest.mark.parametrize("response", ["!!!", "", " \n", "iVBOR*w0KGgo=", b""])
+    def test_script_image_rejects_text_that_is_not_an_image(self, response):
+        with pytest.raises(ValueError):
+            MockBackend().script_image("*", response)
+
+    @pytest.mark.parametrize("response", ["iVBORw0KGgo=\n", "iVBO\nRw0K\r\nGgo=", " iVBORw0KGgo= "])
+    def test_script_image_skips_whitespace_in_base64(self, tmp_path, response):
+        backend = MockBackend(image_dir=tmp_path).script_image("*", response)
+        ref = backend.generate_image(ImageGenRequest(prompt="p", width=16, height=16))
+        assert Path(ref.path).read_bytes() == b"\x89PNG\r\n\x1a\n"
+
+    def test_a_vqa_entry_keeps_its_image_filter(self, tmp_path):
+        images = MockBackend(image_dir=tmp_path).script_image("*", [b"\x89PNG\r\n\x1a\n", b"\x89PNG\r\n\x1a\n\0"])
+        a, b = (images.generate_image(ImageGenRequest(prompt=p, width=16, height=16)) for p in "ab")
+        doc = {"vqa": [{"match": "*", "image": a.digest, "response": "yes"}, {"match": "*", "response": "no"}]}
+        backend = MockBackend.from_file(write_json(tmp_path / "script.json", doc))
+        assert [backend.answer_binary(VqaRequest(image=ref, question="Q?")) for ref in (a, b)] == [True, False]
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_any_value_at_any_field_loads_or_is_a_schema_violation(self, tmp_path, script, data):
+        at, value = data.draw(edits(script))
+        path = write_json(tmp_path / "script.json", edited(script, at, value))
+        try:
+            MockBackend.from_file(path, image_dir=tmp_path)
+        except SchemaViolation:
+            pass
