@@ -585,6 +585,8 @@ class Backend:
             raise CapabilityMissing(f"backend {self.config.model or type(self).__name__} does not embed")
         vector, _ = self._run("embed", embed_digest(payload), lambda: self._send_embed(payload))
         vector = [float(v) for v in vector]
+        if not all(map(math.isfinite, vector)):  # json reads NaN and Infinity
+            raise TransportError("embedding has a non-finite component")
         if self.config.embed_dim is not None and len(vector) != self.config.embed_dim:
             raise TransportError(
                 f"embedding dimension {len(vector)} != declared {self.config.embed_dim}"

@@ -4,8 +4,9 @@ Responses are keyed by an exact request digest (``sha256:<hex>``) or by a glob
 over the request's primary text field (completion input, VQA question, image
 prompt, embedding payload). Entries are tried in insertion order; a list of
 responses is consumed call by call (the last one repeats). A response may be a
-``BackendError`` instance, which is raised at the transport layer and is
-therefore subject to the normal retry policy.
+``BackendError`` instance: each time it comes up, a new error of its type and
+attributes (``status``, ``retry_after``) is raised at the transport layer and
+is therefore subject to the normal retry policy.
 
 A ``responses`` list belongs to the backend, not to a run: every run that uses
 the backend shares its cursor. Under ``pipeline.run_batch`` concurrent runs
@@ -80,7 +81,11 @@ class _Entry:
         value = self.responses[min(self.cursor, len(self.responses) - 1)]
         self.cursor += 1
         if isinstance(value, BackendError):
-            raise type(value)(*value.args)
+            # A new instance per raise, so that no traceback grows or is shared
+            # across threads; __init__ is skipped, as the args are its output.
+            error = type(value).__new__(type(value), *value.args)
+            error.__dict__.update(value.__dict__)
+            raise error
         return value
 
 

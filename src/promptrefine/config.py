@@ -26,7 +26,11 @@ parallelism, width and height. ``templates`` takes only ``dir`` and
 ``keywords`` only ``file``. Any other key, at the top level, among the backend
 roles (llm, vqa, t2i, embed) or in any section, is a ConfigError that names the
 section and the key; so is ``script`` on an http backend, and a mock's script
-(read here) that is missing, not JSON or malformed. The limits are fixed
+(read here) that is missing, not JSON or malformed. Each value must have the
+type that its ``BackendConfig`` or ``PipelineConfig`` field declares (null
+too where the default is None), and ``type``, ``script`` and the paths must be
+text; a ConfigError names the ``section.key`` of a value that does not. So
+``${VAR}`` can fill only text values. The limits are fixed
 constants that neither a config file nor a library call sets:
 ``templates.STAGE_ATTEMPTS`` (3 attempts per text stage),
 ``optimizer.MAX_PROMPT_CHARS`` (prompts of at most 480 characters) and
@@ -39,13 +43,14 @@ import os
 import re
 from dataclasses import fields
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, Union, get_args, get_type_hints
 
 import yaml
 
 from promptrefine.backends import BackendConfig, HttpBackend, MockBackend
 from promptrefine.optimizer import load_keyword_table
 from promptrefine.pipeline import Backends, PipelineConfig
+from promptrefine.scene_graph import Field, Schema, SchemaViolation, read
 from promptrefine.templates import TemplateError, load_template_set
 
 _ENV_VAR = re.compile(r"\$\{(\w+)\}")
@@ -56,13 +61,25 @@ class ConfigError(Exception):
 
 
 _TOP_KEYS = {"backends", "pipeline", "templates", "keywords"}
-_BACKEND_ROLES = {"llm", "vqa", "t2i", "embed"}
-_BACKEND_KEYS = {f.name for f in fields(BackendConfig)} | {"type"}
+_ROLES = (Field("llm", dict), Field("vqa", dict), Field("t2i", dict), Field("embed", dict, None))
+
+
+def _declared(cls, skip=()) -> tuple:
+    """A Field for each field of the dataclass ``cls`` not in ``skip``, of its
+    declared type (X for Optional[X]) and with its default."""
+    hints = get_type_hints(cls)
+    return tuple(
+        Field(f.name, (get_args(hints[f.name]) or (hints[f.name],))[0], f.default)
+        for f in fields(cls)
+        if f.name not in skip
+    )
+
+
+_BACKEND_FIELDS = _declared(BackendConfig)
 # backends, templates, keywords and out_dir come from other sections or the caller.
-_PIPELINE_KEYS = {f.name for f in fields(PipelineConfig)} - {
-    "backends", "templates", "keywords", "out_dir"
-}
-_PIPELINE_KEYS.add("workdir")
+_PIPELINE_KEYS = (Field("workdir", str, None),) + _declared(
+    PipelineConfig, skip=("backends", "templates", "keywords", "out_dir")
+)
 
 
 def _reject_unknown(section: dict, allowed: set, where: str) -> None:
@@ -71,13 +88,17 @@ def _reject_unknown(section: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"{where}: unknown key {', '.join(map(repr, unknown))}")
 
 
-def _section(doc: dict, name: str, allowed: set) -> dict:
-    """An optional top-level section: a mapping with only ``allowed`` keys."""
-    section = doc.get(name) or {}
+def _section(section, where: str, build, *keys: Field, defaults=None):
+    """``build(**values)`` for ``section``, a mapping with only ``keys``. Each
+    value is checked against its field's kind; an absent one is the field's
+    default, or the one ``defaults`` gives."""
     if not isinstance(section, dict):
-        raise ConfigError(f"'{name}' section must be a mapping")
-    _reject_unknown(section, allowed, name)
-    return section
+        raise ConfigError(f"{where} must be a mapping")
+    _reject_unknown(section, {f.name for f in keys}, where)
+    try:
+        return read({**(defaults or {}), **section}, Schema(build, *keys), where)
+    except SchemaViolation as exc:  # the build's ValueError included
+        raise ConfigError(str(exc)) from exc
 
 
 def _interpolate(value, path: str):
@@ -97,36 +118,31 @@ def _interpolate(value, path: str):
     return value
 
 
+def _backend_config(type: str, script: Optional[str] = None, **cfg):
+    return BackendConfig(**cfg), script
+
+
 def _build_backend(section: dict, role: str, image_dir: Optional[Path], base_dir: Path):
-    if not isinstance(section, dict):
-        raise ConfigError(f"backends.{role} must be a mapping")
+    where = f"backends.{role}"
     kind = section.get("type", "http")
-    # Only a mock reads a script.
-    allowed = _BACKEND_KEYS | {"script"} if kind == "mock" else _BACKEND_KEYS
-    _reject_unknown(section, allowed, f"backends.{role}")
-    cfg_kwargs = {k: v for k, v in section.items() if k not in ("type", "script")}
-    if role == "embed":
-        cfg_kwargs.setdefault("supports_embedding", True)
-    if kind == "mock":
-        cfg_kwargs.setdefault("model", role)
-        cfg_kwargs.setdefault("backoff_base", 0.0)
-    try:
-        cfg = BackendConfig(**cfg_kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"backends.{role}: {exc}") from exc
+    defaults = {"supports_embedding": True} if role == "embed" else {}
+    keys = (Field("type", str, "http"),) + _BACKEND_FIELDS
+    if kind == "mock":  # only a mock reads a script
+        defaults.update(model=role, backoff_base=0.0)
+        keys += (Field("script", str, None),)
+    cfg, script = _section(section, where, _backend_config, *keys, defaults=defaults)
     if kind == "http":
         if not cfg.endpoint:
-            raise ConfigError(f"backends.{role}: http backend needs an endpoint")
+            raise ConfigError(f"{where}: http backend needs an endpoint")
         return HttpBackend(cfg, image_dir=image_dir)
     if kind == "mock":
-        script = section.get("script")
         if not script:
             return MockBackend(cfg, image_dir=image_dir)
         try:
-            return MockBackend.from_file(base_dir / str(script), cfg, image_dir=image_dir)
+            return MockBackend.from_file(base_dir / script, cfg, image_dir=image_dir)
         except (OSError, ValueError) as exc:  # unreadable, not JSON, or a SchemaViolation
-            raise ConfigError(f"backends.{role}.script: {exc}") from exc
-    raise ConfigError(f"backends.{role}: unknown type {kind!r}")
+            raise ConfigError(f"{where}.script: {exc}") from exc
+    raise ConfigError(f"{where}: unknown type {kind!r}")
 
 
 def load_config(path: Union[str, Path], out_dir: Optional[Path] = None) -> PipelineConfig:
@@ -142,42 +158,28 @@ def load_config(path: Union[str, Path], out_dir: Optional[Path] = None) -> Pipel
     doc = _interpolate(doc, path.name)
     base_dir = path.parent
     _reject_unknown(doc, _TOP_KEYS, "top level")
-
-    backends_doc = doc.get("backends")
-    if not isinstance(backends_doc, dict):
-        raise ConfigError("config needs a 'backends' section")
-    _reject_unknown(backends_doc, _BACKEND_ROLES, "backends")
-    for role in ("llm", "vqa", "t2i"):
-        if role not in backends_doc:
-            raise ConfigError(f"backends.{role} is required")
-
-    pipeline_doc = _section(doc, "pipeline", _PIPELINE_KEYS)
-    workdir = pipeline_doc.pop("workdir", None)
+    roles = _section(doc.get("backends") or {}, "backends", dict, *_ROLES)
+    pipeline_doc = _section(doc.get("pipeline") or {}, "pipeline", dict, *_PIPELINE_KEYS)
+    workdir = pipeline_doc.pop("workdir")
     image_dir = Path(workdir) / "images" if workdir else None
-
-    backends = Backends(
-        llm=_build_backend(backends_doc["llm"], "llm", image_dir, base_dir),
-        vqa=_build_backend(backends_doc["vqa"], "vqa", image_dir, base_dir),
-        t2i=_build_backend(backends_doc["t2i"], "t2i", image_dir, base_dir),
-        embed=(
-            _build_backend(backends_doc["embed"], "embed", image_dir, base_dir)
-            if "embed" in backends_doc
-            else None
-        ),
-    )
+    backends = Backends(**{
+        role: _build_backend(section, role, image_dir, base_dir)
+        for role, section in roles.items()
+        if section is not None
+    })
 
     templates = None
-    templates_doc = _section(doc, "templates", {"dir"})
-    if templates_doc.get("dir"):
+    templates_dir = _section(doc.get("templates") or {}, "templates", dict, Field("dir", str, None))["dir"]
+    if templates_dir:
         try:
-            templates = load_template_set(base_dir / templates_doc["dir"])
+            templates = load_template_set(base_dir / templates_dir)
         except TemplateError as exc:
             raise ConfigError(str(exc)) from exc
 
     keywords = None
-    keywords_doc = _section(doc, "keywords", {"file"})
-    if keywords_doc.get("file"):
-        kfile = base_dir / keywords_doc["file"]
+    keywords_file = _section(doc.get("keywords") or {}, "keywords", dict, Field("file", str, None))["file"]
+    if keywords_file:
+        kfile = base_dir / keywords_file
         try:
             keywords = load_keyword_table(kfile)
         except (OSError, ValueError) as exc:
@@ -191,5 +193,5 @@ def load_config(path: Union[str, Path], out_dir: Optional[Path] = None) -> Pipel
             out_dir=out_dir,
             **pipeline_doc,
         )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"pipeline section: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"pipeline: {exc}") from exc

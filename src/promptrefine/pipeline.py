@@ -308,78 +308,28 @@ def summarize_batch(records: List[RunRecord]) -> dict:
 # serialization
 
 
-def _image_ref_to_doc(ref: ImageRef) -> dict:
-    return {
-        "path": ref.path,
-        "digest": ref.digest,
-        "remote_id": ref.remote_id,
-        "media_type": ref.media_type,
-    }
-
-
-def _report_to_doc(report: ReflectionReport) -> dict:
-    return {
-        "answers": {str(qid): a.value.value for qid, a in sorted(report.answers.items())},
-        "missing_ids": sorted(report.missing_ids),
-        "score": report.score,
-        "vqa_call_count": report.vqa_call_count,
-    }
-
-
-def _outcome_to_doc(outcome: OptimizationOutcome) -> dict:
-    expansion = None
-    if outcome.expansion is not None:
-        expansion = {
-            "new_tuples": [sg.tuple_to_doc(t) for t in outcome.expansion.new_tuples],
-            "targeted_ids": sorted(outcome.expansion.targeted_ids),
-            "raw_transcript": outcome.expansion.raw_transcript,
-        }
-    return {
-        "original_prompt": outcome.original_prompt,
-        "regenerated_prompt": outcome.regenerated_prompt,
-        "decorated_prompt": outcome.decorated_prompt,
-        "modified": outcome.modified,
-        "expansion": expansion,
-        "transcripts": dict(outcome.transcripts),
-    }
-
-
-def record_to_doc(record: RunRecord) -> dict:
-    return {
-        "run_id": record.run_id,
-        "created_at": record.created_at,
-        "status": record.status,
-        "failed_stage": record.failed_stage,
-        "error": record.error,
-        "error_kind": record.error_kind,
-        "converged": record.converged,
-        "prompt_history": [[label, text] for label, text in record.prompt_history],
-        "image_refs": [
-            [label, _image_ref_to_doc(ref), seed] for label, ref, seed in record.image_refs
-        ],
-        "graph": sg.graph_to_doc(record.graph) if record.graph is not None else None,
-        "reports": [_report_to_doc(r) for r in record.reports],
-        "outcome": _outcome_to_doc(record.outcome) if record.outcome is not None else None,
-        "backend_journal": record.backend_journal,
-        "timings": {k: record.timings[k] for k in sorted(record.timings)},
-    }
-
-
 def _answer(value: str) -> Answer:
     v = AnswerValue(value)
     return Answer(v, AnswerSource.PRUNED if v is AnswerValue.PRUNED_NO else AnswerSource.VQA)
 
 
-_REPORT_FIELDS = (
-    sg.Field("answers", {str: _answer}, convert=lambda answers: {int(k): a for k, a in answers.items()}),
-    sg.Field("missing_ids", [int], convert=frozenset),
+# Reports are read by _record, which gives each one the record's graph.
+_REPORT = sg.Schema(
+    ReflectionReport,
+    sg.Field(
+        "answers",
+        {str: _answer},
+        convert=lambda answers: {int(k): a for k, a in answers.items()},
+        emit=lambda answers: {str(qid): a.value.value for qid, a in sorted(answers.items())},
+    ),
+    sg.Field("missing_ids", [int], convert=frozenset, emit=sorted),
     sg.Field("score", float, convert=float),  # an integer too large for a float is refused here
     sg.Field("vqa_call_count", int),
 )
 _EXPANSION = sg.Schema(
     ExpansionResult,
-    sg.Field("new_tuples", [sg.TUPLE], convert=tuple),
-    sg.Field("targeted_ids", [int], convert=frozenset),
+    sg.Field("new_tuples", [sg.TUPLE], convert=tuple, emit=lambda ts: list(map(sg.tuple_to_doc, ts))),
+    sg.Field("targeted_ids", [int], convert=frozenset, emit=sorted),
     sg.Field("raw_transcript", str),
 )
 _OUTCOME = sg.Schema(
@@ -387,53 +337,62 @@ _OUTCOME = sg.Schema(
     sg.Field("original_prompt", str),
     sg.Field("regenerated_prompt", str),
     sg.Field("decorated_prompt", str),
-    sg.Field("expansion", _EXPANSION, None),
     sg.Field("modified", bool),
+    sg.Field("expansion", _EXPANSION, None),
     sg.Field("transcripts", {str: str}, {}),
 )
-
-
-def _image_ref(base: Optional[Path], path=None, **fields) -> ImageRef:
-    if path is not None and base is not None and not Path(path).is_absolute():
-        path = str((base / path).resolve())
-    return ImageRef(path=path, **fields)
+_IMAGE_REF = sg.Schema(
+    ImageRef,
+    sg.Field("path", str, None),
+    sg.Field("digest", str, None),
+    sg.Field("remote_id", str, None),
+    sg.Field("media_type", str, "image/png"),
+)
 
 
 def _record(graph, reports, **fields) -> RunRecord:
     if reports and graph is None:
         raise sg.SchemaViolation("reports", "reports present but graph missing")
-    report = sg.Schema(partial(ReflectionReport, graph), *_REPORT_FIELDS)
+    report = sg.Schema(partial(ReflectionReport, graph), *_REPORT.fields)
     return RunRecord(graph=graph, reports=sg.read(reports, [report], "reports"), **fields)
+
+
+# The record.json document, in its key order; a field added later has a default.
+RECORD = sg.Schema(
+    _record,
+    sg.Field("run_id", str),
+    sg.Field("created_at", str, ""),
+    sg.Field("status", str),
+    sg.Field("failed_stage", str, None),
+    sg.Field("error", str, None),
+    sg.Field("error_kind", str, None),
+    sg.Field("converged", bool, False),
+    sg.Field("prompt_history", [(str, str)]),
+    sg.Field("image_refs", [(str, _IMAGE_REF, int)]),
+    # sg.graph_to_doc is looked up at each write, so a wrapper put on it sees the call.
+    sg.Field("graph", sg.GRAPH, None, emit=lambda graph: sg.graph_to_doc(graph)),
+    sg.Field("reports", list, emit=lambda reports: [sg.write(r, _REPORT) for r in reports]),
+    sg.Field("outcome", _OUTCOME, None),
+    sg.Field("backend_journal", [dict], []),
+    sg.Field("timings", {str: float}, {}, emit=lambda timings: dict(sorted(timings.items()))),
+)
+
+
+def record_to_doc(record: RunRecord) -> dict:
+    return sg.write(record, RECORD)
 
 
 def record_from_doc(doc, base: Optional[Path] = None) -> RunRecord:
     """Read a ``record_to_doc`` document; an image path relative to ``base``
     becomes absolute. A malformed one raises SchemaViolation naming the field."""
-    image_ref = sg.Schema(
-        partial(_image_ref, base),
-        sg.Field("path", str, None),
-        sg.Field("digest", str, None),
-        sg.Field("remote_id", str, None),
-        sg.Field("media_type", str, "image/png"),
-    )
-    schema = sg.Schema(
-        _record,
-        sg.Field("run_id", str),
-        sg.Field("created_at", str, ""),
-        sg.Field("status", str),
-        sg.Field("failed_stage", str, None),
-        sg.Field("error", str, None),
-        sg.Field("error_kind", str, None),
-        sg.Field("converged", bool, False),
-        sg.Field("prompt_history", [(str, str)]),
-        sg.Field("image_refs", [(str, image_ref, int)]),
-        sg.Field("graph", sg.GRAPH, None),
-        sg.Field("reports", list),
-        sg.Field("outcome", _OUTCOME, None),
-        sg.Field("backend_journal", [dict], []),
-        sg.Field("timings", {str: float}, {}),
-    )
-    return sg.read(doc, schema)
+    record = sg.read(doc, RECORD)
+    if base is not None:
+        record.image_refs = [
+            (label, ref if ref.path is None or Path(ref.path).is_absolute()
+             else replace(ref, path=str((base / ref.path).resolve())), seed)
+            for label, ref, seed in record.image_refs
+        ]
+    return record
 
 
 # What os.link raises when the filesystem cannot link these two paths.

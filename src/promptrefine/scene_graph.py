@@ -11,7 +11,8 @@ are the canonical interchange format emitted by the text-model stages:
 Tuples and graphs are persisted as the JSON documents of ``tuple_to_doc`` and
 ``graph_to_doc``. ``read`` is the one reader of every JSON document the
 program reads back (records, graphs, datasets, mock scripts): it checks each
-field against a ``Schema`` and names the field of the first fault.
+field against a ``Schema`` and names the field of the first fault. ``write``
+is its inverse, so a document written through a Schema reads back through it.
 """
 
 from __future__ import annotations
@@ -462,16 +463,19 @@ REQUIRED = object()  # the default of a Field that must be present
 class Field(NamedTuple):
     """A key of a JSON object: the kind of its value (see ``read``), REQUIRED
     or the value it reads as when absent (a None default also reads null),
-    and an optional converter of the value read."""
+    an optional converter of the value read, and an optional ``emit`` that
+    writes the attribute as its document instead of ``write`` (see there)."""
 
     name: str
     kind: Any
     default: Any = REQUIRED
     convert: Optional[Callable[[Any], Any]] = None
+    emit: Optional[Callable[[Any], Any]] = None
 
 
 class Schema:
-    """A JSON object read into ``build(**fields)``; keys no field names are ignored."""
+    """A JSON object read into ``build(**fields)``, and written from the
+    attributes of the same names; keys no field names are ignored."""
 
     def __init__(self, build: Callable[..., Any], *fields: Field):
         self.build = build
@@ -546,6 +550,31 @@ def read(value, kind, path: str = ""):
     if isinstance(value, accepted) and (kind is bool or not isinstance(value, bool)):
         return value
     raise SchemaViolation(path, f"expected {kind.__name__}")
+
+
+def write(value, kind):
+    """The document that ``read(document, kind)`` builds ``value`` from.
+
+    A Schema writes an object of its fields in order, each the attribute of
+    that name: None as null, otherwise the field's ``emit`` of it, or the
+    attribute written as the field's kind. ``[k]`` and ``(k1, ..., kn)``
+    write arrays and ``{str: k}`` an object, element by element; any other
+    kind writes the value as it is, so a field whose convert changes the
+    value needs an emit that undoes it.
+    """
+    if isinstance(kind, Schema):
+        doc = {}
+        for f in kind.fields:
+            v = getattr(value, f.name)
+            doc[f.name] = None if v is None else f.emit(v) if f.emit is not None else write(v, f.kind)
+        return doc
+    if isinstance(kind, list):
+        return [write(v, kind[0]) for v in value]
+    if isinstance(kind, tuple):
+        return [write(v, k) for v, k in zip(value, kind)]
+    if isinstance(kind, dict):
+        return {k: write(v, kind[str]) for k, v in value.items()}
+    return value
 
 
 TUPLE = Schema(

@@ -340,6 +340,30 @@ class TestMockScripting:
         req = text_req("x")
         assert backend.complete(req) == backend.complete(req)
 
+    def test_a_scripted_rate_limit_keeps_its_retry_after(self, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(backends_base, "time", SimpleNamespace(monotonic=time.monotonic, sleep=sleeps.append))
+        backend = MockBackend().script_text("*", [RateLimited(retry_after=0.5), "ok"])
+        assert backend.complete(text_req("x")) == "ok"
+        assert sleeps == [0.5]
+
+    def test_a_scripted_transport_error_keeps_its_status(self):
+        backend = MockBackend(BackendConfig(model="mock", max_retries=0, backoff_base=0.0))
+        backend.script_text("*", TransportError("boom", status=503))
+        with pytest.raises(TransportError) as exc:
+            backend.complete(text_req("x"))
+        assert (exc.value.status, str(exc.value)) == (503, "boom (status 503)")
+
+    def test_a_scripted_mock_miss_is_raised_as_a_new_instance(self):
+        miss = MockMiss("complete", "abc")
+        backend = MockBackend().script_text("*", miss)
+        for _ in range(2):
+            with pytest.raises(MockMiss) as exc:
+                backend.complete(text_req("x"))
+            assert (exc.value.op, exc.value.digest, str(exc.value)) == ("complete", "abc", str(miss))
+            assert exc.value is not miss
+        assert miss.__traceback__ is None
+
 
 class TestBackendConfig:
     @pytest.mark.parametrize(
@@ -529,6 +553,12 @@ class TestEmbed:
             .script_embed(ref.digest, [0.0, 1.0])
         )
         assert backend.embed("cat") == backend.embed(ref)
+
+    @pytest.mark.parametrize("component", [float("nan"), float("inf"), float("-inf")])
+    def test_a_non_finite_component_is_a_transport_error(self, component):
+        backend = MockBackend().script_embed("cat", [component, 1.0])
+        with pytest.raises(TransportError, match="non-finite"):
+            backend.embed("cat")
 
 
 class TestJournal:

@@ -263,6 +263,19 @@ class TestRunBenchmark:
         warnings = [r.getMessage() for r in caplog.records if "clip scoring failed" in r.getMessage()]
         assert len(warnings) == 1 and "denied" in warnings[0]
 
+    def test_a_non_finite_embedding_drops_its_pairing(self, tmp_path, caplog):
+        items, vqa = four_item_dataset()
+        embed = (
+            MockBackend(name="embed")
+            .script_embed(items[0].prompt, [float("nan"), 1.0])
+            .script_embed("*", [1.0, 0.0])
+        )
+        with caplog.at_level(logging.WARNING, logger="promptrefine.bench"):
+            [result] = run_benchmark(items[:1], bench_cfg(tmp_path, vqa, embed=embed), mode="baseline").items
+        assert not result.failed and result.clip == {}
+        warnings = [r.getMessage() for r in caplog.records if "clip scoring failed" in r.getMessage()]
+        assert len(warnings) == 1 and "non-finite" in warnings[0]
+
     def test_failed_items_are_classified(self, tmp_path, monkeypatch):
         vqa = MockBackend(name="vqa").script_vqa("*", "yes")
         llm = stage_llm(tuples="not a tuple")

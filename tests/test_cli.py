@@ -244,6 +244,47 @@ class TestLoadConfig:
         assert main(["dsg", "--prompt", MOTORCYCLE_PROMPT, "--config", str(path)]) == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "at, value",
+        [
+            ("pipeline.decorate", "false"),
+            ("backends.embed.supports_embedding", "false"),
+            ("pipeline.seed", "7"),
+            ("pipeline.width", 512.5),
+            ("backends.vqa.timeout", "${T}"),  # ${VAR} fills text only
+            ("pipeline.workdir", 5),
+            ("templates.dir", 5),
+            ("keywords.file", 5),
+        ],
+    )
+    def test_a_value_of_the_wrong_type_exits_2(self, tmp_path, capsys, monkeypatch, at, value):
+        monkeypatch.setenv("T", "30")
+        write_script(tmp_path)
+        doc = yaml.safe_load(write_config(tmp_path).read_text())
+        doc["backends"]["embed"] = {"type": "mock"}
+        *sections, key = at.split(".")
+        section = doc
+        for name in sections:
+            section = section.setdefault(name, {})
+        section[key] = value
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        assert str(exc.value).startswith(f"{at}: expected ")
+        assert main(["dsg", "--prompt", MOTORCYCLE_PROMPT, "--config", str(path)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_null_is_taken_where_the_default_is_none(self, tmp_path):
+        write_script(tmp_path)
+        doc = yaml.safe_load(write_config(tmp_path).read_text())
+        doc["backends"]["vqa"].update(rate_limit=None, embed_dim=None)
+        doc["pipeline"]["workdir"] = None
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        config = load_config(path).backends.vqa.config
+        assert (config.rate_limit, config.embed_dim) == (None, None)
+
     @pytest.mark.parametrize("section", ["templates", "keywords"])
     def test_non_mapping_section_exits_2(self, tmp_path, capsys, section):
         write_script(tmp_path)
@@ -565,6 +606,28 @@ class TestCliRunBench:
         assert rows[0]["error"].startswith("RuntimeError: pipeline failed at generate: TransportError:")
         assert rows[2]["error"].startswith("RuntimeError: pipeline failed at build_dsg: StageExhausted:")
         assert "failed items: 3" in capsys.readouterr().err
+
+    def test_a_non_finite_embedding_leaves_bench_items_valid_json(self, tmp_path, capsys):
+        script = write_script(tmp_path)
+        doc = json.loads(script.read_text())
+        doc["embed"] = [{"match": "*", "response": [float("nan"), 1.0]}]  # written as NaN
+        script.write_text(json.dumps(doc), encoding="utf-8")
+        config = tmp_path / "config.yaml"
+        doc = yaml.safe_load(write_config(tmp_path).read_text())
+        doc["backends"]["embed"] = {"type": "mock", "script": "script.json"}
+        config.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "bench-out"
+        code = main(
+            ["run-bench", "--dataset", str(self._dataset(tmp_path)), "--config", str(config),
+             "--mode", "baseline", "--out", str(out)]
+        )
+        assert code == 0
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        rows = json.loads((out / "bench-items.json").read_text(), parse_constant=refuse)
+        assert [row["clip"] for row in rows] == [{}, {}]
 
     @pytest.mark.parametrize("limit", ["-1", "0", "two"])
     def test_limit_must_be_a_positive_integer(self, tmp_path, capsys, limit):

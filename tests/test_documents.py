@@ -1,8 +1,10 @@
 """The one document reader: records, dataset lines and mock scripts either
 load to the objects they describe or raise a SchemaViolation whose path names
-the faulty field."""
+the faulty field. Records are written through the schema that reads them, and
+a record read back writes the same document."""
 
 import copy
+import dataclasses
 import json
 from pathlib import Path
 
@@ -12,13 +14,47 @@ from hypothesis import strategies as st
 
 from promptrefine.backends import ImageGenRequest, MockBackend, VqaRequest
 from promptrefine.bench import load_dataset
-from promptrefine.pipeline import PipelineConfig, load_record, record_to_doc, run_single
+from promptrefine.pipeline import (
+    PipelineConfig,
+    load_record,
+    persist_record,
+    record_from_doc,
+    record_to_doc,
+    run_single,
+)
 from promptrefine.scene_graph import SchemaViolation, graph_to_doc
 
 from fixtures import MOTORCYCLE_PROMPT, motorcycle_backends, motorcycle_graph
 
-SCRIPT = Path(__file__).parent / "data" / "mock_script.json"
+DATA = Path(__file__).parent / "data"
+SCRIPT = DATA / "mock_script.json"
+# record.json of each motorcycle run (see persisted_motorcycle_runs), one per
+# line in run order, and their common graph.json: the bytes that the
+# hand-written record writer, which scene_graph.write replaced, produced.
+GOLDEN_RECORDS = DATA / "motorcycle_records.jsonl"
+GOLDEN_GRAPH = DATA / "motorcycle_graph.json"
+FENCE_ANSWERS = {"no-yes": ("no", "yes"), "yes": ("yes",), "no": ("no",)}
 DELETE = object()  # an edit that removes the key instead of setting it
+
+
+def persisted_motorcycle_runs(tmp_path):
+    """The run directories of the motorcycle walkthrough for rounds 1-3 and
+    each fence answer script, in that order, with the run id, timestamp,
+    timings and call latencies fixed so that the files are reproducible. The
+    timings are set in reverse key order, which the writer must sort."""
+    for rounds in (1, 2, 3):
+        for name, answers in FENCE_ANSWERS.items():
+            backends = motorcycle_backends(tmp_path / "images", answers)
+            record = run_single(MOTORCYCLE_PROMPT, PipelineConfig(backends=backends, rounds=rounds, seed=1234))
+            labels = sorted(record.timings, reverse=True)
+            record = dataclasses.replace(
+                record,
+                run_id=f"rounds-{rounds}-fence-{name}",
+                created_at="2026-01-01T00:00:00+00:00",
+                timings={label: i / 8 for i, label in enumerate(labels)},
+                backend_journal=[{**call, "latency_s": 0.001} for call in record.backend_journal],
+            )
+            yield persist_record(record, tmp_path / "runs").parent
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +107,29 @@ json_values = st.recursive(
 def edits(draw, doc):
     at = draw(st.sampled_from(list(key_paths(doc))))
     return at, draw(json_values | (st.just(DELETE) if at else st.nothing()))
+
+
+class TestRecordBytes:
+    def test_record_and_graph_files_keep_their_bytes(self, tmp_path):
+        runs = list(persisted_motorcycle_runs(tmp_path))
+        written = b"".join((run / "record.json").read_bytes() for run in runs)
+        assert written.decode("utf-8").splitlines() == GOLDEN_RECORDS.read_text(encoding="utf-8").splitlines()
+        assert written == GOLDEN_RECORDS.read_bytes()
+        for run in runs:
+            assert (run / "graph.json").read_bytes() == GOLDEN_GRAPH.read_bytes()
+
+    def test_a_record_written_earlier_is_read_and_written_back_unchanged(self, tmp_path):
+        for line in GOLDEN_RECORDS.read_text(encoding="utf-8").splitlines():
+            doc = json.loads(line)
+            assert record_to_doc(record_from_doc(doc)) == doc
+            run = tmp_path / doc["run_id"]
+            run.mkdir()
+            (run / "record.json").write_text(line + "\n", encoding="utf-8")
+            record = load_record(run)
+            assert [ref.path for _, ref, _ in record.image_refs] == [
+                str((run / f"images/{label}.png").resolve()) for label, _, _ in record.image_refs
+            ]
+            assert record.graph is not None and len(record.reports) == len(record.image_refs)
 
 
 class TestRecord:
@@ -131,6 +190,21 @@ class TestRecord:
             load_record(path)
         except SchemaViolation:
             pass
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_a_valid_record_document_is_written_back_as_read(self, record_doc, data):
+        doc = edited(record_doc, *data.draw(edits(record_doc)))
+        try:
+            record = record_from_doc(doc)
+        except SchemaViolation:
+            return
+        # The writer keeps all that the reader read, and its document reads
+        # back to itself: it differs from ``doc`` only where it fills in a
+        # default, drops an unknown key or puts ids and edges in order.
+        written = record_to_doc(record)
+        assert record_from_doc(written) == record
+        assert record_to_doc(record_from_doc(written)) == written
 
 
 class TestDatasetLine:

@@ -699,6 +699,12 @@ class TestEmbeddingsWire:
         assert embed_input == vqa_url
         assert base64.b64decode(embed_input.split(",", 1)[1]) == PNG_WHITE
 
+    def test_a_nan_in_the_response_is_a_transport_error(self):
+        body = b'{"data": [{"embedding": [NaN, 1]}]}'  # json.loads reads NaN
+        be, _ = backend([FakeResponse(body=body)], supports_embedding=True, max_retries=0)
+        with pytest.raises(TransportError, match="non-finite"):
+            be.embed("a fox")
+
     def test_declared_dimension_enforced(self):
         payload = {"data": [{"embedding": [0.5, 0.5, 0.5]}]}
         be, _ = backend(
