@@ -360,16 +360,8 @@ class CallRecord:
     response_digest: Optional[str] = None
 
     def summary(self) -> dict:
-        return {
-            "op": self.op,
-            "digest": self.digest,
-            "ok": self.ok,
-            "attempts": self.attempts,
-            "latency_s": round(self.latency_s, 6),
-            "model": self.model,
-            "error": self.error,
-            "response_digest": self.response_digest,
-        }
+        """The fields by name, in declared order (``__init__`` sets them so)."""
+        return dict(vars(self), latency_s=round(self.latency_s, 6))
 
 
 class CallJournal:

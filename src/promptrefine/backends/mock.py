@@ -8,6 +8,14 @@ responses is consumed call by call (the last one repeats). A response may be a
 attributes (``status``, ``retry_after``) is raised at the transport layer and
 is therefore subject to the normal retry policy.
 
+Each operation has its own entries (see ``_OPS``): ``script_text``,
+``script_vqa``, ``script_image`` and ``script_embed`` add them, as do a script
+file's ``text``, ``vqa``, ``image`` and ``embed`` sections. A text entry may
+also ask for a preamble glob, and a VQA entry for the digest of the image in
+question. A scripted value must have its operation's type (text, image bytes
+or a vector); a value of another type is a MockMiss, as is a request that no
+entry matches.
+
 A ``responses`` list belongs to the backend, not to a run: every run that uses
 the backend shares its cursor. Under ``pipeline.run_batch`` concurrent runs
 consume one list in the order their requests arrive, so which run gets which
@@ -27,7 +35,7 @@ import threading
 from dataclasses import dataclass, replace
 from fnmatch import fnmatchcase
 from pathlib import Path
-from typing import Any, List, Optional, Union
+from typing import Any, Dict, List, NamedTuple, Optional, Union
 
 from promptrefine.backends.base import (
     AuthFailure,
@@ -62,10 +70,10 @@ class _Entry:
     match: str
     responses: List[Any]
     preamble: Optional[str] = None
-    image_digest: Optional[str] = None
+    image: Optional[str] = None  # the digest of the image a VQA request must show
     cursor: int = 0
 
-    def matches(self, digest: str, primary: str, preamble: str = "", image_digest: str = "") -> bool:
+    def matches(self, digest: str, primary: str, preamble: str = "", image: str = "") -> bool:
         if self.match.startswith("sha256:"):
             if self.match[len("sha256:") :] != digest:
                 return False
@@ -73,7 +81,7 @@ class _Entry:
             return False
         if self.preamble is not None and not fnmatchcase(preamble, self.preamble):
             return False
-        if self.image_digest is not None and self.image_digest != image_digest:
+        if self.image is not None and self.image != image:
             return False
         return True
 
@@ -95,77 +103,76 @@ def _as_list(response) -> List[Any]:
     return [response]
 
 
+class _Op(NamedTuple):
+    section: str  # its script-file section
+    type: type  # what its scripted values must be
+    hint: str  # the MockMiss hint for a value of another type
+
+
+_OPS = {
+    "complete": _Op("text", str, "text"),
+    "answer_binary": _Op("vqa", str, "text"),
+    "generate_image": _Op("image", bytes, "image bytes"),
+    "embed": _Op("embed", list, "a vector"),
+}
+
+
 class MockBackend(Backend):
     def __init__(self, config: Optional[BackendConfig] = None, image_dir=None, name: str = "mock"):
         if config is None:
             config = BackendConfig(model=name, backoff_base=0.0)
         super().__init__(config, image_dir=image_dir)
-        self._text: List[_Entry] = []
-        self._vqa: List[_Entry] = []
-        self._image: List[_Entry] = []
-        self._embed: List[_Entry] = []
+        self._entries: Dict[str, List[_Entry]] = {op: [] for op in _OPS}  # op -> its entries in order
         self._script_lock = threading.Lock()
 
     # -- scripting ---------------------------------------------------------
-    def script_text(self, match: str, response, preamble: Optional[str] = None) -> "MockBackend":
-        self._text.append(_Entry(match, _as_list(response), preamble=preamble))
+    def _script(self, op: str, match: str, responses, **filters) -> "MockBackend":
+        self._entries[op].append(_Entry(match, _as_list(responses), **filters))
+        if op == "embed" and not self.config.supports_embedding:
+            self.config = replace(self.config, supports_embedding=True)
         return self
 
+    def script_text(self, match: str, response, preamble: Optional[str] = None) -> "MockBackend":
+        return self._script("complete", match, response, preamble=preamble)
+
     def script_vqa(self, match: str, response, image_digest: Optional[str] = None) -> "MockBackend":
-        self._vqa.append(_Entry(match, _as_list(response), image_digest=image_digest))
-        return self
+        return self._script("answer_binary", match, response, image=image_digest)
 
     def script_image(self, match: str, response) -> "MockBackend":
         """Script image bytes, or base64 text (decoded here, see
         ``_image_bytes``); an image of no bytes is a ValueError."""
-        self._image.append(_Entry(match, [_image_bytes(v) for v in _as_list(response)]))
-        return self
+        return self._script("generate_image", match, [_image_bytes(v) for v in _as_list(response)])
 
     def script_embed(self, match: str, response) -> "MockBackend":
-        self._embed.append(_Entry(match, _as_list(response)))
-        if not self.config.supports_embedding:
-            self.config = replace(self.config, supports_embedding=True)
-        return self
+        return self._script("embed", match, response)
 
     # -- transport hooks -----------------------------------------------------
-    def _lookup(self, entries: List[_Entry], op: str, digest: str, primary: str, **kw):
+    def _answer(self, op: str, digest: str, primary: str, **filters):
+        """The next response of the first entry of ``op`` that matches, which
+        must be of the op's type; MockMiss if there is none."""
         with self._script_lock:
-            for entry in entries:
-                if entry.matches(digest, primary, **kw):
-                    return entry.next_response()
-        raise MockMiss(op, digest, hint=primary[:80])
+            for entry in self._entries[op]:
+                if entry.matches(digest, primary, **filters):
+                    value = entry.next_response()
+                    break
+            else:
+                raise MockMiss(op, digest, hint=primary[:80])
+        if not isinstance(value, _OPS[op].type):
+            raise MockMiss(op, digest, hint=f"scripted value is not {_OPS[op].hint}")
+        return value
 
     def _send_text(self, req: TextGenRequest) -> str:
-        value = self._lookup(self._text, "complete", request_digest(req), req.input, preamble=req.preamble)
-        if not isinstance(value, str):
-            raise MockMiss("complete", request_digest(req), hint="scripted value is not text")
-        return value
+        return self._answer("complete", request_digest(req), req.input, preamble=req.preamble)
 
     def _send_vqa(self, req: VqaRequest) -> str:
-        value = self._lookup(
-            self._vqa,
-            "answer_binary",
-            request_digest(req),
-            req.question,
-            image_digest=req.image.locator() or "",
-        )
-        if not isinstance(value, str):
-            raise MockMiss("answer_binary", request_digest(req), hint="scripted value is not text")
-        return value
+        return self._answer("answer_binary", request_digest(req), req.question, image=req.image.locator() or "")
 
     def _send_image(self, req: ImageGenRequest) -> bytes:
-        value = self._lookup(self._image, "generate_image", request_digest(req), req.prompt)
-        if not isinstance(value, bytes):
-            raise MockMiss("generate_image", request_digest(req), hint="scripted value is not image bytes")
-        return value
+        return self._answer("generate_image", request_digest(req), req.prompt)
 
     def _send_embed(self, payload: Union[str, ImageRef]) -> List[float]:
         primary = payload if isinstance(payload, str) else payload.locator()
-        digest = embed_digest(payload)
-        value = self._lookup(self._embed, "embed", digest, primary)
-        if not isinstance(value, list):
-            raise MockMiss("embed", digest, hint="scripted value is not a vector")
-        return [float(v) for v in value]
+        return [float(v) for v in self._answer("embed", embed_digest(payload), primary)]
 
     # -- script files -------------------------------------------------------
     @classmethod
@@ -176,14 +183,9 @@ class MockBackend(Backend):
         malformed one raises SchemaViolation naming the field."""
         script = read(loads(Path(path).read_text(encoding="utf-8")), _SCRIPT)
         backend = cls(config, image_dir=image_dir)
-        for e in script["text"]:
-            backend.script_text(e["match"], e["responses"], preamble=e["preamble"])
-        for e in script["vqa"]:
-            backend.script_vqa(e["match"], e["responses"], image_digest=e["image"])
-        for e in script["image"]:
-            backend.script_image(e["match"], e["responses"])
-        for e in script["embed"]:
-            backend.script_embed(e["match"], e["responses"])
+        for op, spec in _OPS.items():
+            for entry in script[spec.section]:
+                backend._script(op, **entry)
         return backend
 
 

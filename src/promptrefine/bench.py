@@ -232,15 +232,27 @@ def aggregate(items: List[ItemResult], mode: str = "both") -> BenchReport:
 
 
 def clip_relevance(text_vec: Sequence[float], image_vec: Sequence[float]) -> float:
-    """CLIP_SCALE times the zero-clipped cosine similarity of two embeddings."""
+    """CLIP_SCALE times the cosine similarity of two embeddings, clipped to
+    [0, 1]. Any two finite vectors of one length have one, unless either is
+    all zeros (ZeroVector)."""
     if len(text_vec) != len(image_vec):
         raise DimensionMismatch(f"dimensions differ: {len(text_vec)} vs {len(image_vec)}")
+    text_vec, image_vec = _scaled(text_vec), _scaled(image_vec)
     dot = math.fsum(a * b for a, b in zip(text_vec, image_vec))
     norm_a = math.sqrt(math.fsum(a * a for a in text_vec))
     norm_b = math.sqrt(math.fsum(b * b for b in image_vec))
     if norm_a == 0.0 or norm_b == 0.0:
         raise ZeroVector("embeddings must be nonzero")
-    return CLIP_SCALE * max(dot / (norm_a * norm_b), 0.0)
+    # Rounding can put the cosine of two parallel vectors a little above 1.
+    return CLIP_SCALE * min(max(dot / (norm_a * norm_b), 0.0), 1.0)
+
+
+def _scaled(vec: Sequence[float]) -> List[float]:
+    """``vec`` times the power of two that puts its largest magnitude in
+    [0.5, 1). The cosine does not change, and the scaling is exact, so no
+    square overflows and a nonzero vector keeps a nonzero norm."""
+    shift = math.frexp(max(map(abs, vec), default=0.0))[1]
+    return [math.ldexp(v, -shift) for v in vec]
 
 
 def _cell(value: Optional[float]) -> str:

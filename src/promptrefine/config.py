@@ -41,16 +41,15 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import fields
 from pathlib import Path
-from typing import Optional, Union, get_args, get_type_hints
+from typing import Optional, Union
 
 import yaml
 
 from promptrefine.backends import BackendConfig, HttpBackend, MockBackend
 from promptrefine.optimizer import load_keyword_table
 from promptrefine.pipeline import Backends, PipelineConfig
-from promptrefine.scene_graph import Field, Schema, SchemaViolation, read
+from promptrefine.scene_graph import Field, Schema, SchemaViolation, declared, read
 from promptrefine.templates import TemplateError, load_template_set
 
 _ENV_VAR = re.compile(r"\$\{(\w+)\}")
@@ -64,20 +63,9 @@ _TOP_KEYS = {"backends", "pipeline", "templates", "keywords"}
 _ROLES = (Field("llm", dict), Field("vqa", dict), Field("t2i", dict), Field("embed", dict, None))
 
 
-def _declared(cls, skip=()) -> tuple:
-    """A Field for each field of the dataclass ``cls`` not in ``skip``, of its
-    declared type (X for Optional[X]) and with its default."""
-    hints = get_type_hints(cls)
-    return tuple(
-        Field(f.name, (get_args(hints[f.name]) or (hints[f.name],))[0], f.default)
-        for f in fields(cls)
-        if f.name not in skip
-    )
-
-
-_BACKEND_FIELDS = _declared(BackendConfig)
+_BACKEND_FIELDS = declared(BackendConfig)
 # backends, templates, keywords and out_dir come from other sections or the caller.
-_PIPELINE_KEYS = (Field("workdir", str, None),) + _declared(
+_PIPELINE_KEYS = (Field("workdir", str, None),) + declared(
     PipelineConfig, skip=("backends", "templates", "keywords", "out_dir")
 )
 

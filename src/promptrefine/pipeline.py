@@ -341,13 +341,7 @@ _OUTCOME = sg.Schema(
     sg.Field("expansion", _EXPANSION, None),
     sg.Field("transcripts", {str: str}, {}),
 )
-_IMAGE_REF = sg.Schema(
-    ImageRef,
-    sg.Field("path", str, None),
-    sg.Field("digest", str, None),
-    sg.Field("remote_id", str, None),
-    sg.Field("media_type", str, "image/png"),
-)
+_IMAGE_REF = sg.Schema(ImageRef, *sg.declared(ImageRef))
 
 
 def _record(graph, reports, **fields) -> RunRecord:

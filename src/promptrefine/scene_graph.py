@@ -13,16 +13,19 @@ Tuples and graphs are persisted as the JSON documents of ``tuple_to_doc`` and
 program reads back (records, graphs, datasets, mock scripts): it checks each
 field against a ``Schema`` and names the field of the first fault. ``write``
 is its inverse, so a document written through a Schema reads back through it.
+``declared`` gives the Fields of a dataclass, for a Schema that builds one.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from copy import copy
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import get_args, get_type_hints
 
 # Guard against runaway model output.
 MAX_QUESTIONS = 200
@@ -316,9 +319,7 @@ def parse_dependencies(raw: str) -> Set[DependencyEdge]:
             if len(parents) > 1:
                 raise MalformedLine(no, line, "'0' (no parents) cannot be combined with parent ids")
             continue
-        for parent in parents:
-            if parent == child:
-                raise SelfDependency(child)
+        for parent in parents:  # DependencyEdge refuses a self-dependency
             edges.add(DependencyEdge(parent=parent, child=child))
     return edges
 
@@ -482,6 +483,23 @@ class Schema:
         self.fields = fields
 
 
+def declared(cls, skip=()) -> Tuple[Field, ...]:
+    """A Field for each field of the dataclass ``cls`` not in ``skip``, of its
+    declared type (X for Optional[X]) and with its default, or REQUIRED if it
+    has no default value (a default_factory included). A field of any other
+    hint (a container, a Union of two types) is a TypeError, as ``read``
+    would check its values against the wrong kind."""
+    hints = get_type_hints(cls)
+    out = []
+    for f in (f for f in dataclasses.fields(cls) if f.name not in skip):
+        hint = hints[f.name]
+        kind = next((a for a in get_args(hint) if a is not type(None)), hint)  # X for Optional[X]
+        if kind is Any or not isinstance(kind, type) or hint not in (kind, Optional[kind]):
+            raise TypeError(f"{cls.__name__}.{f.name}: {hint} is not a type or Optional of one")
+        out.append(Field(f.name, kind, REQUIRED if f.default is dataclasses.MISSING else f.default))
+    return tuple(out)
+
+
 def loads(text: str, path: str = ""):
     """``json.loads``; text that is not JSON is a SchemaViolation at ``path``."""
     try:
@@ -594,7 +612,7 @@ GRAPH = Schema(
     _graph,
     Field("source_prompt", str),
     Field("tuples", [TUPLE]),
-    Field("questions", [Schema(Question, Field("id", int), Field("text", str))]),
+    Field("questions", [Schema(Question, *declared(Question))]),
     Field("edges", [(int, int)]),
 )
 

@@ -289,6 +289,10 @@ class TestWriteFileAtomic:
         assert (tmp_path / "a.json").read_bytes() == b"old"
 
 
+VQA_REQ = VqaRequest(ImageRef(remote_id="img"), "Is it red?")
+IMAGE_REQ = ImageGenRequest(prompt="a cat")
+
+
 class TestMockScripting:
     def test_scripted_digest_lookup(self):
         req = text_req("decompose this")
@@ -353,6 +357,23 @@ class TestMockScripting:
         with pytest.raises(TransportError) as exc:
             backend.complete(text_req("x"))
         assert (exc.value.status, str(exc.value)) == (503, "boom (status 503)")
+
+    @pytest.mark.parametrize(
+        "op, script, call, digest, kind",
+        [
+            ("complete", "script_text", lambda b: b.complete(text_req("x")), request_digest(text_req("x")), "text"),
+            ("answer_binary", "script_vqa", lambda b: b.answer_binary(VQA_REQ), request_digest(VQA_REQ), "text"),
+            ("generate_image", "script_image", lambda b: b.generate_image(IMAGE_REQ), request_digest(IMAGE_REQ),
+             "image bytes"),
+            ("embed", "script_embed", lambda b: b.embed("a cat"), embed_digest("a cat"), "a vector"),
+        ],
+    )
+    def test_a_scripted_value_of_the_wrong_type_is_a_miss(self, op, script, call, digest, kind):
+        backend = getattr(MockBackend(), script)("*", "text" if op == "embed" else 7)
+        with pytest.raises(MockMiss) as exc:
+            call(backend)
+        assert (exc.value.op, exc.value.digest) == (op, digest)
+        assert str(exc.value).endswith(f"{digest} (scripted value is not {kind})")
 
     def test_a_scripted_mock_miss_is_raised_as_a_new_instance(self):
         miss = MockMiss("complete", "abc")

@@ -6,6 +6,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from promptrefine import bench
 from promptrefine.backends import AuthFailure, CallJournal, MockBackend, TransportError, recording
@@ -391,6 +393,13 @@ class TestRunBenchmark:
             run_benchmark(items, bench_cfg(tmp_path, vqa), mode="nope")
 
 
+def nonzero_pairs(component):
+    """Two vectors of one length from 1 to 8, each with a nonzero component."""
+    return st.integers(1, 8).flatmap(
+        lambda n: st.tuples(*[st.lists(component, min_size=n, max_size=n).filter(any)] * 2)
+    )
+
+
 class TestClipRelevance:
     def test_identical_unit_vectors(self):
         assert clip_relevance([1.0, 0.0], [1.0, 0.0]) == pytest.approx(100.0)
@@ -425,6 +434,23 @@ class TestClipRelevance:
     def test_symmetry(self):
         a, b = [0.3, 0.4, 0.5], [0.1, 0.9, 0.2]
         assert clip_relevance(a, b) == pytest.approx(clip_relevance(b, a))
+
+    @pytest.mark.parametrize("magnitude", [1e200, 1e-200])
+    def test_huge_and_tiny_vectors_keep_their_cosine(self, magnitude):
+        vec = [magnitude, magnitude]
+        assert clip_relevance(vec, vec) == 100.0
+
+    @given(nonzero_pairs(st.floats(allow_nan=False, allow_infinity=False)))
+    def test_any_finite_nonzero_pair_scores_within_0_and_100(self, pair):
+        assert 0.0 <= clip_relevance(*pair) <= 100.0
+
+    # Components of 0 or of magnitude 2**-830 to 2**830 stay normal when scaled by 2**60 either way.
+    @given(nonzero_pairs(st.one_of(st.just(0.0), st.floats(1e-250, 1e250), st.floats(-1e250, -1e-250))),
+           st.integers(-60, 60), st.integers(-60, 60))
+    def test_scaling_by_a_power_of_two_keeps_the_score_bit_identical(self, pair, j, k):
+        a, b = pair
+        scaled = clip_relevance([math.ldexp(x, j) for x in a], [math.ldexp(y, k) for y in b])
+        assert scaled == clip_relevance(a, b)
 
 
 class TestRenderReport:

@@ -7,6 +7,7 @@ import copy
 import dataclasses
 import json
 from pathlib import Path
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -22,7 +23,7 @@ from promptrefine.pipeline import (
     record_to_doc,
     run_single,
 )
-from promptrefine.scene_graph import SchemaViolation, graph_to_doc
+from promptrefine.scene_graph import REQUIRED, Field, SchemaViolation, declared, graph_to_doc
 
 from fixtures import MOTORCYCLE_PROMPT, motorcycle_backends, motorcycle_graph
 
@@ -291,3 +292,21 @@ class TestMockScript:
             MockBackend.from_file(path, image_dir=tmp_path)
         except SchemaViolation:
             pass
+
+
+class TestDeclared:
+    def test_fields_in_order_with_their_type_and_default(self):
+        cls = dataclasses.make_dataclass(
+            "Throwaway",
+            [("a", int), ("b", Optional[str], None), ("c", "float | None", 1.5), ("d", bool, True)],
+        )
+        assert declared(cls, skip=("d",)) == (Field("a", int), Field("b", str, None), Field("c", float, 1.5))
+        assert Field("a", int).default is REQUIRED
+
+    @pytest.mark.parametrize("hint", [Tuple[int, ...], Dict[str, float], Union[int, str], List[int],
+                                      Optional[Union[int, str]], Any, list[int]])
+    def test_a_field_that_is_not_a_type_or_optional_of_one_is_a_type_error(self, hint):
+        cls = dataclasses.make_dataclass("Throwaway", [("ok", int), ("bad", hint)])
+        with pytest.raises(TypeError, match="Throwaway.bad"):
+            declared(cls)
+        assert declared(cls, skip=("bad",)) == (Field("ok", int),)

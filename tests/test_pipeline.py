@@ -102,7 +102,7 @@ class TestRunSingle:
 
     def test_pregiven_graph_skips_build(self, tmp_path):
         backends = motorcycle_backends(tmp_path / "images")
-        backends.llm._text = backends.llm._text[3:]  # drop the DSG stage scripts
+        backends.llm._entries["complete"] = backends.llm._entries["complete"][3:]  # drop the DSG stage scripts
         cfg = pipeline_cfg(tmp_path, backends=backends)
         record = run_single(MOTORCYCLE_PROMPT, cfg, graph=motorcycle_graph())
         assert record.status == "completed"

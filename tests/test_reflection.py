@@ -143,7 +143,7 @@ class TestBuildDsg:
 
     def test_invalid_tuple_output_retried(self, templates, journal):
         llm = scripted_llm()
-        llm._text[0].responses = ["garbage", "more garbage", MOTORCYCLE_TUPLES]
+        llm._entries["complete"][0].responses = ["garbage", "more garbage", MOTORCYCLE_TUPLES]
         graph = build_dsg(MOTORCYCLE_PROMPT, llm, templates)
         assert graph == motorcycle_graph()
         assert len(journal) == 5  # 3 tuple attempts + questions + dependencies
@@ -157,13 +157,13 @@ class TestBuildDsg:
 
     def test_question_id_mismatch_retries_question_stage(self, templates):
         llm = scripted_llm()
-        llm._text[1].responses = ["1 | Only one question?", MOTORCYCLE_QUESTIONS]
+        llm._entries["complete"][1].responses = ["1 | Only one question?", MOTORCYCLE_QUESTIONS]
         graph = build_dsg(MOTORCYCLE_PROMPT, llm, templates)
         assert graph == motorcycle_graph()
 
     def test_cyclic_dependencies_retry_dependency_stage(self, templates):
         llm = scripted_llm()
-        llm._text[2].responses = [
+        llm._entries["complete"][2].responses = [
             "1 | 2\n2 | 1\n3 | 0\n4 | 0\n5 | 0",
             MOTORCYCLE_DEPENDENCIES,
         ]
@@ -234,7 +234,7 @@ class TestConcurrentBuildDsg:
 
     def test_question_id_mismatch_reasks_only_the_questions_stage(self, templates, journal):
         llm = slow_llm()
-        llm._text[1].responses = ["1 | Only one question?", MOTORCYCLE_QUESTIONS]
+        llm._entries["complete"][1].responses = ["1 | Only one question?", MOTORCYCLE_QUESTIONS]
         assert build_dsg(MOTORCYCLE_PROMPT, llm, templates) == motorcycle_graph()
         assert [r.response_digest for r in journal.records()] == response_digests(
             MOTORCYCLE_TUPLES, "1 | Only one question?", MOTORCYCLE_QUESTIONS, MOTORCYCLE_DEPENDENCIES
@@ -243,7 +243,7 @@ class TestConcurrentBuildDsg:
     def test_a_cycle_reasks_only_the_dependencies_stage(self, templates, journal):
         cyclic = "1 | 2\n2 | 1\n3 | 0\n4 | 0\n5 | 0"
         llm = slow_llm()
-        llm._text[2].responses = [cyclic, MOTORCYCLE_DEPENDENCIES]
+        llm._entries["complete"][2].responses = [cyclic, MOTORCYCLE_DEPENDENCIES]
         assert build_dsg(MOTORCYCLE_PROMPT, llm, templates) == motorcycle_graph()
         assert [r.response_digest for r in journal.records()] == response_digests(
             MOTORCYCLE_TUPLES, MOTORCYCLE_QUESTIONS, cyclic, MOTORCYCLE_DEPENDENCIES
