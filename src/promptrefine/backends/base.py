@@ -35,10 +35,13 @@ class BackendError(Exception):
 
 
 class TransportError(BackendError):
-    retryable = True
+    """A failed exchange. With no status (the connection or the body failed),
+    a 408 or 425, or a server error it is retried; any other client error
+    would meet the same answer again, so it is not."""
 
     def __init__(self, message: str, status: Optional[int] = None):
         self.status = status
+        self.retryable = status is None or status in (408, 425) or status >= 500
         super().__init__(message if status is None else f"{message} (status {status})")
 
 

@@ -61,7 +61,9 @@ def cmd_optimize(args) -> int:
     cfg = dataclasses.replace(cfg, **overrides)
     record = run_single(args.prompt, cfg)
     _print_record(record)
-    if cfg.out_dir is not None:
+    # A run that failed before its record could not be written keeps its
+    # own failed_stage, so whether the directory was written is read from it.
+    if cfg.out_dir is not None and (Path(cfg.out_dir) / record.run_id / "record.json").exists():
         print(f"  record dir: {Path(cfg.out_dir) / record.run_id}")
     return _record_exit_code(record)
 

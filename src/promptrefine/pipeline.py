@@ -1,8 +1,9 @@
 """End-to-end orchestration: generate, reflect, optimize, regenerate.
 
 One run produces a RunRecord holding every prompt, image reference, report,
-and backend call summary. Stage failures mark the record failed and keep the
-partial state; run_single never raises for stage-level errors.
+and backend call summary. A failed stage, or a record that cannot be written,
+marks the record failed and keeps the partial state; run_single raises only
+for an empty prompt.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import time
 import uuid
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
@@ -91,24 +92,29 @@ class PipelineConfig:
         return self.templates if self.templates is not None else default_template_set()
 
 
-@dataclass
-class RunRecord:
-    """Persisted trace of one pipeline execution."""
+def _now() -> str:
+    return datetime.now(timezone.utc).isoformat()
 
-    run_id: str
-    created_at: str
-    status: str  # "completed" | "failed"
-    failed_stage: Optional[str]
-    error: Optional[str]
-    error_kind: Optional[str]
-    converged: bool
+
+@dataclass(kw_only=True)
+class RunRecord:
+    """Persisted trace of one pipeline execution. Only the prompt history is
+    required: a new record is completed and empty, with a fresh run id."""
+
+    run_id: str = field(default_factory=lambda: uuid.uuid4().hex)
+    created_at: str = field(default_factory=_now)
+    status: str = "completed"  # "completed" | "failed"
+    failed_stage: Optional[str] = None
+    error: Optional[str] = None
+    error_kind: Optional[str] = None
+    converged: bool = False
     prompt_history: List[Tuple[str, str]]
-    image_refs: List[Tuple[str, ImageRef, int]]
-    graph: Optional[sg.SceneGraph]
-    reports: List[ReflectionReport]
-    outcome: Optional[OptimizationOutcome]
-    backend_journal: List[dict]
-    timings: Dict[str, float]
+    image_refs: List[Tuple[str, ImageRef, int]] = field(default_factory=list)
+    graph: Optional[sg.SceneGraph] = None
+    reports: List[ReflectionReport] = field(default_factory=list)
+    outcome: Optional[OptimizationOutcome] = None
+    backend_journal: List[dict] = field(default_factory=list)
+    timings: Dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.prompt_history:
@@ -127,7 +133,15 @@ def _error_kind(exc: Exception) -> str:
         return "stage_exhausted"
     if isinstance(exc, sg.GraphError):
         return "graph"
+    if isinstance(exc, (IoFailure, OSError)):
+        return "io"
     return "other"
+
+
+def _failure(stage: str, exc: Exception) -> dict:
+    """The RunRecord fields of a run that ``exc`` ended at ``stage``."""
+    error = f"{type(exc).__name__}: {exc}"
+    return dict(status="failed", failed_stage=stage, error=error, error_kind=_error_kind(exc))
 
 
 def run_single(
@@ -151,6 +165,13 @@ def run_single(
     generate's, where the build was submitted. If the generate fails, its
     error is the run's, and the build's calls are still journaled. The run's
     journal is its own: an enclosing ``recording`` sees none of its calls.
+
+    With ``cfg.out_dir`` set, the record is persisted there. The run never
+    raises for a stage's error or for a record it cannot write (only for an
+    empty prompt): a failed stage ends the run failed at that stage, and a
+    failed write fails it at ``persist`` with error_kind ``io``, unless the
+    run had already failed, which keeps its first failure. Either way the
+    record keeps what the run had done.
     """
     if not prompt.strip():
         raise ValueError("prompt must be non-empty")
@@ -176,7 +197,7 @@ def run_single(
     reports: List[ReflectionReport] = []
     outcome: Optional[OptimizationOutcome] = None
     converged = False
-    status, failed_stage, error, error_kind = "completed", None, None, None
+    failure: dict = {}
 
     build, build_error = None, None
     current = prompt
@@ -230,19 +251,10 @@ def run_single(
                 current = outcome.decorated_prompt
                 prompt_history.append((f"{label}.optimized", current))
     except Exception as exc:  # noqa: BLE001 - stage failures become failed records
-        status = "failed"
-        failed_stage = stage
-        error = f"{type(exc).__name__}: {exc}"
-        error_kind = _error_kind(exc)
-        logger.warning("run failed at stage %s: %s", stage, error)
+        failure = _failure(stage, exc)
+        logger.warning("run failed at stage %s: %s", stage, failure["error"])
 
     record = RunRecord(
-        run_id=uuid.uuid4().hex,
-        created_at=datetime.now(timezone.utc).isoformat(),
-        status=status,
-        failed_stage=failed_stage,
-        error=error,
-        error_kind=error_kind,
         converged=converged,
         prompt_history=prompt_history,
         image_refs=image_refs,
@@ -251,9 +263,15 @@ def run_single(
         outcome=outcome,
         backend_journal=journal.summaries(),
         timings=timings,
+        **failure,
     )
     if cfg.out_dir is not None:
-        persist_record(record, cfg.out_dir)
+        try:
+            persist_record(record, cfg.out_dir)
+        except IoFailure as exc:
+            logger.warning("run %s was not persisted: %s", record.run_id, exc)
+            if not failure:  # a run that failed before keeps its first failure
+                record = replace(record, **_failure("persist", exc))
     return record
 
 
@@ -267,22 +285,7 @@ def run_batch(prompts: List[str], cfg: PipelineConfig) -> List[RunRecord]:
             return run_single(prompt, cfg)
         except Exception as exc:  # noqa: BLE001 - a batch survives any item
             logger.error("unexpected failure for prompt %r: %s", prompt, exc)
-            return RunRecord(
-                run_id=uuid.uuid4().hex,
-                created_at=datetime.now(timezone.utc).isoformat(),
-                status="failed",
-                failed_stage="setup",
-                error=f"{type(exc).__name__}: {exc}",
-                error_kind=_error_kind(exc),
-                converged=False,
-                prompt_history=[("user", prompt)],
-                image_refs=[],
-                graph=None,
-                reports=[],
-                outcome=None,
-                backend_journal=[],
-                timings={},
-            )
+            return RunRecord(prompt_history=[("user", prompt)], **_failure("setup", exc))
 
     with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
         records = list(pool.map(one, prompts))

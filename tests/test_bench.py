@@ -10,7 +10,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from promptrefine import bench
-from promptrefine.backends import AuthFailure, CallJournal, MockBackend, TransportError, recording
+from promptrefine.backends import (
+    AuthFailure,
+    BackendTimeout,
+    CallJournal,
+    ContentRejected,
+    MockBackend,
+    RateLimited,
+    TransportError,
+    recording,
+)
 from promptrefine.backends.base import embed_digest
 from promptrefine.bench import (
     BenchReport,
@@ -40,7 +49,9 @@ from fixtures import (
     MOTORCYCLE_PROMPT,
     MOTORCYCLE_QUESTIONS,
     MOTORCYCLE_TUPLES,
+    PNG_BLACK,
     PNG_WHITE,
+    STAGE_MARKERS,
     Gauge,
     SlowMock,
     motorcycle_backends,
@@ -487,3 +498,117 @@ class TestRenderReport:
         md = render_report(report, "markdown")
         cv = render_report(report, "csv")
         assert "75.0" in md and "75.0" in cv
+
+
+# -- fault sweep ------------------------------------------------------------
+
+# Each fault's scripted response and the error_kind it ends its item with:
+# "garbage" is text no stage parses, "maybe" a VQA reply that neither the
+# question nor its stricter re-ask gets past, and "unscripted" a request the
+# mock has no entry for.
+SWEEP_FAULTS = {
+    "transport": (TransportError("down"), "backend"),
+    "timeout": (BackendTimeout("slow"), "backend"),
+    "rate_limited": (RateLimited(), "backend"),
+    "auth": (AuthFailure("denied"), "backend"),
+    "content_rejected": (ContentRejected("refused"), "backend"),
+    "garbage": ("| garbage |\n| garbage |", "stage_exhausted"),
+    "maybe": ("maybe", "backend"),
+    "unscripted": (None, "backend"),
+}
+DSG_STAGES = ("tuples", "questions", "dependencies")
+TEXT_STAGES = DSG_STAGES + ("expansion", "regeneration", "decoration")
+# The stage a run fails at when the entry of each key fails.
+SWEEP_STAGE = {
+    **{stage: "build_dsg" if stage in DSG_STAGES else "optimize" for stage in TEXT_STAGES},
+    "vqa-present": "evaluate",
+    "vqa-red": "evaluate",
+    "image": "generate",
+    "image-final": "final_generate",
+}
+
+
+def sweep_entries(tag):
+    """key -> (op, match, response, filters): every request of the item
+    tagged ``tag``, which runs one optimize round and scores 0.5, then 1.0.
+    Every match names the tag, so one item's entries answer no other's."""
+    prompt, regenerated = f"a kite {tag} in the sky", f"a red kite {tag} in the sky"
+    text = {
+        "tuples": f"1 | entity - whole (kite {tag})\n2 | attribute - color (kite {tag}, red)",
+        "questions": f"1 | Is there a kite {tag} here?\n2 | Is the kite {tag} red?",
+        "dependencies": "1 | 0\n2 | 1",
+        "expansion": f"3 | attribute - color (kite {tag}, bright red)",
+        "regeneration": regenerated,
+        "decoration": "best quality, soft lighting",
+    }
+    entries = {
+        stage: ("complete", f"*kite {tag} *", response, {"preamble": STAGE_MARKERS[stage]})
+        for stage, response in text.items()
+    }
+    # A trailing * also matches the stricter re-ask of an unparsed answer.
+    entries["vqa-present"] = ("answer_binary", f"Is there a kite {tag} here?*", "yes", {})
+    entries["vqa-red"] = ("answer_binary", f"Is the kite {tag} red?*", ["no", "yes"], {})
+    entries["image"] = ("generate_image", prompt, PNG_WHITE, {})
+    entries["image-final"] = ("generate_image", f"{regenerated}, best quality, soft lighting", PNG_BLACK, {})
+    return entries
+
+
+def sweep_run(tmp_path, n, faults=None, out_dir=None, image_dir=None):
+    """run_benchmark over ``n`` tagged items. ``faults`` maps a tag to a
+    (fault, entry key): that entry of the item answers with the fault, or is
+    left out for "unscripted"."""
+    faults = faults or {}
+    llm, vqa = MockBackend(name="llm"), MockBackend(name="vqa")
+    t2i = MockBackend(name="t2i", image_dir=image_dir or tmp_path / "img")
+    script = {"complete": llm.script_text, "answer_binary": vqa.script_vqa, "generate_image": t2i.script_image}
+    dataset = []
+    for k in range(n):
+        tag = f"k{k:02d}"
+        dataset.append(DatasetItem(item_id=tag, category="ab"[k % 2], prompt=f"a kite {tag} in the sky"))
+        entries = sweep_entries(tag)
+        if tag in faults:
+            fault, key = faults[tag]
+            op, match, _, filters = entries.pop(key)
+            if fault != "unscripted":
+                entries[key] = (op, match, SWEEP_FAULTS[fault][0], filters)
+        for op, match, response, filters in entries.values():
+            script[op](match, response, **filters)
+    cfg = PipelineConfig(backends=Backends(llm=llm, vqa=vqa, t2i=t2i), width=64, height=64, seed=7, out_dir=out_dir)
+    return run_benchmark(dataset, cfg, mode="both")
+
+
+class TestFaultSweep:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_every_fault_ends_its_own_item_classified(self, tmp_path, seed):
+        rng = random.Random(seed)
+        n = len(SWEEP_FAULTS) + 4
+        tags = rng.sample([f"k{k:02d}" for k in range(n)], len(SWEEP_FAULTS))
+        faults = {}
+        for tag, fault in zip(tags, SWEEP_FAULTS):
+            keys = {"garbage": TEXT_STAGES, "maybe": ("vqa-present", "vqa-red")}.get(fault, tuple(SWEEP_STAGE))
+            faults[tag] = (fault, rng.choice(keys))
+
+        clean = sweep_run(tmp_path / "clean", n)
+        report = sweep_run(tmp_path / "faulted", n, faults)
+        assert clean.failed_count == 0
+        assert report.failed_count == len(faults)
+        for item, reference in zip(report.items, clean.items):
+            if item.item_id not in faults:
+                assert item.error is None
+                scores = (item.baseline_score, item.optimized_score)
+                assert scores == (reference.baseline_score, reference.optimized_score) == (0.5, 1.0)
+                continue
+            fault, key = faults[item.item_id]
+            assert item.error_kind == SWEEP_FAULTS[fault][1], (fault, key, item.error)
+            assert item.error.startswith(f"RuntimeError: pipeline failed at {SWEEP_STAGE[key]}: "), (fault, key)
+
+    @pytest.mark.parametrize("where, stage", [("out_dir", "persist"), ("image_dir", "generate")])
+    def test_an_unwritable_directory_fails_every_item_as_io(self, tmp_path, where, stage):
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        report = sweep_run(tmp_path, 3, **{where: blocker / "dir"})
+        assert report.failed_count == 3
+        assert [i.error_kind for i in report.items] == ["io"] * 3
+        assert all(i.error.startswith(f"RuntimeError: pipeline failed at {stage}: ") for i in report.items)
+        if stage == "persist":  # the form the benchmark's item check reads
+            assert report.items[0].error.startswith("RuntimeError: pipeline failed at persist: IoFailure: ")

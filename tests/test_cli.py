@@ -367,6 +367,7 @@ class TestCliOptimize:
         run_dirs = list(out.iterdir())
         assert len(run_dirs) == 1
         assert (run_dirs[0] / "record.json").is_file()
+        assert f"  record dir: {run_dirs[0]}\n" in captured.out
 
     def test_config_error_exit_code(self, tmp_path):
         assert main(["optimize", "--prompt", "x", "--config", str(tmp_path / "nope.yaml")]) == 2
@@ -405,7 +406,22 @@ class TestCliOptimize:
              "--out", str(blocker / "runs")]
         )
         assert code == 1
-        assert "error: could not persist record:" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert "  failed at persist: IoFailure: could not persist record:" in out
+        assert "record dir:" not in out and err == ""
+
+    def test_a_failed_run_that_cannot_be_written_exits_with_its_own_kind(self, tmp_path, capsys):
+        write_script(tmp_path, t2i_error=True)
+        config = write_config(tmp_path)
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        code = main(
+            ["optimize", "--prompt", MOTORCYCLE_PROMPT, "--config", str(config),
+             "--out", str(blocker / "runs")]
+        )
+        assert code == 3
+        out = capsys.readouterr().out
+        assert "  failed at generate: TransportError:" in out and "record dir:" not in out
 
     def test_no_decorate_flag(self, tmp_path, capsys):
         script = json.loads(write_script(tmp_path).read_text())

@@ -44,7 +44,7 @@ from promptrefine.backends import (
 from promptrefine.backends import base as backends_base
 from promptrefine.backends import http
 from promptrefine.backends.base import sha256_hex
-from promptrefine.pipeline import Backends, PipelineConfig, run_single
+from promptrefine.pipeline import Backends, PipelineConfig, _error_kind, run_single
 from promptrefine.reflection import POOL_WORKERS, evaluate_image
 
 from fixtures import MOTORCYCLE_PROMPT, PNG_BLACK, PNG_WHITE, chain_graph, journal, motorcycle_graph
@@ -191,6 +191,20 @@ class TestChatCompletions:
         with pytest.raises(TransportError):
             be.complete(TextGenRequest(preamble="", exemplars=(), input="x"))
         assert len(session.calls) == 3  # max_retries + 1 attempts
+
+    @pytest.mark.parametrize("status", [400, 404, 422])
+    def test_a_client_error_fails_on_its_first_request(self, status):
+        be, session = backend([FakeResponse(status_code=status)], max_retries=2)
+        with pytest.raises(TransportError) as exc:
+            be.complete(TextGenRequest(preamble="", exemplars=(), input="x"))
+        assert len(session.calls) == 1
+        assert (exc.value.status, exc.value.retryable, _error_kind(exc.value)) == (status, False, "backend")
+
+    @pytest.mark.parametrize("status", [408, 425])
+    def test_a_request_timeout_or_too_early_is_retried(self, status):
+        be, session = backend([FakeResponse(status_code=status), FakeResponse(payload=chat_payload("ok"))])
+        assert be.complete(TextGenRequest(preamble="", exemplars=(), input="x")) == "ok"
+        assert len(session.calls) == 2
 
     def test_connection_error_maps_to_transport(self):
         be, session = backend([requests.ConnectionError("refused")], max_retries=1)

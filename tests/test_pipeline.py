@@ -272,6 +272,47 @@ class TestRunSingle:
         assert loaded.status == "failed"
         assert loaded.prompt_history == [("user", MOTORCYCLE_PROMPT)]
 
+    def test_a_record_that_cannot_be_written_fails_the_run_at_persist(self, tmp_path, caplog):
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        cfg = pipeline_cfg(tmp_path, out_dir=blocker / "runs")
+        with caplog.at_level("WARNING", logger="promptrefine.pipeline"):
+            record = run_single(MOTORCYCLE_PROMPT, cfg)
+        assert (record.status, record.failed_stage, record.error_kind) == ("failed", "persist", "io")
+        assert record.error.startswith("IoFailure: could not persist record:")
+        # everything the run did is kept
+        reference = run_single(MOTORCYCLE_PROMPT, pipeline_cfg(tmp_path))
+        failure = dict(status="failed", failed_stage="persist", error=record.error, error_kind="io")
+        assert normalized(record) == normalized(dataclasses.replace(reference, **failure))
+        assert set(record.timings) == set(reference.timings)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"run {record.run_id} was not persisted: {record.error[len('IoFailure: '):]}"
+        ]
+        assert not blocker.with_name("runs").exists()
+
+        [batched] = run_batch([MOTORCYCLE_PROMPT], pipeline_cfg(tmp_path, out_dir=blocker / "runs"))
+        assert normalized(batched) == normalized(dataclasses.replace(record, error=batched.error))
+        assert batched.error.startswith("IoFailure: could not persist record:")
+
+    def test_a_failed_run_that_cannot_be_written_keeps_its_first_failure(self, tmp_path):
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        backends = motorcycle_backends(tmp_path / "images")
+        backends.vqa = MockBackend(name="vqa").script_vqa("*", TransportError("down"))
+        record = run_single(MOTORCYCLE_PROMPT, pipeline_cfg(tmp_path, backends=backends, out_dir=blocker / "runs"))
+        assert (record.failed_stage, record.error_kind) == ("evaluate", "backend")
+        assert record.error == "TransportError: down"
+
+    def test_an_unwritable_image_directory_fails_the_generate_as_io(self, tmp_path):
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        backends = motorcycle_backends(blocker / "images")
+        out = tmp_path / "runs"
+        record = run_single(MOTORCYCLE_PROMPT, pipeline_cfg(tmp_path, backends=backends, out_dir=out))
+        assert (record.failed_stage, record.error_kind) == ("generate", "io")
+        assert record.image_refs == [] and record.graph is not None
+        assert load_record(out / record.run_id).error == record.error
+
 
 class TestRunBatch:
     def test_order_preserved(self, tmp_path):
