@@ -19,11 +19,12 @@ entry matches.
 A ``responses`` list belongs to the backend, not to a run: every run that uses
 the backend shares its cursor. Under ``pipeline.run_batch`` concurrent runs
 consume one list in the order their requests arrive, so which run gets which
-response changes from batch to batch. The questions of one DAG level are
-asked concurrently too unless the backend's last answer took under 1 ms (see
-``reflection.evaluate_image``), so a fresh mock's first level always is, and
-so are a bench item's embeds. A list under a glob that matches several of
-them is consumed in arrival order, not in question id order. To keep answers
+response changes from batch to batch. An evaluation's VQA questions are
+asked concurrently too, each as soon as its parents are answered yes, unless
+the backend's last answer took under 1 ms (see ``reflection.evaluate_image``),
+so a fresh mock's first evaluation always is, and so are a bench item's
+embeds. A list under a glob that matches several of them is consumed in
+arrival order, not in (level, id) order. To keep answers
 fixed, script each request by its exact text (or digest), and use a list only
 where one caller sends that request one call after another.
 """

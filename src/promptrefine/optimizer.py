@@ -199,8 +199,9 @@ def select_keywords(raw_line: str, prompt: str, table: KeywordClassTable) -> Lis
     """Filter a comma-separated keyword line down to the admissible set.
 
     Keeps emission order; drops duplicates, keywords already present in the
-    prompt, malformed created keywords, and anything beyond two per class.
-    Keywords not in the table count against the first class with room.
+    prompt (as a whole word or phrase, ignoring case: "4k" is not in "14k"),
+    malformed created keywords, and anything beyond two per class. Keywords
+    not in the table count against the first class with room.
     """
     counts = {name: 0 for name in table.class_names()}
     chosen: List[str] = []
@@ -211,7 +212,7 @@ def select_keywords(raw_line: str, prompt: str, table: KeywordClassTable) -> Lis
         if not keyword:
             continue
         key = keyword.lower()
-        if key in seen or key in prompt_lower:
+        if key in seen or re.search(rf"(?<!\w){re.escape(key)}(?!\w)", prompt_lower):
             continue
         cls = table.class_of(keyword)
         if cls is None:

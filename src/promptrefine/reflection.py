@@ -5,13 +5,21 @@ from __future__ import annotations
 
 import functools
 import logging
+import queue
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Dict, FrozenSet, Iterable, Sequence, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
 
 from promptrefine import scene_graph as sg
-from promptrefine.backends.base import Backend, ImageRef, VqaRequest, current_journal, recording
+from promptrefine.backends.base import (
+    Backend,
+    CallJournal,
+    ImageRef,
+    VqaRequest,
+    current_journal,
+    recording,
+)
 from promptrefine.templates import StageExhausted, TemplateSet, run_stage
 
 logger = logging.getLogger(__name__)
@@ -166,11 +174,13 @@ def _ask(vqa: Backend, image: ImageRef, graph: sg.SceneGraph, qid: int) -> bool:
 Task = Tuple[Future, Callable[[], Any]]  # a pooled task's future, and the closure the pool runs
 
 
-def submit(fn, *args) -> Task:
+def submit(fn, *args, slot: Optional[CallJournal] = None) -> Task:
     """Start ``fn(*args)`` on POOL; collect it with ``join``. Its calls are
-    journaled where it was submitted, in a slot of the current journal."""
+    journaled where it was submitted: in ``slot``, a slot reserved earlier,
+    or else in a new slot of the current journal."""
     journal = current_journal()
-    slot = None if journal is None else journal.slot()
+    if slot is None and journal is not None:
+        slot = journal.slot()
 
     def run():
         with recording(slot):  # set inside the task: pool threads start outside
@@ -209,26 +219,76 @@ def _fan_out(backend: Backend, op: str) -> bool:
     return latency is None or latency >= FAN_OUT_MIN_S
 
 
+def _ask_dataflow(image: ImageRef, graph: sg.SceneGraph, vqa: Backend) -> Dict[int, bool]:
+    """The answers of the questions whose parents are all answered yes, each
+    asked as soon as its last parent is. Ready questions go to the shared
+    pool, unless one is ready and none is in flight: that one is asked here.
+    Each question's calls are journaled in a slot reserved in (level, id)
+    order. After a failure nothing new is asked; the calls in flight finish,
+    and the first failing question's error in (level, id) order is raised."""
+    order = sg.topological_order(graph)
+    journal = current_journal()
+    slots = {qid: None if journal is None else journal.slot() for qid in order}
+    rank = {qid: i for i, qid in enumerate(order)}
+    children = graph.children()
+    waiting = dict.fromkeys(order, 0)  # parents not yet answered yes
+    for edge in graph.edges:
+        waiting[edge.child] += 1
+    ready = [qid for qid in order if not waiting[qid]]
+    finished: queue.SimpleQueue = queue.SimpleQueue()
+    in_flight: Dict[Future, int] = {}
+    answers: Dict[int, bool] = {}
+    failures: Dict[int, BaseException] = {}
+    while ready or in_flight:
+        if len(ready) == 1 and not in_flight:
+            qid = ready.pop()
+            with recording(slots[qid]):  # nothing else in flight: its error is the first
+                is_yes = _ask(vqa, image, graph, qid)
+        else:
+            for qid in sorted(ready, key=rank.__getitem__):
+                future, _ = submit(_ask, vqa, image, graph, qid, slot=slots[qid])
+                in_flight[future] = qid
+                future.add_done_callback(finished.put)
+            ready = []
+            future = finished.get()
+            qid = in_flight.pop(future)
+            if future.exception() is not None:
+                failures[qid] = future.exception()
+                continue
+            is_yes = future.result()
+        answers[qid] = is_yes
+        if is_yes and not failures:
+            for child in children[qid]:
+                waiting[child] -= 1
+                if not waiting[child]:
+                    ready.append(child)
+    if failures:
+        raise failures[min(failures, key=rank.__getitem__)]
+    return answers
+
+
 def evaluate_image(image: ImageRef, graph: sg.SceneGraph, vqa: Backend) -> ReflectionReport:
-    """Answer the graph's questions about an image, one DAG level at a time.
+    """Answer the graph's questions about an image.
 
     A No answer marks every dependent question as missing without querying it.
-    A level's unpruned questions, if two or more, are asked together on the
-    shared pool, unless the backend's last answer took under FAN_OUT_MIN_S.
-    Answers, pruning, the call count and the journal order are the same
-    either way.
+    The questions are asked one at a time, one DAG level after another, if
+    the backend's last answer took under FAN_OUT_MIN_S; otherwise each is
+    asked as soon as all its parents are answered yes, together with any
+    other question then ready or in flight (``_ask_dataflow``). Answers, their
+    order, pruning, the call count and the journal are the same either way.
     """
+    if _fan_out(vqa, "answer_binary"):
+        ask = _ask_dataflow(image, graph, vqa).__getitem__
+    else:
+        ask = functools.partial(_ask, vqa, image, graph)
     answers: Dict[int, Answer] = {}
     calls = 0
     for level in sg.topological_levels(graph):
-        pending = [qid for qid in level if qid not in answers]  # others pruned by an earlier No
-        if len(pending) > 1 and _fan_out(vqa, "answer_binary"):
-            results = join([submit(_ask, vqa, image, graph, qid) for qid in pending])
-        else:
-            results = [_ask(vqa, image, graph, qid) for qid in pending]
-        for qid, is_yes in zip(pending, results):
+        for qid in level:
+            if qid in answers:  # pruned by an earlier No
+                continue
             calls += 1
-            if is_yes:
+            if ask(qid):
                 answers[qid] = YES
             else:
                 answers[qid] = NO

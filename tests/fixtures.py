@@ -148,7 +148,7 @@ class SlowMock(MockBackend):
 
     A VQA question sleeps a fixed 2 to 4 ms chosen by its text, or the time
     given in ``delays``, so requests finish out of id order and
-    evaluate_image fans levels out. Other ops sleep ``op_delays.get(op, 0)``
+    evaluate_image fans questions out. Other ops sleep ``op_delays.get(op, 0)``
     seconds. ``gauge`` counts requests in flight; mocks given the same one
     share it.
     """

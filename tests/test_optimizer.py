@@ -268,6 +268,20 @@ class TestSelectKeywords:
         chosen = select_keywords("soft lighting, best quality", "a fox", table)
         assert chosen == ["soft lighting", "best quality"]
 
+    @pytest.mark.parametrize(
+        "line, prompt, chosen",
+        [
+            ("soft lighting, cinematic, 4k", "a lighthouse at dusk, shot on 14k film",
+             ["soft lighting", "cinematic", "4k"]),
+            ("HDR", "a red car parked near a shdr sign", ["HDR"]),
+            ("soft lighting, cinematic", "a harbor at dawn, Soft Lighting", ["cinematic"]),
+            ("4K, hdr", "a 4k shot of a car, HDR", []),
+        ],
+        ids=["inside-a-word", "inside-a-word-ignoring-case", "present-phrase", "present-words"],
+    )
+    def test_a_keyword_counts_as_present_only_as_a_whole_word(self, table, line, prompt, chosen):
+        assert select_keywords(line, prompt, table) == chosen
+
 
 class TestOptimize:
     def full_llm(self):

@@ -1,12 +1,16 @@
+import contextvars
 import functools
 import itertools
+import queue
 import random
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from promptrefine import reflection
 from promptrefine.backends import base as backends_base
@@ -77,6 +81,31 @@ def image(tmp_path):
     p = tmp_path / "img.png"
     p.write_bytes(PNG_WHITE)
     return ImageRef.from_file(p)
+
+
+@pytest.fixture(scope="module")
+def png(tmp_path_factory):
+    return image(tmp_path_factory.mktemp("png"))
+
+
+class HeldPool:
+    """Stands in for the pool: keeps each submitted task until the test runs
+    it with ``run_next``, in submission order."""
+
+    def __init__(self):
+        self.tasks = queue.SimpleQueue()
+
+    def submit(self, fn, *args):
+        future = Future()
+        self.tasks.put((future, functools.partial(fn, *args)))
+        return future
+
+    def run_next(self):
+        future, fn = self.tasks.get(timeout=5)
+        try:
+            future.set_result(fn())
+        except Exception as exc:  # noqa: BLE001 - a pool hands errors to the future
+            future.set_exception(exc)
 
 
 def vqa_for(answers):
@@ -436,12 +465,29 @@ class TestFanOut:
         assert report.score == 1.0 and len(journal) == 24
         assert 1 < vqa.gauge.peak["answer_binary"] <= reflection.POOL_WORKERS
 
-    def test_lowest_failing_id_raises_after_the_level_completes(self, tmp_path, journal):
-        # Roots 1-6 form one level; 7 depends on 1. Questions 3 and 5 fail
-        # with errors that are not retried, 5 first.
+    def test_lowest_failing_id_raises_after_the_calls_in_flight_finish(self, tmp_path, journal):
+        # Roots 1-6 are asked together; 7 depends on 1. Question 1 answers at
+        # once, so 7 is asked while 3 and 5 are in flight. Both then fail with
+        # errors that are not retried, 5 first.
+        seven_started, five_failed = threading.Event(), threading.Event()
+
+        class Ordered(MockBackend):
+            def _send_vqa(self, req):
+                if req.question in ("Is there thing 3?", "Is there thing 5?"):
+                    assert seven_started.wait(timeout=5)
+                if req.question == "Is there thing 3?":
+                    assert five_failed.wait(timeout=5)
+                if req.question == "Is there thing 7?":
+                    seven_started.set()
+                try:
+                    return super()._send_vqa(req)
+                finally:
+                    if req.question == "Is there thing 5?":
+                        five_failed.set()
+
         g = chain_graph("p", 7, {(1, 7)})
         vqa = (
-            SlowMock(name="vqa", delays={"Is there thing 3?": 0.02})
+            Ordered(name="vqa")
             .script_vqa("Is there thing 5?", ContentRejected("five"))
             .script_vqa("Is there thing 3?", AuthFailure("three"))
             .script_vqa("*", "yes")
@@ -450,10 +496,94 @@ class TestFanOut:
         with pytest.raises(AuthFailure, match="three"):
             evaluate_image(img, g, vqa)
         records = journal.records()
-        asked = [VqaRequest(image=img, question=f"Is there thing {i}?") for i in range(1, 7)]
-        # every call made is journaled, in id order; 7 waits on level 1 and is never asked
+        asked = [VqaRequest(image=img, question=f"Is there thing {i}?") for i in range(1, 8)]
+        # every call made is journaled, in (level, id) order
         assert [r.digest for r in records] == [request_digest(q) for q in asked]
-        assert [r.ok for r in records] == [True, True, False, True, False, True]
+        assert [r.ok for r in records] == [True, True, False, True, False, True, True]
+
+    def test_nothing_is_asked_after_a_failure(self, tmp_path, journal, monkeypatch):
+        # Roots 1 and 2 are held until the test runs them, 1 first: 1 fails,
+        # then 2 answers yes, and its child 3 is never asked.
+        pool = HeldPool()
+        monkeypatch.setattr(reflection, "POOL", pool)
+        vqa = MockBackend(name="vqa").script_vqa("Is there thing 1?", AuthFailure("one")).script_vqa("*", "yes")
+        img = image(tmp_path)
+        evaluation = ThreadPoolExecutor(max_workers=1)
+        try:
+            graph = chain_graph("p", 3, {(2, 3)})
+            # run in this test's journal: a new thread starts outside it
+            raised = evaluation.submit(contextvars.copy_context().run, evaluate_image, img, graph, vqa)
+            pool.run_next()
+            pool.run_next()
+            with pytest.raises(AuthFailure, match="one"):
+                raised.result(timeout=5)
+        finally:
+            evaluation.shutdown()
+        assert pool.tasks.empty()
+        asked = [VqaRequest(image=img, question=f"Is there thing {i}?") for i in (1, 2)]
+        assert [(r.digest, r.ok) for r in journal.records()] == [
+            (request_digest(asked[0]), False), (request_digest(asked[1]), True)
+        ]
+
+    def test_a_child_is_asked_while_an_unrelated_root_is_unanswered(self, tmp_path, journal):
+        # Root A (1) is held until C (3), whose only parent is root B (2), has
+        # started. D (4) depends on A. A level barrier would hold C until A
+        # answers, and A would wait out its timeout.
+        c_started, a_answered = threading.Event(), threading.Event()
+        a_answered_at_start = {}
+
+        class Held(MockBackend):
+            def _send_vqa(self, req):
+                a_answered_at_start[req.question] = a_answered.is_set()
+                if req.question == "Is there thing 3?":
+                    c_started.set()
+                if req.question != "Is there thing 1?":
+                    return super()._send_vqa(req)
+                a_answered_at_start["C started first"] = c_started.wait(timeout=5)
+                try:
+                    return super()._send_vqa(req)
+                finally:
+                    a_answered.set()
+
+        img = image(tmp_path)
+        vqa = Held(name="vqa").script_vqa("*", "yes")
+        report = evaluate_image(img, chain_graph("p", 4, {(2, 3), (1, 4)}), vqa)
+        assert report.score == 1.0 and report.vqa_call_count == 4
+        assert a_answered_at_start["C started first"]
+        assert a_answered_at_start["Is there thing 3?"] is False
+        assert a_answered_at_start["Is there thing 4?"] is True  # no child of A before A answers
+        asked = [VqaRequest(image=img, question=f"Is there thing {i}?") for i in range(1, 5)]
+        assert [r.digest for r in journal.records()] == [request_digest(q) for q in asked]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rng=st.randoms(use_true_random=False),
+        answers=st.lists(st.sampled_from(["yes", "no"]), min_size=12, max_size=12),
+        delays=st.lists(st.sampled_from([0.0, 0.001, 0.003]), min_size=12, max_size=12),
+    )
+    def test_dataflow_gives_the_serial_report_and_journal(self, png, rng, answers, delays):
+        ids, pairs = random_dag(rng)
+        g = chain_graph("p", len(ids), pairs)
+        texts = {i: f"Is there thing {i}?" for i in ids}
+        flowing = SlowMock(name="vqa", delays={texts[i]: delays[i - 1] for i in ids})
+        serial_vqa = MockBackend(name="vqa").script_vqa("Warm up?", "yes")
+        for i in ids:
+            flowing.script_vqa(texts[i], answers[i - 1])
+            serial_vqa.script_vqa(texts[i], answers[i - 1])
+        assert serial_vqa.answer_binary(VqaRequest(image=png, question="Warm up?"))
+        with recording(CallJournal()) as flowing_journal:
+            got = evaluate_image(png, g, flowing)
+        with pytest.MonkeyPatch.context() as m, recording(CallJournal()) as serial_journal:
+            m.setattr(reflection, "FAN_OUT_MIN_S", float("inf"))
+            assert not reflection._fan_out(serial_vqa, "answer_binary")
+            want = evaluate_image(png, g, serial_vqa)
+        assert list(got.answers.items()) == list(want.answers.items())
+        assert (got.missing_ids, got.score, got.vqa_call_count) == (
+            want.missing_ids, want.score, want.vqa_call_count
+        )
+        assert [(r.digest, r.ok) for r in flowing_journal.records()] == [
+            (r.digest, r.ok) for r in serial_journal.records()
+        ]
 
     def test_join_journals_tasks_in_task_order(self, journal):
         # Each task waits for the next one to finish, so they finish in
