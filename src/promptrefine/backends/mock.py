@@ -19,12 +19,14 @@ entry matches.
 A ``responses`` list belongs to the backend, not to a run: every run that uses
 the backend shares its cursor. Under ``pipeline.run_batch`` concurrent runs
 consume one list in the order their requests arrive, so which run gets which
-response changes from batch to batch. An evaluation's VQA questions are
-asked concurrently too, each as soon as its parents are answered yes, unless
-the backend's last answer took under 1 ms (see ``reflection.evaluate_image``),
-so a fresh mock's first evaluation always is, and so are a bench item's
-embeds. A list under a glob that matches several of them is consumed in
-arrival order, not in (level, id) order. To keep answers
+response changes from batch to batch. An evaluation asks each VQA question
+as soon as its parents are answered yes; unless the backend's last answer
+took under 1 ms, the ready questions are asked concurrently on the shared
+pool rather than one at a time on the evaluating thread (see
+``reflection.evaluate_image``). A fresh mock has no last answer, so its
+first evaluation is concurrent, and so are a bench item's embeds. A list
+under a glob that matches several of them is consumed in arrival order,
+not in (level, id) order. To keep answers
 fixed, script each request by its exact text (or digest), and use a list only
 where one caller sends that request one call after another.
 """

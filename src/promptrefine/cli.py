@@ -127,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prompt", required=True)
     p.add_argument("--config", required=True)
     p.add_argument("--out", help="directory for run records")
-    p.add_argument("--rounds", type=int)
+    p.add_argument("--rounds", type=_positive_int)
     p.add_argument("--seed", type=int)
     p.add_argument("--no-decorate", action="store_true")
     p.set_defaults(func=cmd_optimize)

@@ -4,6 +4,7 @@ generated image against it with entailment-based pruning."""
 from __future__ import annotations
 
 import functools
+import heapq
 import logging
 import queue
 from concurrent.futures import Future, ThreadPoolExecutor, wait
@@ -219,34 +220,45 @@ def _fan_out(backend: Backend, op: str) -> bool:
     return latency is None or latency >= FAN_OUT_MIN_S
 
 
-def _ask_dataflow(image: ImageRef, graph: sg.SceneGraph, vqa: Backend) -> Dict[int, bool]:
-    """The answers of the questions whose parents are all answered yes, each
-    asked as soon as its last parent is. Ready questions go to the shared
-    pool, unless one is ready and none is in flight: that one is asked here.
-    Each question's calls are journaled in a slot reserved in (level, id)
-    order. After a failure nothing new is asked; the calls in flight finish,
-    and the first failing question's error in (level, id) order is raised."""
+def evaluate_image(image: ImageRef, graph: sg.SceneGraph, vqa: Backend) -> ReflectionReport:
+    """Answer the graph's questions about an image.
+
+    A question is asked once all its parents are answered yes, so a No
+    answer marks every dependent question as missing without querying it.
+    If the backend's last answer took under FAN_OUT_MIN_S, the ready
+    questions are asked here, one at a time, lowest (level, id) first.
+    Otherwise they go to the shared pool as they become ready, unless one is
+    ready and none is in flight: that one is asked here. Pooled calls are
+    journaled in slots reserved in (level, id) order, so answers, pruning,
+    the call count and the journal are the same either way. After a failure
+    nothing new is asked; the calls in flight finish, and the first failing
+    question's error in (level, id) order is raised.
+    """
+    pooled = _fan_out(vqa, "answer_binary")
     order = sg.topological_order(graph)
-    journal = current_journal()
-    slots = {qid: None if journal is None else journal.slot() for qid in order}
     rank = {qid: i for i, qid in enumerate(order)}
-    children = graph.children()
+    journal = current_journal()
+    slots = {qid: journal.slot() for qid in order} if pooled and journal is not None else {}
     waiting = dict.fromkeys(order, 0)  # parents not yet answered yes
     for edge in graph.edges:
         waiting[edge.child] += 1
-    ready = [qid for qid in order if not waiting[qid]]
+    ready = [i for i, qid in enumerate(order) if not waiting[qid]]  # a heap of ranks
     finished: queue.SimpleQueue = queue.SimpleQueue()
     in_flight: Dict[Future, int] = {}
-    answers: Dict[int, bool] = {}
+    asked: Dict[int, bool] = {}
     failures: Dict[int, BaseException] = {}
     while ready or in_flight:
-        if len(ready) == 1 and not in_flight:
-            qid = ready.pop()
-            with recording(slots[qid]):  # nothing else in flight: its error is the first
+        if not pooled:
+            qid = order[heapq.heappop(ready)]
+            is_yes = _ask(vqa, image, graph, qid)
+        elif len(ready) == 1 and not in_flight:
+            qid = order[ready.pop()]
+            with recording(slots.get(qid)):  # nothing else in flight: its error is the first
                 is_yes = _ask(vqa, image, graph, qid)
         else:
-            for qid in sorted(ready, key=rank.__getitem__):
-                future, _ = submit(_ask, vqa, image, graph, qid, slot=slots[qid])
+            for i in sorted(ready):
+                qid = order[i]
+                future, _ = submit(_ask, vqa, image, graph, qid, slot=slots.get(qid))
                 in_flight[future] = qid
                 future.add_done_callback(finished.put)
             ready = []
@@ -256,52 +268,22 @@ def _ask_dataflow(image: ImageRef, graph: sg.SceneGraph, vqa: Backend) -> Dict[i
                 failures[qid] = future.exception()
                 continue
             is_yes = future.result()
-        answers[qid] = is_yes
+        asked[qid] = is_yes
         if is_yes and not failures:
-            for child in children[qid]:
+            for child in graph.children_of(qid):
                 waiting[child] -= 1
                 if not waiting[child]:
-                    ready.append(child)
+                    heapq.heappush(ready, rank[child])
     if failures:
         raise failures[min(failures, key=rank.__getitem__)]
-    return answers
-
-
-def evaluate_image(image: ImageRef, graph: sg.SceneGraph, vqa: Backend) -> ReflectionReport:
-    """Answer the graph's questions about an image.
-
-    A No answer marks every dependent question as missing without querying it.
-    The questions are asked one at a time, one DAG level after another, if
-    the backend's last answer took under FAN_OUT_MIN_S; otherwise each is
-    asked as soon as all its parents are answered yes, together with any
-    other question then ready or in flight (``_ask_dataflow``). Answers, their
-    order, pruning, the call count and the journal are the same either way.
-    """
-    if _fan_out(vqa, "answer_binary"):
-        ask = _ask_dataflow(image, graph, vqa).__getitem__
-    else:
-        ask = functools.partial(_ask, vqa, image, graph)
-    answers: Dict[int, Answer] = {}
-    calls = 0
-    for level in sg.topological_levels(graph):
-        for qid in level:
-            if qid in answers:  # pruned by an earlier No
-                continue
-            calls += 1
-            if ask(qid):
-                answers[qid] = YES
-            else:
-                answers[qid] = NO
-                for dep in sg.descendants(graph, qid):
-                    if dep not in answers:
-                        answers[dep] = PRUNED_NO
+    answers = {qid: (YES if asked[qid] else NO) if qid in asked else PRUNED_NO for qid in order}
     missing = frozenset(i for i, a in answers.items() if a.value is not AnswerValue.YES)
     return ReflectionReport(
         graph=graph,
         answers=answers,
         missing_ids=missing,
         score=_score(answers),
-        vqa_call_count=calls,
+        vqa_call_count=len(asked),
     )
 
 

@@ -213,8 +213,12 @@ class SceneGraph:
         except KeyError:
             raise UnknownId(qid) from None
 
-    def children(self) -> Dict[int, List[int]]:
-        return {qid: list(kids) for qid, kids in self._children.items()}
+    def children_of(self, qid: int) -> Tuple[int, ...]:
+        """The ids of the questions that depend directly on ``qid``, ascending."""
+        try:
+            return self._children[qid]
+        except KeyError:
+            raise UnknownId(qid) from None
 
     def max_id(self) -> int:
         return max((t.id for t in self.tuples), default=0)

@@ -9,7 +9,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from promptrefine.backends import CallJournal, MockBackend, recording
+from promptrefine.backends import CallJournal, MockBackend, VqaRequest, recording
 
 from promptrefine.scene_graph import (
     DependencyEdge,
@@ -88,6 +88,13 @@ def random_dag(rng: random.Random, max_nodes: int = 12):
             if rng.random() < 0.3:
                 edges.add((parent, child))
     return ids, edges
+
+
+def warmed(vqa, image):
+    """``vqa`` once it has answered: under an infinite FAN_OUT_MIN_S its
+    evaluations then ask one question at a time."""
+    assert vqa.script_vqa("Warm up?", "yes").answer_binary(VqaRequest(image=image, question="Warm up?"))
+    return vqa
 
 
 @pytest.fixture

@@ -76,6 +76,22 @@ def bf_prune_simulation(
     return queried, pruned, missing, score
 
 
+def bf_ask_order(ids: Sequence[int], edges: Iterable[Edge], queried: Iterable[int]) -> List[int]:
+    """The queried ids in the order an evaluation journals them: by level,
+    then id. A node's level is the length of the longest path to it from a
+    root, found by raising a child above its parent until nothing changes."""
+    edges = list(edges)
+    level = {i: 0 for i in ids}
+    changed = True
+    while changed:
+        changed = False
+        for parent, child in edges:
+            if level[child] <= level[parent]:
+                level[child] = level[parent] + 1
+                changed = True
+    return sorted(queried, key=lambda i: (level[i], i))
+
+
 def bf_mean(values: Sequence[float]) -> float:
     """Independent mean by plain left-to-right summation."""
     total = 0.0

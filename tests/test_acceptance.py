@@ -15,7 +15,14 @@ import pytest
 
 from promptrefine import reflection
 from promptrefine import scene_graph as sg
-from promptrefine.backends import CallJournal, ImageRef, MockBackend, recording
+from promptrefine.backends import (
+    CallJournal,
+    ImageRef,
+    MockBackend,
+    VqaRequest,
+    recording,
+    request_digest,
+)
 from promptrefine.bench import clip_relevance, render_report, run_benchmark
 from promptrefine.optimizer import (
     decorate_prompt,
@@ -59,8 +66,9 @@ from fixtures import (
     motorcycle_backends,
     random_dag,
     stage_llm,
+    warmed,
 )
-from oracles import bf_prune_simulation
+from oracles import bf_ask_order, bf_prune_simulation
 from test_pipeline import normalized
 
 TEMPLATES = default_template_set()
@@ -83,15 +91,25 @@ def done(label):
     print(f"PASS: {label}", flush=True)
 
 
-def test_pruning_oracle_equivalence_and_call_count_law(tmp_path):
-    """Criteria 1 + 2: 500 random DAGs vs the brute-force oracle, exactly."""
+def asked(img, qids):
+    """The request digests of chain_graph questions ``qids`` about ``img``."""
+    return [request_digest(VqaRequest(image=img, question=f"Is there thing {i}?")) for i in qids]
+
+
+@pytest.mark.parametrize("pooled", [False, True], ids=["serial", "pooled"])
+def test_pruning_oracle_equivalence_and_call_count_law(tmp_path, monkeypatch, pooled):
+    """Criteria 1 + 2: 500 random DAGs vs the brute-force oracle, exactly,
+    under each gate; the journal holds the asked questions in (level, id) order."""
+    if not pooled:
+        monkeypatch.setattr(reflection, "FAN_OUT_MIN_S", float("inf"))
     rng = random.Random(20240601)
     img = image_ref(tmp_path)
     for case in range(500):
         ids, pairs = random_dag(rng, max_nodes=12)
         graph = chain_graph(f"case {case}", len(ids), pairs)
         script = {i: rng.choice(["yes", "no"]) for i in ids}
-        vqa = vqa_for(script)
+        vqa = vqa_for(script) if pooled else warmed(vqa_for(script), img)
+        assert reflection._fan_out(vqa, "answer_binary") == pooled
         with recording(CallJournal()) as journal:
             report = evaluate_image(img, graph, vqa)
 
@@ -107,13 +125,16 @@ def test_pruning_oracle_equivalence_and_call_count_law(tmp_path):
         # call-count law
         assert report.vqa_call_count == len(journal)
         assert report.vqa_call_count == len(ids) - len(got_pruned)
-    done("pruning oracle equivalence over 500 random DAGs (criterion 1)")
-    done("vqa_call_count == journal length == questions - pruned (criterion 2)")
+        assert [r.digest for r in journal.records()] == asked(img, bf_ask_order(ids, pairs, queried))
+    gate = "pooled" if pooled else "serial"
+    done(f"pruning oracle equivalence over 500 random DAGs, {gate} (criterion 1)")
+    done(f"vqa_call_count == journal length == questions - pruned, {gate} (criterion 2)")
 
 
-def test_fan_out_changes_timing_only(tmp_path):
-    """Concurrency law: asking a DAG level's questions at once gives the same
-    report (answer order included) and the same journal as asking one at a time."""
+def test_fan_out_changes_timing_only(tmp_path, monkeypatch):
+    """Concurrency law: asking each question on the pool as soon as its
+    parents are answered yes gives the same report (answer order included)
+    and the same journal as asking one at a time under the serial gate."""
     rng = random.Random(20240601)
     img = image_ref(tmp_path)
     peaks = []
@@ -121,17 +142,20 @@ def test_fan_out_changes_timing_only(tmp_path):
         ids, pairs = random_dag(rng, max_nodes=12)
         graph = chain_graph(f"case {case}", len(ids), pairs)
         script = {i: rng.choice(["yes", "no"]) for i in ids}
-        serial_vqa, slow_vqa = vqa_for(script), vqa_for(script, SlowMock)
-        with recording(CallJournal()) as serial_journal:
+        serial_vqa, slow_vqa = warmed(vqa_for(script), img), vqa_for(script, SlowMock)
+        with monkeypatch.context() as m, recording(CallJournal()) as serial_journal:
+            m.setattr(reflection, "FAN_OUT_MIN_S", float("inf"))
+            assert not reflection._fan_out(serial_vqa, "answer_binary")
             serial = evaluate_image(img, graph, serial_vqa)
         with recording(CallJournal()) as fanned_journal:
+            assert reflection._fan_out(slow_vqa, "answer_binary")
             fanned = evaluate_image(img, graph, slow_vqa)
         assert fanned == serial
         assert list(fanned.answers.items()) == list(serial.answers.items())
         journal = [(r.op, r.digest, r.ok) for r in fanned_journal.records()]
         assert journal == [(r.op, r.digest, r.ok) for r in serial_journal.records()]
         peaks.append(slow_vqa.gauge.peak["answer_binary"])
-    assert max(peaks) > 1  # some levels really were asked at once
+    assert max(peaks) > 1  # some questions really were asked at once
     done("fan-out keeps reports and journal order over 50 random DAGs")
 
 

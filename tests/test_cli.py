@@ -384,16 +384,19 @@ class TestCliOptimize:
         code = main(["optimize", "--prompt", MOTORCYCLE_PROMPT, "--config", str(config)])
         assert code == 4
 
-    def test_rounds_flag_is_validated(self, tmp_path, capsys):
+    @pytest.mark.parametrize("rounds", ["0", "-1", "two"])
+    def test_rounds_flag_must_be_a_positive_integer(self, tmp_path, capsys, rounds):
+        # a usage error, as run-bench's --limit is
         write_script(tmp_path)
         config = write_config(tmp_path)
         out = tmp_path / "runs"
-        code = main(
-            ["optimize", "--prompt", MOTORCYCLE_PROMPT, "--config", str(config),
-             "--out", str(out), "--rounds", "0"]
-        )
-        assert code != 0
-        assert "rounds must be >= 1" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(
+                ["optimize", "--prompt", MOTORCYCLE_PROMPT, "--config", str(config),
+                 "--out", str(out), "--rounds", rounds]
+            )
+        assert exc.value.code == 2
+        assert "--rounds" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unwritable_out_dir(self, tmp_path, capsys):

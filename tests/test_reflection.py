@@ -56,8 +56,9 @@ from fixtures import (
     journal,
     motorcycle_graph,
     random_dag,
+    warmed,
 )
-from oracles import bf_prune_simulation
+from oracles import bf_ask_order, bf_prune_simulation
 
 
 @pytest.fixture(scope="module")
@@ -100,12 +101,24 @@ class HeldPool:
         self.tasks.put((future, functools.partial(fn, *args)))
         return future
 
-    def run_next(self):
-        future, fn = self.tasks.get(timeout=5)
+    def run_next(self, timeout=5):
+        future, fn = self.tasks.get(timeout=timeout)
         try:
             future.set_result(fn())
         except Exception as exc:  # noqa: BLE001 - a pool hands errors to the future
             future.set_exception(exc)
+
+    def run_until(self, done: Future) -> int:
+        """Run the held tasks until ``done`` is; return how many ran. A task
+        left held would keep a caller that waits on it waiting forever."""
+        ran = 0
+        while not done.done():
+            try:
+                self.run_next(timeout=0.01)
+            except queue.Empty:
+                continue
+            ran += 1
+        return ran
 
 
 def vqa_for(answers):
@@ -508,18 +521,19 @@ class TestFanOut:
         monkeypatch.setattr(reflection, "POOL", pool)
         vqa = MockBackend(name="vqa").script_vqa("Is there thing 1?", AuthFailure("one")).script_vqa("*", "yes")
         img = image(tmp_path)
+        graph = chain_graph("p", 3, {(2, 3)})
         evaluation = ThreadPoolExecutor(max_workers=1)
+        # run in this test's journal: a new thread starts outside it
+        raised = evaluation.submit(contextvars.copy_context().run, evaluate_image, img, graph, vqa)
         try:
-            graph = chain_graph("p", 3, {(2, 3)})
-            # run in this test's journal: a new thread starts outside it
-            raised = evaluation.submit(contextvars.copy_context().run, evaluate_image, img, graph, vqa)
             pool.run_next()
             pool.run_next()
             with pytest.raises(AuthFailure, match="one"):
                 raised.result(timeout=5)
         finally:
+            left = pool.run_until(raised)  # else shutdown waits on an evaluation that waits on them
             evaluation.shutdown()
-        assert pool.tasks.empty()
+        assert left == 0 and pool.tasks.empty()
         asked = [VqaRequest(image=img, question=f"Is there thing {i}?") for i in (1, 2)]
         assert [(r.digest, r.ok) for r in journal.records()] == [
             (request_digest(asked[0]), False), (request_digest(asked[1]), True)
@@ -566,11 +580,10 @@ class TestFanOut:
         g = chain_graph("p", len(ids), pairs)
         texts = {i: f"Is there thing {i}?" for i in ids}
         flowing = SlowMock(name="vqa", delays={texts[i]: delays[i - 1] for i in ids})
-        serial_vqa = MockBackend(name="vqa").script_vqa("Warm up?", "yes")
+        serial_vqa = warmed(MockBackend(name="vqa"), png)
         for i in ids:
             flowing.script_vqa(texts[i], answers[i - 1])
             serial_vqa.script_vqa(texts[i], answers[i - 1])
-        assert serial_vqa.answer_binary(VqaRequest(image=png, question="Warm up?"))
         with recording(CallJournal()) as flowing_journal:
             got = evaluate_image(png, g, flowing)
         with pytest.MonkeyPatch.context() as m, recording(CallJournal()) as serial_journal:
@@ -581,9 +594,11 @@ class TestFanOut:
         assert (got.missing_ids, got.score, got.vqa_call_count) == (
             want.missing_ids, want.score, want.vqa_call_count
         )
-        assert [(r.digest, r.ok) for r in flowing_journal.records()] == [
-            (r.digest, r.ok) for r in serial_journal.records()
-        ]
+        queried, _, _, _ = bf_prune_simulation(ids, pairs, {i: answers[i - 1] for i in ids})
+        want_journal = [request_digest(VqaRequest(image=png, question=texts[i]))
+                        for i in bf_ask_order(ids, pairs, queried)]
+        assert [r.digest for r in flowing_journal.records()] == want_journal
+        assert [r.digest for r in serial_journal.records()] == want_journal
 
     def test_join_journals_tasks_in_task_order(self, journal):
         # Each task waits for the next one to finish, so they finish in

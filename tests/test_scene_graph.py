@@ -322,21 +322,19 @@ class TestGraphIndex:
             assert g.question_by_id(q.id) is q
 
     @pytest.mark.parametrize("qid", [0, 6, -1])
-    def test_question_by_id_unknown(self, qid):
+    @pytest.mark.parametrize("lookup", ["question_by_id", "children_of"])
+    def test_question_by_id_unknown(self, qid, lookup):
         with pytest.raises(UnknownId) as exc:
-            motorcycle_graph().question_by_id(qid)
+            getattr(motorcycle_graph(), lookup)(qid)
         assert exc.value.missing_id == qid
 
     def test_returned_lists_are_fresh(self):
         g = motorcycle_graph()
-        kids, levels = g.children(), topological_levels(g)
-        assert kids == {1: [2, 5], 2: [], 3: [4, 5], 4: [], 5: []}
+        levels = topological_levels(g)
         assert levels == [[1, 3], [2, 4, 5]]
-        kids[1].append(99)
-        kids[4] = [1]
         levels[0].append(99)
         levels.append([42])
-        assert g.children() == {1: [2, 5], 2: [], 3: [4, 5], 4: [], 5: []}
+        assert {q: g.children_of(q) for q in g.question_ids()} == {1: (2, 5), 2: (), 3: (4, 5), 4: (), 5: ()}
         assert topological_levels(g) == [[1, 3], [2, 4, 5]]
         assert topological_order(g) == [1, 3, 2, 4, 5]
         assert descendants(g, 3) == {4, 5}
@@ -344,7 +342,7 @@ class TestGraphIndex:
     def test_filled_indexes_change_neither_equality_nor_document(self):
         used = motorcycle_graph()
         used.question_by_id(2)
-        used.children()
+        used.children_of(1)
         descendants(used, 1)
         topological_levels(used)
         fresh = SceneGraph(used.source_prompt, used.tuples, used.questions, used.edges)
