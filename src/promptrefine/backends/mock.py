@@ -24,11 +24,13 @@ as soon as its parents are answered yes; unless the backend's last answer
 took under 1 ms, the ready questions are asked concurrently on the shared
 pool rather than one at a time on the evaluating thread (see
 ``reflection.evaluate_image``). A fresh mock has no last answer, so its
-first evaluation is concurrent, and so are a bench item's embeds. A list
-under a glob that matches several of them is consumed in arrival order,
-not in (level, id) order. To keep answers
-fixed, script each request by its exact text (or digest), and use a list only
-where one caller sends that request one call after another.
+first evaluation is concurrent, and so are a bench item's embeds. Under
+such fan-out a list is consumed in schedule order: a list under a glob that
+matches several of them goes to whichever request reaches the backend first,
+not to the first in (level, id) order, and a scheduler that reorders pooled
+tasks hands its entries out differently. To keep answers fixed, script each
+request by its exact text (or digest), and use a list only where one caller
+sends that request one call after another.
 """
 
 from __future__ import annotations

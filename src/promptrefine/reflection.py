@@ -6,8 +6,7 @@ from __future__ import annotations
 import functools
 import heapq
 import logging
-import queue
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
@@ -165,6 +164,9 @@ FAN_OUT_MIN_S = 0.001
 # A task on it may wait only on a task that it can take back and run itself
 # (``settle``), so sharing cannot deadlock: the build settles its questions
 # stage. Threads start on the first submit, so an unused pool costs nothing.
+# Pooled work meets the rest of the program at three scheduling points only:
+# ``POOL.submit``, this module's ``wait`` and ``Future.cancel``. Whoever owns
+# those three (the pool, or a test's scheduler) decides every interleaving.
 POOL = ThreadPoolExecutor(max_workers=POOL_WORKERS, thread_name_prefix="promptrefine-io")
 
 
@@ -176,9 +178,10 @@ Task = Tuple[Future, Callable[[], Any]]  # a pooled task's future, and the closu
 
 
 def submit(fn, *args, slot: Optional[CallJournal] = None) -> Task:
-    """Start ``fn(*args)`` on POOL; collect it with ``join``. Its calls are
-    journaled where it was submitted: in ``slot``, a slot reserved earlier,
-    or else in a new slot of the current journal."""
+    """Start ``fn(*args)`` on POOL (the ``POOL.submit`` scheduling point);
+    collect it with ``join``. Its calls are journaled where it was submitted:
+    in ``slot``, a slot reserved earlier, or else in a new slot of the
+    current journal."""
     journal = current_journal()
     if slot is None and journal is not None:
         slot = journal.slot()
@@ -191,17 +194,18 @@ def submit(fn, *args, slot: Optional[CallJournal] = None) -> Task:
 
 
 def join(tasks: Sequence[Task]) -> list:
-    """Wait for every task and return their results; the first failing task
-    in order raises its error."""
+    """Wait for every task (the ``wait`` scheduling point) and return their
+    results; the first failing task in order raises its error."""
     wait([future for future, _ in tasks])
     return [future.result() for future, _ in tasks]
 
 
 def settle(task: Task) -> Task:
-    """``task`` once it is done. If no worker has started it, it is taken back
-    and run on this thread: a pool task waiting on a queued task could
-    otherwise hold a worker that the queued task needs. Collect the result
-    with ``join``."""
+    """``task`` once it is done. If no worker has started it (the
+    ``Future.cancel`` scheduling point succeeds), it is taken back and run on
+    this thread: a pool task waiting on a queued task could otherwise hold a
+    worker that the queued task needs. Else it waits for the worker (the
+    ``wait`` scheduling point). Collect the result with ``join``."""
     future, run = task
     if not future.cancel():
         wait([future])
@@ -243,7 +247,6 @@ def evaluate_image(image: ImageRef, graph: sg.SceneGraph, vqa: Backend) -> Refle
     for edge in graph.edges:
         waiting[edge.child] += 1
     ready = [i for i, qid in enumerate(order) if not waiting[qid]]  # a heap of ranks
-    finished: queue.SimpleQueue = queue.SimpleQueue()
     in_flight: Dict[Future, int] = {}
     asked: Dict[int, bool] = {}
     failures: Dict[int, BaseException] = {}
@@ -260,9 +263,9 @@ def evaluate_image(image: ImageRef, graph: sg.SceneGraph, vqa: Backend) -> Refle
                 qid = order[i]
                 future, _ = submit(_ask, vqa, image, graph, qid, slot=slots.get(qid))
                 in_flight[future] = qid
-                future.add_done_callback(finished.put)
             ready = []
-            future = finished.get()
+            done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+            future = min(done, key=lambda f: rank[in_flight[f]])
             qid = in_flight.pop(future)
             if future.exception() is not None:
                 failures[qid] = future.exception()

@@ -1,14 +1,21 @@
-"""Shared fixture data: the motorcycle/fence graph and tiny PNG payloads."""
+"""Shared fixture data: the motorcycle/fence graph, tiny PNG payloads, and a
+scheduled stand-in for the shared pool."""
 
 import base64
 import collections
+import contextvars
+import functools
 import random
 import threading
 import time
+from concurrent.futures import ALL_COMPLETED, FIRST_COMPLETED, Future
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import currently_in_test_context, note
+from hypothesis import strategies as st
 
+from promptrefine import reflection
 from promptrefine.backends import CallJournal, MockBackend, VqaRequest, recording
 
 from promptrefine.scene_graph import (
@@ -95,6 +102,135 @@ def warmed(vqa, image):
     evaluations then ask one question at a time."""
     assert vqa.script_vqa("Warm up?", "yes").answer_binary(VqaRequest(image=image, question="Warm up?"))
     return vqa
+
+
+class Deadlock(AssertionError):
+    """A wait on pooled work that no startable task can bring closer."""
+
+
+class ScheduledPool:
+    """Stands in for ``reflection.POOL`` and ``reflection.wait`` on the test's
+    one thread, so that the test chooses how pooled work interleaves instead
+    of sampling it with sleeps (systematic concurrency testing, as in CHESS).
+
+    ``submit`` queues a plain ``Future``; no task starts until a scheduling
+    point. Every ``submit`` and every ``wait`` is one. At a point with more
+    than one option, ``choose(n)`` picks one of n: option i < k starts the
+    i-th oldest of the k queued tasks, and option k, offered once the caller
+    may go on, returns to it. A ``wait`` goes on only when its condition
+    holds. A task starts with ``set_running_or_notify_cancel``, so
+    ``Future.cancel`` (``settle``'s take-back) succeeds exactly until then,
+    and runs to completion on the waiting thread in a fresh context, as on a
+    pool thread; its own submits and waits are scheduling points too.
+
+    At most ``workers`` tasks run at once, as on a pool of that many
+    threads: a task started while others wait counts until it returns. A
+    wait whose condition no startable task can bring about raises
+    ``Deadlock`` naming the schedule so far, instead of hanging.
+
+    ``schedule`` lists the choices made; ``inline`` (always 0) starts each
+    task at its submit. Under ``drawn``, a failing test prints its falsifying
+    arguments with a ``schedule: [...]`` note, and a Deadlock's message holds
+    the schedule so far. Re-running the test replays the failure first from
+    hypothesis's example database. To pin it, run the test body with the
+    printed arguments under ``scheduled(replay(schedule), workers=...)``:
+    replay makes the same choices, then goes on inline.
+    """
+
+    def __init__(self, choose, workers=reflection.POOL_WORKERS):
+        self.choose, self.workers = choose, workers
+        self.queued = []  # (future, task) submitted and not started, oldest first
+        self.running = 0
+        self.schedule = []
+        self.deadlock = None
+
+    def submit(self, fn, *args):
+        future = Future()
+        self.queued.append((future, functools.partial(fn, *args)))
+        self._point(lambda: True)
+        return future
+
+    def wait(self, fs, timeout=None, return_when=ALL_COMPLETED):
+        assert timeout is None and return_when in (ALL_COMPLETED, FIRST_COMPLETED)
+        fs = set(fs)
+
+        def holds():
+            done = sum(f.done() for f in fs)
+            return done == len(fs) or (done > 0 and return_when == FIRST_COMPLETED)
+
+        self._point(holds)
+        done = {f for f in fs if f.done()}
+        return done, fs - done
+
+    def _point(self, may_go_on):
+        """Start queued tasks, as chosen, until the caller goes on."""
+        while True:
+            self.queued = [(f, task) for f, task in self.queued if not f.cancelled()]
+            startable = len(self.queued) if self.running < self.workers else 0
+            options = startable + may_go_on()
+            if not options:
+                self.deadlock = self.deadlock or Deadlock(
+                    f"a wait cannot finish: {self.running} of {self.workers} workers busy, "
+                    f"{len(self.queued)} tasks queued; schedule so far: {self.schedule}"
+                )
+                raise self.deadlock
+            choice = 0
+            if options > 1:
+                choice = self.choose(options)
+                assert 0 <= choice < options, (choice, options)
+                self.schedule.append(choice)
+            if choice == startable:
+                return
+            self._start(*self.queued.pop(choice))
+
+    def _start(self, future, task):
+        future.set_running_or_notify_cancel()  # a cancelled task left the queue
+        self.running += 1
+        try:
+            result = contextvars.Context().run(task)
+        except Exception as exc:  # noqa: BLE001 - a pool hands errors to the future
+            future.set_exception(exc)
+        else:
+            future.set_result(result)
+        finally:
+            self.running -= 1
+
+
+def inline(options):
+    """The inline schedule: every task starts as it is submitted."""
+    return 0
+
+
+def replay(schedule):
+    """Choose as ``schedule`` lists, then inline."""
+    choices = iter(schedule)
+    return lambda options: next(choices, 0)
+
+
+def drawn(data):
+    """Choose as hypothesis draws: a failing schedule shrinks towards inline."""
+    return lambda options: data.draw(st.integers(0, options - 1))
+
+
+@contextmanager
+def scheduled(choose, workers=reflection.POOL_WORKERS, fan_out_min_s=0.0):
+    """Install a ScheduledPool as ``reflection.POOL`` and ``reflection.wait``,
+    with ``FAN_OUT_MIN_S`` at ``fan_out_min_s`` (0: every gate pools). A
+    Deadlock fails the block even where the program caught it as a run's
+    failure; a block that ends with a task never started fails too."""
+    pool = ScheduledPool(choose, workers)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(reflection, "POOL", pool)
+        m.setattr(reflection, "wait", pool.wait)
+        m.setattr(reflection, "FAN_OUT_MIN_S", fan_out_min_s)
+        try:
+            yield pool
+        finally:
+            if currently_in_test_context():
+                note(f"schedule: {pool.schedule}")
+            if pool.deadlock is not None:
+                raise pool.deadlock
+        assert not pool.queued, f"{len(pool.queued)} pooled tasks never started; schedule: {pool.schedule}"
 
 
 @pytest.fixture

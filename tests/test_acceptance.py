@@ -9,9 +9,10 @@ import functools
 import io
 import random
 import string
-from concurrent.futures import Future
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from promptrefine import reflection
 from promptrefine import scene_graph as sg
@@ -63,8 +64,11 @@ from fixtures import (
     Gauge,
     SlowMock,
     chain_graph,
+    drawn,
+    inline,
     motorcycle_backends,
     random_dag,
+    scheduled,
     stage_llm,
     warmed,
 )
@@ -131,85 +135,134 @@ def test_pruning_oracle_equivalence_and_call_count_law(tmp_path, monkeypatch, po
     done(f"vqa_call_count == journal length == questions - pruned, {gate} (criterion 2)")
 
 
-def test_fan_out_changes_timing_only(tmp_path, monkeypatch):
+@pytest.fixture(scope="module")
+def img(tmp_path_factory):
+    return image_ref(tmp_path_factory.mktemp("img"))
+
+
+def serial_evaluation(img, graph, script):
+    """The reference for the fan-out law: the report and the journal of
+    asking one question at a time under the serial gate."""
+    vqa = warmed(vqa_for(script), img)
+    with pytest.MonkeyPatch.context() as m, recording(CallJournal()) as journal:
+        m.setattr(reflection, "FAN_OUT_MIN_S", float("inf"))
+        assert not reflection._fan_out(vqa, "answer_binary")
+        return evaluate_image(img, graph, vqa), journal
+
+
+def assert_same_evaluation(got, got_journal, want, want_journal):
+    assert got == want
+    assert list(got.answers.items()) == list(want.answers.items())
+    journal = [(r.op, r.digest, r.ok) for r in got_journal.records()]
+    assert journal == [(r.op, r.digest, r.ok) for r in want_journal.records()]
+
+
+def test_fan_out_changes_timing_only(img):
     """Concurrency law: asking each question on the pool as soon as its
     parents are answered yes gives the same report (answer order included)
-    and the same journal as asking one at a time under the serial gate."""
+    and the same journal as asking one at a time under the serial gate,
+    whichever order the pool starts the asks in."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(rng=st.randoms(use_true_random=False), data=st.data())
+    def law(rng, data):
+        ids, pairs = random_dag(rng, max_nodes=12)
+        graph = chain_graph("case", len(ids), pairs)
+        script = {i: rng.choice(["yes", "no"]) for i in ids}
+        with scheduled(drawn(data)), recording(CallJournal()) as journal:
+            report = evaluate_image(img, graph, vqa_for(script))
+        assert_same_evaluation(report, journal, *serial_evaluation(img, graph, script))
+
+    law()
+    done("fan-out keeps reports and journal order over 50 random DAGs and schedules")
+
+
+def test_fan_out_changes_timing_only_on_threads(img):
+    """The same law on the real pool, where sleeping asks finish out of id order."""
     rng = random.Random(20240601)
-    img = image_ref(tmp_path)
     peaks = []
     for case in range(50):
         ids, pairs = random_dag(rng, max_nodes=12)
         graph = chain_graph(f"case {case}", len(ids), pairs)
         script = {i: rng.choice(["yes", "no"]) for i in ids}
-        serial_vqa, slow_vqa = warmed(vqa_for(script), img), vqa_for(script, SlowMock)
-        with monkeypatch.context() as m, recording(CallJournal()) as serial_journal:
-            m.setattr(reflection, "FAN_OUT_MIN_S", float("inf"))
-            assert not reflection._fan_out(serial_vqa, "answer_binary")
-            serial = evaluate_image(img, graph, serial_vqa)
-        with recording(CallJournal()) as fanned_journal:
+        slow_vqa = vqa_for(script, SlowMock)
+        with recording(CallJournal()) as journal:
             assert reflection._fan_out(slow_vqa, "answer_binary")
-            fanned = evaluate_image(img, graph, slow_vqa)
-        assert fanned == serial
-        assert list(fanned.answers.items()) == list(serial.answers.items())
-        journal = [(r.op, r.digest, r.ok) for r in fanned_journal.records()]
-        assert journal == [(r.op, r.digest, r.ok) for r in serial_journal.records()]
+            report = evaluate_image(img, graph, slow_vqa)
+        assert_same_evaluation(report, journal, *serial_evaluation(img, graph, script))
         peaks.append(slow_vqa.gauge.peak["answer_binary"])
     assert max(peaks) > 1  # some questions really were asked at once
-    done("fan-out keeps reports and journal order over 50 random DAGs")
+    done("fan-out on threads keeps reports and journal order over 50 random DAGs")
 
 
-class InlinePool:
-    """Stands in for a thread pool: runs a task on the caller's thread as it is
-    submitted, so the run makes its calls one after another, the graph
-    build's before the first generate's. The task's calls are journaled in
-    the slot that its submit took, as on the pool."""
-
-    def submit(self, fn, *args):
-        future = Future()
-        try:
-            future.set_result(fn(*args))
-        except Exception as exc:  # noqa: BLE001 - a pool hands errors to the future
-            future.set_exception(exc)
-        return future
+OVERLAP_CASES = [(answers, rounds) for answers in [("no", "yes"), ("yes",), ("no",)] for rounds in (1, 2)]
 
 
-def test_overlap_changes_timing_only(tmp_path, monkeypatch):
+def overlap_run(images, case, cls=MockBackend):
+    fence_answers, rounds = case
+    backends = motorcycle_backends(images, fence_answers, cls=cls)
+    cfg = PipelineConfig(backends=backends, rounds=rounds, width=64, height=64, seed=1234)
+    return run_single(MOTORCYCLE_PROMPT, cfg)
+
+
+@pytest.fixture(scope="module")
+def overlap_images(tmp_path_factory):
+    return tmp_path_factory.mktemp("images")
+
+
+@pytest.fixture(scope="module")
+def serial_runs(overlap_images):
+    """The reference for the overlap law: each case's record with every
+    task run as it is submitted, so the graph build's calls come before
+    the first generate's, and every question asked one at a time."""
+    with scheduled(inline, fan_out_min_s=float("inf")):
+        return {case: overlap_run(overlap_images, case) for case in OVERLAP_CASES}
+
+
+def assert_same_run(got, want):
+    assert got.status == "completed"
+    journal = [(e["op"], e["digest"], e["ok"]) for e in got.backend_journal]
+    assert journal == [(e["op"], e["digest"], e["ok"]) for e in want.backend_journal]
+    assert [list(r.answers.items()) for r in got.reports] == [
+        list(r.answers.items()) for r in want.reports
+    ]
+    assert got.prompt_history == want.prompt_history
+    assert normalized(got) == normalized(want)
+
+
+def test_overlap_changes_timing_only(overlap_images, serial_runs):
     """Concurrency law: building the question graph while the first image
     generates, and fanning VQA out, give the same records as running every
-    call one after another."""
+    call one after another, whichever order the pool starts its tasks in
+    and however few workers it has. With one worker the build holds it, so
+    the build must take its questions stage back (``settle``) to finish."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        case=st.sampled_from(OVERLAP_CASES),
+        workers=st.sampled_from([1, 2, reflection.POOL_WORKERS]),
+        data=st.data(),
+    )
+    def law(case, workers, data):
+        with scheduled(drawn(data), workers=workers):
+            record = overlap_run(overlap_images, case)
+        assert_same_run(record, serial_runs[case])
+
+    law()
+    done("graph build beside the first generate keeps records over drawn schedules")
+
+
+def test_overlap_changes_timing_only_on_threads(overlap_images, serial_runs):
+    """The same law on the real pool, with sleeping text and image calls."""
     gauge = Gauge()
     slow = functools.partial(
         SlowMock, gauge=gauge, op_delays={"complete": 0.002, "generate_image": 0.01}
     )
-    cases = [(answers, rounds) for answers in [("no", "yes"), ("yes",), ("no",)] for rounds in (1, 2)]
-
-    def run_cases(cls):
-        records = []
-        for fence_answers, rounds in cases:
-            backends = motorcycle_backends(tmp_path / "images", fence_answers, cls=cls)
-            cfg = PipelineConfig(backends=backends, rounds=rounds, width=64, height=64, seed=1234)
-            records.append(run_single(MOTORCYCLE_PROMPT, cfg))
-        return records
-
-    overlapped = run_cases(slow)
-    with monkeypatch.context() as m:
-        m.setattr(reflection, "POOL", InlinePool())
-        m.setattr(reflection, "FAN_OUT_MIN_S", float("inf"))
-        serial = run_cases(MockBackend)
-
-    for got, want in zip(overlapped, serial):
-        assert got.status == "completed"
-        journal = [(e["op"], e["digest"], e["ok"]) for e in got.backend_journal]
-        assert journal == [(e["op"], e["digest"], e["ok"]) for e in want.backend_journal]
-        assert [list(r.answers.items()) for r in got.reports] == [
-            list(r.answers.items()) for r in want.reports
-        ]
-        assert got.prompt_history == want.prompt_history
-        assert normalized(got) == normalized(want)
+    for case in OVERLAP_CASES:
+        assert_same_run(overlap_run(overlap_images, case, cls=slow), serial_runs[case])
     assert frozenset({"complete", "generate_image"}) in gauge.together
     assert gauge.peak["answer_binary"] > 1
-    done("graph build beside the first generate keeps records over 6 runs")
+    done("graph build beside the first generate on threads keeps records over 6 runs")
 
 
 def test_score_arithmetic():

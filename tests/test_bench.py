@@ -6,7 +6,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from promptrefine import bench
@@ -54,7 +54,9 @@ from fixtures import (
     STAGE_MARKERS,
     Gauge,
     SlowMock,
+    drawn,
     motorcycle_backends,
+    scheduled,
     stage_llm,
 )
 from oracles import bf_mean
@@ -332,18 +334,54 @@ class TestRunBenchmark:
         # each run keeps its calls; only the prompt and image embeds land here
         assert [r.op for r in outer.records()] == ["embed"] * 2 * len(items)
 
-    def _pipelined(self, tmp_path, gauge=None, failing=None):
+    def _pipelined(self, tmp_path, gauge=None, failing=None, generate_s=0.02, embed_s=0.01):
         """Four baseline items, each prompt embedding to its own vector, the
-        ``failing`` item's with an error; a generate takes 20 ms and an embed
-        10 ms, both counted on ``gauge``."""
+        ``failing`` item's with an error; a generate takes ``generate_s`` and
+        an embed ``embed_s``, both counted on ``gauge``."""
         items, vqa = four_item_dataset()
-        embed = SlowMock(name="embed", op_delays={"embed": 0.01}, gauge=gauge)
+        embed = SlowMock(name="embed", op_delays={"embed": embed_s}, gauge=gauge)
         for k, item in enumerate(items):
             embed.script_embed(item.prompt, AuthFailure("denied") if item.item_id == failing else [1.0, float(k)])
         embed.script_embed("*", [1.0, 0.0])  # every item's image
-        t2i = SlowMock(name="t2i", image_dir=tmp_path / "img", op_delays={"generate_image": 0.02}, gauge=gauge)
+        t2i = SlowMock(name="t2i", image_dir=tmp_path / "img", op_delays={"generate_image": generate_s}, gauge=gauge)
         t2i.script_image("*", PNG_WHITE)
         return items, bench_cfg(tmp_path, vqa, embed=embed, t2i=t2i)
+
+    def test_embeds_keep_their_journal_and_scores_under_any_schedule(self, tmp_path):
+        """The journal and score checks of the embed tests above, on drawn
+        schedules of the pool: each item keeps its own relevance, and its
+        embeds are journaled where they were sent, in item order."""
+
+        @settings(max_examples=30, deadline=None)
+        @given(failing=st.sampled_from([None, "item-b"]), data=st.data())
+        def law(failing, data):
+            items, cfg = self._pipelined(tmp_path, failing=failing, generate_s=0, embed_s=0)
+            vqa = MockBackend(name="vqa").script_vqa("*", "yes")
+            embed = MockBackend(name="embed").script_embed("*", [1.0, 0.0])
+            with scheduled(drawn(data)):
+                with recording(CallJournal()) as pipelined:
+                    report = run_benchmark(items, cfg, mode="baseline")
+                with recording(CallJournal()) as optimized:
+                    [item] = run_benchmark(items[:1], bench_cfg(tmp_path, vqa, embed=embed), mode="both").items
+            assert [i.clip for i in report.items] == [
+                {} if i.item_id == failing else {"baseline": pytest.approx(clip_relevance([1.0, float(k)], [1.0, 0.0]))}
+                for k, i in enumerate(items)
+            ]
+            assert not any(i.failed for i in report.items)
+            # each item's prompt embed, then its image embed
+            records = pipelined.records()
+            assert [r.digest for r in records[::2]] == [embed_digest(i.prompt) for i in items]
+            assert [r.ok for r in records] == [ok for i in items for ok in (i.item_id != failing, True)]
+            assert item.clip == {
+                "baseline": pytest.approx(100.0),
+                "optimized_prompt": pytest.approx(100.0),
+                "original_prompt": pytest.approx(100.0),
+            }
+            # prompt, round-1 image, final image, final prompt, prompt
+            digests = [r.digest for r in optimized.records()]
+            assert len(digests) == 5 and digests[0] == digests[4] == embed_digest(items[0].prompt)
+
+        law()
 
     def test_each_items_embeds_are_in_flight_while_the_next_item_runs(self, tmp_path):
         gauge = Gauge()

@@ -378,29 +378,6 @@ class TestRunBatch:
         assert not worker.is_alive()
         assert [normalized(r) for r in batches[0]] == [reference] * 24
 
-    def test_a_batch_wider_than_the_pool_finishes(self, tmp_path):
-        # More runs than pool workers, so builds fill the pool and their
-        # questions stages queue behind other builds; a build that only
-        # waited for its questions stage would hang here.
-        assert 16 > reflection.POOL_WORKERS
-        slow = functools.partial(SlowMock, op_delays={"complete": 0.002, "generate_image": 0.003})
-        backends = motorcycle_backends(tmp_path / "images", fence_answers=("yes",), cls=slow)
-        cfg = pipeline_cfg(tmp_path, backends=backends, parallelism=16)
-        reference = normalized(run_single(MOTORCYCLE_PROMPT, cfg))
-        batches = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            worker = threading.Thread(
-                target=lambda: batches.append(run_batch([MOTORCYCLE_PROMPT] * 32, cfg)), daemon=True
-            )
-            worker.start()
-            worker.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not worker.is_alive()
-        assert [normalized(r) for r in batches[0]] == [reference] * 32
-
     def test_empty_batch_rejected(self, tmp_path):
         cfg = pipeline_cfg(tmp_path)
         with pytest.raises(ValueError):

@@ -1,11 +1,9 @@
-import contextvars
 import functools
 import itertools
-import queue
 import random
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import nullcontext
 from types import SimpleNamespace
 
 import pytest
@@ -53,9 +51,12 @@ from fixtures import (
     PNG_WHITE,
     SlowMock,
     chain_graph,
+    drawn,
     journal,
     motorcycle_graph,
     random_dag,
+    replay,
+    scheduled,
     warmed,
 )
 from oracles import bf_ask_order, bf_prune_simulation
@@ -89,36 +90,9 @@ def png(tmp_path_factory):
     return image(tmp_path_factory.mktemp("png"))
 
 
-class HeldPool:
-    """Stands in for the pool: keeps each submitted task until the test runs
-    it with ``run_next``, in submission order."""
-
-    def __init__(self):
-        self.tasks = queue.SimpleQueue()
-
-    def submit(self, fn, *args):
-        future = Future()
-        self.tasks.put((future, functools.partial(fn, *args)))
-        return future
-
-    def run_next(self, timeout=5):
-        future, fn = self.tasks.get(timeout=timeout)
-        try:
-            future.set_result(fn())
-        except Exception as exc:  # noqa: BLE001 - a pool hands errors to the future
-            future.set_exception(exc)
-
-    def run_until(self, done: Future) -> int:
-        """Run the held tasks until ``done`` is; return how many ran. A task
-        left held would keep a caller that waits on it waiting forever."""
-        ran = 0
-        while not done.done():
-            try:
-                self.run_next(timeout=0.01)
-            except queue.Empty:
-                continue
-            ran += 1
-        return ran
+def unpooled(options):
+    """A schedule for code that must not pool: any choice fails the test."""
+    raise AssertionError("calls under FAN_OUT_MIN_S must not go to the pool")
 
 
 def vqa_for(answers):
@@ -247,12 +221,9 @@ class TestConcurrentBuildDsg:
         graph = build_dsg(MOTORCYCLE_PROMPT, slow_llm(BarrierLlm), templates)
         assert graph == motorcycle_graph() and len(journal) == 3
 
-    def test_a_fast_llm_stays_serial(self, templates, journal, monkeypatch):
-        def no_submit(*args):
-            raise AssertionError("stages under FAN_OUT_MIN_S must not overlap")
-
-        monkeypatch.setattr(reflection, "POOL", SimpleNamespace(submit=no_submit))
-        assert build_dsg(MOTORCYCLE_PROMPT, scripted_llm(), templates) == motorcycle_graph()
+    def test_a_fast_llm_stays_serial(self, templates, journal):
+        with scheduled(unpooled, fan_out_min_s=reflection.FAN_OUT_MIN_S):
+            assert build_dsg(MOTORCYCLE_PROMPT, scripted_llm(), templates) == motorcycle_graph()
         assert len(journal) == 3
 
     def test_journal_keeps_the_serial_order_when_dependencies_answer_first(self, templates, journal):
@@ -274,37 +245,55 @@ class TestConcurrentBuildDsg:
             MOTORCYCLE_TUPLES, MOTORCYCLE_QUESTIONS, MOTORCYCLE_DEPENDENCIES
         )
 
-    def test_question_id_mismatch_reasks_only_the_questions_stage(self, templates, journal):
-        llm = slow_llm()
+    # The laws below hold whichever schedule the pool follows: the questions
+    # stage may run at its submit, before the dependencies stage is asked, or
+    # be taken back by settle once the dependencies stage has parsed.
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_question_id_mismatch_reasks_only_the_questions_stage(self, templates, data):
+        llm = scripted_llm()
         llm._entries["complete"][1].responses = ["1 | Only one question?", MOTORCYCLE_QUESTIONS]
-        assert build_dsg(MOTORCYCLE_PROMPT, llm, templates) == motorcycle_graph()
+        with scheduled(drawn(data)), recording(CallJournal()) as journal:
+            assert build_dsg(MOTORCYCLE_PROMPT, llm, templates) == motorcycle_graph()
         assert [r.response_digest for r in journal.records()] == response_digests(
             MOTORCYCLE_TUPLES, "1 | Only one question?", MOTORCYCLE_QUESTIONS, MOTORCYCLE_DEPENDENCIES
         )
 
-    def test_a_cycle_reasks_only_the_dependencies_stage(self, templates, journal):
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_a_cycle_reasks_only_the_dependencies_stage(self, templates, data):
         cyclic = "1 | 2\n2 | 1\n3 | 0\n4 | 0\n5 | 0"
-        llm = slow_llm()
+        llm = scripted_llm()
         llm._entries["complete"][2].responses = [cyclic, MOTORCYCLE_DEPENDENCIES]
-        assert build_dsg(MOTORCYCLE_PROMPT, llm, templates) == motorcycle_graph()
+        with scheduled(drawn(data)), recording(CallJournal()) as journal:
+            assert build_dsg(MOTORCYCLE_PROMPT, llm, templates) == motorcycle_graph()
         assert [r.response_digest for r in journal.records()] == response_digests(
             MOTORCYCLE_TUPLES, MOTORCYCLE_QUESTIONS, cyclic, MOTORCYCLE_DEPENDENCIES
         )
 
     @pytest.mark.parametrize(
-        "slow, deps, dependency_calls",
+        "dispatch, deps, dependency_calls",
         [
-            (False, MOTORCYCLE_DEPENDENCIES, 0),  # serial: never asked
-            (True, MOTORCYCLE_DEPENDENCIES, 1),  # parses, then waits for the questions
-            (True, "garbage", 3),  # runs out of attempts on its own
+            ("serial", MOTORCYCLE_DEPENDENCIES, 0),  # never asked
+            ("scheduled", MOTORCYCLE_DEPENDENCIES, 1),  # parses, then waits for the questions
+            ("scheduled", "garbage", 3),  # runs out of attempts on its own
+            ("threads", MOTORCYCLE_DEPENDENCIES, 1),
+            ("threads", "garbage", 3),
         ],
-        ids=["serial", "dependencies-valid", "dependencies-invalid"],
+        ids=["serial", "dependencies-valid", "dependencies-invalid", "threads-valid", "threads-invalid"],
     )
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
     def test_an_exhausted_questions_stage_raises_its_own_error(
-        self, templates, journal, slow, deps, dependency_calls
+        self, templates, dispatch, deps, dependency_calls, data
     ):
-        llm = (slow_llm if slow else scripted_llm)(questions="garbage", deps=deps)
-        with pytest.raises(StageExhausted) as exc:
+        if dispatch == "threads":
+            llm, pool = slow_llm(questions="garbage", deps=deps), nullcontext()
+        else:
+            llm = scripted_llm(questions="garbage", deps=deps)
+            pool = scheduled(drawn(data), fan_out_min_s=0.0 if dispatch == "scheduled" else float("inf"))
+        with pool, recording(CallJournal()) as journal, pytest.raises(StageExhausted) as exc:
             build_dsg(MOTORCYCLE_PROMPT, llm, templates)
         assert (exc.value.stage, exc.value.attempts) == ("questions", 3)
         # the dependencies calls an overlapping build made stay in the journal, after the questions
@@ -312,51 +301,32 @@ class TestConcurrentBuildDsg:
             MOTORCYCLE_TUPLES, *["garbage"] * 3, *[deps] * dependency_calls
         )
 
-    def test_settle_runs_a_task_no_worker_has_started_here(self, monkeypatch, journal):
-        pool = ThreadPoolExecutor(max_workers=1)
-        release, started = threading.Event(), threading.Event()
-        pool.submit(release.wait, 10)  # holds the only worker
-        monkeypatch.setattr(reflection, "POOL", pool)
+    def test_settle_runs_a_task_no_worker_has_started_here(self, journal):
         llm = MockBackend(name="llm").script_text("*", "ok")
         req = TextGenRequest(preamble="p", exemplars=(), input="x")
+        # the first submit goes on with its task queued; the second starts its task
+        with scheduled(replay([1, 0])) as pool:
+            queued = reflection.submit(llm.complete, req)
+            assert reflection.join([reflection.settle(queued)]) == ["ok"]
+            assert queued[0].cancelled()  # taken back: no worker will run it again
+            started = reflection.submit(llm.complete, req)
+            assert started[0].done()
+            assert reflection.join([reflection.settle(started)]) == ["ok"]
+            assert not started[0].cancelled()
+        assert pool.schedule == [1, 0]
+        assert [r.digest for r in journal.records()] == [request_digest(req)] * 2
 
-        def ask():
-            started.set()
-            return threading.current_thread(), llm.complete(req)
-
-        try:
-            queued = reflection.submit(ask)
-            assert reflection.join([reflection.settle(queued)]) == [(threading.current_thread(), "ok")]
-            assert queued[0].cancelled()
-            release.set()
-            started.clear()
-            running = reflection.submit(ask)
-            assert started.wait(timeout=5)  # a worker has it: settle waits for the worker's result
-            [(thread, answer)] = reflection.join([reflection.settle(running)])
-            assert thread is not threading.current_thread() and answer == "ok"
-            assert [r.digest for r in journal.records()] == [request_digest(req)] * 2
-        finally:
-            release.set()
-            pool.shutdown()
-
-    def test_a_task_taken_back_by_settle_journals_in_its_own_slot(self, monkeypatch, journal):
-        pool = ThreadPoolExecutor(max_workers=1)
-        release = threading.Event()
-        pool.submit(release.wait, 10)  # holds the only worker
-        monkeypatch.setattr(reflection, "POOL", pool)
+    def test_a_task_taken_back_by_settle_journals_in_its_own_slot(self, journal):
         llm = MockBackend(name="llm").script_text("*", "ok")
         queued_req, later_req = (TextGenRequest(preamble="p", exemplars=(), input=x) for x in ("queued", "later"))
-        try:
+        with scheduled(replay([1])):
             queued = reflection.submit(llm.complete, queued_req)
             llm.complete(later_req)
             # taken back under another recording, it still journals where it was submitted
             with recording(CallJournal()) as elsewhere:
                 assert reflection.join([reflection.settle(queued)]) == ["ok"]
-            assert queued[0].cancelled() and len(elsewhere) == 0
-            assert [r.digest for r in journal.records()] == [request_digest(queued_req), request_digest(later_req)]
-        finally:
-            release.set()
-            pool.shutdown()
+        assert queued[0].cancelled() and len(elsewhere) == 0
+        assert [r.digest for r in journal.records()] == [request_digest(queued_req), request_digest(later_req)]
 
 
 class TestEvaluateImage:
@@ -514,26 +484,16 @@ class TestFanOut:
         assert [r.digest for r in records] == [request_digest(q) for q in asked]
         assert [r.ok for r in records] == [True, True, False, True, False, True, True]
 
-    def test_nothing_is_asked_after_a_failure(self, tmp_path, journal, monkeypatch):
-        # Roots 1 and 2 are held until the test runs them, 1 first: 1 fails,
-        # then 2 answers yes, and its child 3 is never asked.
-        pool = HeldPool()
-        monkeypatch.setattr(reflection, "POOL", pool)
+    def test_nothing_is_asked_after_a_failure(self, tmp_path, journal):
+        # Roots 1 and 2 stay queued until the evaluation waits; then 1 runs and
+        # fails, the evaluation takes that in, 2 answers yes, and its child 3
+        # is never asked.
         vqa = MockBackend(name="vqa").script_vqa("Is there thing 1?", AuthFailure("one")).script_vqa("*", "yes")
         img = image(tmp_path)
-        graph = chain_graph("p", 3, {(2, 3)})
-        evaluation = ThreadPoolExecutor(max_workers=1)
-        # run in this test's journal: a new thread starts outside it
-        raised = evaluation.submit(contextvars.copy_context().run, evaluate_image, img, graph, vqa)
-        try:
-            pool.run_next()
-            pool.run_next()
-            with pytest.raises(AuthFailure, match="one"):
-                raised.result(timeout=5)
-        finally:
-            left = pool.run_until(raised)  # else shutdown waits on an evaluation that waits on them
-            evaluation.shutdown()
-        assert left == 0 and pool.tasks.empty()
+        # go on at both submits; at the wait start root 1, then go on
+        with scheduled(replay([1, 2, 0, 1])) as pool, pytest.raises(AuthFailure, match="one"):
+            evaluate_image(img, chain_graph("p", 3, {(2, 3)}), vqa)
+        assert pool.schedule == [1, 2, 0, 1]
         asked = [VqaRequest(image=img, question=f"Is there thing {i}?") for i in (1, 2)]
         assert [(r.digest, r.ok) for r in journal.records()] == [
             (request_digest(asked[0]), False), (request_digest(asked[1]), True)
@@ -569,22 +529,31 @@ class TestFanOut:
         asked = [VqaRequest(image=img, question=f"Is there thing {i}?") for i in range(1, 5)]
         assert [r.digest for r in journal.records()] == [request_digest(q) for q in asked]
 
+    @pytest.mark.parametrize("pool", ["scheduled", "threads"])
     @settings(max_examples=40, deadline=None)
     @given(
         rng=st.randoms(use_true_random=False),
         answers=st.lists(st.sampled_from(["yes", "no"]), min_size=12, max_size=12),
-        delays=st.lists(st.sampled_from([0.0, 0.001, 0.003]), min_size=12, max_size=12),
+        data=st.data(),
     )
-    def test_dataflow_gives_the_serial_report_and_journal(self, png, rng, answers, delays):
+    def test_dataflow_gives_the_serial_report_and_journal(self, png, pool, rng, answers, data):
+        """On a drawn schedule, or on the real pool with each question
+        sleeping a drawn time, the dataflow walk gives the serial report and
+        journal."""
         ids, pairs = random_dag(rng)
         g = chain_graph("p", len(ids), pairs)
         texts = {i: f"Is there thing {i}?" for i in ids}
-        flowing = SlowMock(name="vqa", delays={texts[i]: delays[i - 1] for i in ids})
+        if pool == "scheduled":
+            flowing, dispatch = MockBackend(name="vqa"), scheduled(drawn(data))
+        else:
+            delays = data.draw(st.lists(st.sampled_from([0.0, 0.001, 0.003]), min_size=len(ids), max_size=len(ids)))
+            flowing, dispatch = SlowMock(name="vqa", delays={texts[i]: delays[i - 1] for i in ids}), nullcontext()
         serial_vqa = warmed(MockBackend(name="vqa"), png)
         for i in ids:
             flowing.script_vqa(texts[i], answers[i - 1])
             serial_vqa.script_vqa(texts[i], answers[i - 1])
-        with recording(CallJournal()) as flowing_journal:
+        with dispatch, recording(CallJournal()) as flowing_journal:
+            assert reflection._fan_out(flowing, "answer_binary")
             got = evaluate_image(png, g, flowing)
         with pytest.MonkeyPatch.context() as m, recording(CallJournal()) as serial_journal:
             m.setattr(reflection, "FAN_OUT_MIN_S", float("inf"))
@@ -630,23 +599,20 @@ class TestFanOut:
         assert [r.ok for r in journal.records()] == [True, False, False, True]
 
     def test_first_call_under_the_gate_keeps_the_evaluation_serial(self, tmp_path, monkeypatch):
-        def no_submit(*args):
-            raise AssertionError("answers under FAN_OUT_MIN_S must not fan out")
-
         # A fake clock makes every call the backend records take half the
         # gate, however loaded the host.
         clock = itertools.count(0.0, reflection.FAN_OUT_MIN_S / 2)
         fake_time = SimpleNamespace(monotonic=lambda: next(clock), sleep=time.sleep)
         monkeypatch.setattr(backends_base, "time", fake_time)
-        monkeypatch.setattr(reflection, "POOL", SimpleNamespace(submit=no_submit))
         g = chain_graph("p", 12, set())
         img = image(tmp_path)
         vqa = MockBackend(name="vqa").script_vqa("*", "yes")
         # a backend that has never answered fans out, so this one answers first
         assert vqa.answer_binary(VqaRequest(image=img, question="Warm up?"))
         # each evaluation reads the last answer's latency
-        for _ in range(2):
-            assert evaluate_image(img, g, vqa).vqa_call_count == 12
+        with scheduled(unpooled, fan_out_min_s=reflection.FAN_OUT_MIN_S):
+            for _ in range(2):
+                assert evaluate_image(img, g, vqa).vqa_call_count == 12
         assert vqa.last_latency_s("answer_binary") == pytest.approx(reflection.FAN_OUT_MIN_S / 2)
 
     def test_a_backend_that_has_answered_asks_a_first_level_together(self, tmp_path):
