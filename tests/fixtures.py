@@ -9,10 +9,11 @@ import random
 import threading
 import time
 from concurrent.futures import ALL_COMPLETED, FIRST_COMPLETED, Future
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 import pytest
-from hypothesis import currently_in_test_context, note
+from hypothesis import note
+from hypothesis.errors import InvalidArgument
 from hypothesis import strategies as st
 
 from promptrefine import reflection
@@ -133,8 +134,9 @@ class ScheduledPool:
     arguments with a ``schedule: [...]`` note, and a Deadlock's message holds
     the schedule so far. Re-running the test replays the failure first from
     hypothesis's example database. To pin it, run the test body with the
-    printed arguments under ``scheduled(replay(schedule), workers=...)``:
-    replay makes the same choices, then goes on inline.
+    printed arguments under ``scheduled(replay(schedule), workers=N)``, N
+    being the worker bound the example ran at (``POOL_WORKERS`` unless the
+    test draws one): replay makes the same choices, then goes on inline.
     """
 
     def __init__(self, choose, workers=reflection.POOL_WORKERS):
@@ -226,7 +228,7 @@ def scheduled(choose, workers=reflection.POOL_WORKERS, fan_out_min_s=0.0):
         try:
             yield pool
         finally:
-            if currently_in_test_context():
+            with suppress(InvalidArgument):  # raised outside a hypothesis test
                 note(f"schedule: {pool.schedule}")
             if pool.deadlock is not None:
                 raise pool.deadlock

@@ -177,6 +177,7 @@ def test_fan_out_changes_timing_only(img):
     done("fan-out keeps reports and journal order over 50 random DAGs and schedules")
 
 
+@pytest.mark.real_threads
 def test_fan_out_changes_timing_only_on_threads(img):
     """The same law on the real pool, where sleeping asks finish out of id order."""
     rng = random.Random(20240601)
@@ -252,6 +253,7 @@ def test_overlap_changes_timing_only(overlap_images, serial_runs):
     done("graph build beside the first generate keeps records over drawn schedules")
 
 
+@pytest.mark.real_threads
 def test_overlap_changes_timing_only_on_threads(overlap_images, serial_runs):
     """The same law on the real pool, with sleeping text and image calls."""
     gauge = Gauge()

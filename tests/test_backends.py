@@ -190,6 +190,7 @@ class TestDigests:
             assert request_digest(req) == oracle_digest(req)
         assert len({request_digest(r) for r in reqs}) == len(reqs)
 
+    @pytest.mark.real_threads
     def test_concurrent_digests_meet_the_definition(self):
         # More distinct preambles than the fragment cache holds, so entries are
         # evicted while other threads read them; images shared by many questions.

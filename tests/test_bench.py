@@ -246,6 +246,7 @@ class TestRunBenchmark:
         report = run_benchmark(items[:1], cfg, mode="baseline")
         assert report.items[0].clip["baseline"] == pytest.approx(100.0)
 
+    @pytest.mark.real_threads
     def test_clip_embeds_go_out_together(self, tmp_path):
         items, _ = four_item_dataset()
         vqa = MockBackend(name="vqa").script_vqa("*", "yes")
@@ -383,6 +384,7 @@ class TestRunBenchmark:
 
         law()
 
+    @pytest.mark.real_threads
     def test_each_items_embeds_are_in_flight_while_the_next_item_runs(self, tmp_path):
         gauge = Gauge()
         items, cfg = self._pipelined(tmp_path, gauge)

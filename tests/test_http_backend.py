@@ -49,6 +49,9 @@ from promptrefine.reflection import POOL_WORKERS, evaluate_image
 
 from fixtures import MOTORCYCLE_PROMPT, PNG_BLACK, PNG_WHITE, chain_graph, journal, motorcycle_graph
 
+# Loopback servers and pooled calls run on real threads.
+pytestmark = pytest.mark.real_threads
+
 
 class FakeResponse:
     """A streamed response: its body is read through ``iter_content``."""

@@ -5,6 +5,7 @@ import json
 import os
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -108,6 +109,7 @@ class TestRunSingle:
         assert record.status == "completed"
         assert "build_dsg" not in record.timings
 
+    @pytest.mark.real_threads
     def test_graph_builds_while_the_first_image_generates(self, tmp_path):
         gauge = Gauge()
         slow = functools.partial(
@@ -119,6 +121,7 @@ class TestRunSingle:
         # only the round-1 build can have a text call in flight during a generate
         assert frozenset({"complete", "generate_image"}) in gauge.together
 
+    @pytest.mark.real_threads
     def test_the_build_is_journaled_before_the_generate_in_serial_order(self, tmp_path):
         # The generate returns first and the dependencies stage answers before
         # the questions stage, which runs on the pool inside the build task.
@@ -314,6 +317,7 @@ class TestRunSingle:
         assert load_record(out / record.run_id).error == record.error
 
 
+@pytest.mark.real_threads
 class TestRunBatch:
     def test_order_preserved(self, tmp_path):
         backends = motorcycle_backends(tmp_path / "images", fence_answers=("yes",))
@@ -377,6 +381,48 @@ class TestRunBatch:
             sys.setswitchinterval(interval)
         assert not worker.is_alive()
         assert [normalized(r) for r in batches[0]] == [reference] * 24
+
+    def test_a_batch_wider_than_the_pool_finishes(self, tmp_path, monkeypatch):
+        # More runs than pool workers, so builds fill the pool and their
+        # questions stages queue behind other builds; a build that only
+        # waited for its questions stage would hang here. The runs get a pool
+        # of POOL_WORKERS of their own, so that a hung batch can be ended:
+        # shutting it down dequeues and cancels the waiting tasks, and since
+        # a dequeued future never tells its waiters, the test does.
+        assert 16 > reflection.POOL_WORKERS
+        submitted = []
+
+        class Pool(ThreadPoolExecutor):
+            def submit(self, fn, *args):
+                submitted.append(super().submit(fn, *args))
+                return submitted[-1]
+
+        pool = Pool(max_workers=reflection.POOL_WORKERS)
+        monkeypatch.setattr(reflection, "POOL", pool)
+        slow = functools.partial(SlowMock, op_delays={"complete": 0.002, "generate_image": 0.003})
+        backends = motorcycle_backends(tmp_path / "images", fence_answers=("yes",), cls=slow)
+        cfg = pipeline_cfg(tmp_path, backends=backends, parallelism=16)
+        reference = normalized(run_single(MOTORCYCLE_PROMPT, cfg))
+        batches = []
+        worker = threading.Thread(
+            target=lambda: batches.append(run_batch([MOTORCYCLE_PROMPT] * 32, cfg)), daemon=True
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            worker.start()
+            worker.join(timeout=60)
+            finished = not worker.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+            waiting = [future for future in submitted if not future.done()]
+            pool.shutdown(wait=False, cancel_futures=True)
+            for future in waiting:
+                if future.cancelled():
+                    future.set_running_or_notify_cancel()
+            worker.join(timeout=60)  # a hung batch ends before the real POOL is back
+        assert finished
+        assert [normalized(r) for r in batches[0]] == [reference] * 32
 
     def test_empty_batch_rejected(self, tmp_path):
         cfg = pipeline_cfg(tmp_path)

@@ -207,6 +207,7 @@ def response_digests(*blocks):
 class TestConcurrentBuildDsg:
     """A slow llm is asked the questions and dependencies stages together."""
 
+    @pytest.mark.real_threads
     def test_both_stages_are_in_flight_at_once(self, templates, journal):
         # Each stage waits until the other is in flight; asked one after the
         # other they break the barrier.
@@ -226,6 +227,7 @@ class TestConcurrentBuildDsg:
             assert build_dsg(MOTORCYCLE_PROMPT, scripted_llm(), templates) == motorcycle_graph()
         assert len(journal) == 3
 
+    @pytest.mark.real_threads
     def test_journal_keeps_the_serial_order_when_dependencies_answer_first(self, templates, journal):
         answered = threading.Event()
 
@@ -278,8 +280,8 @@ class TestConcurrentBuildDsg:
             ("serial", MOTORCYCLE_DEPENDENCIES, 0),  # never asked
             ("scheduled", MOTORCYCLE_DEPENDENCIES, 1),  # parses, then waits for the questions
             ("scheduled", "garbage", 3),  # runs out of attempts on its own
-            ("threads", MOTORCYCLE_DEPENDENCIES, 1),
-            ("threads", "garbage", 3),
+            pytest.param("threads", MOTORCYCLE_DEPENDENCIES, 1, marks=pytest.mark.real_threads),
+            pytest.param("threads", "garbage", 3, marks=pytest.mark.real_threads),
         ],
         ids=["serial", "dependencies-valid", "dependencies-invalid", "threads-valid", "threads-invalid"],
     )
@@ -441,6 +443,7 @@ class TestEvaluateImage:
 
 
 class TestFanOut:
+    @pytest.mark.real_threads
     def test_wide_level_overlaps_within_the_worker_bound(self, tmp_path, journal):
         g = chain_graph("p", 24, set())  # one level of 24 questions
         vqa = SlowMock(name="vqa").script_vqa("*", "yes")
@@ -448,6 +451,7 @@ class TestFanOut:
         assert report.score == 1.0 and len(journal) == 24
         assert 1 < vqa.gauge.peak["answer_binary"] <= reflection.POOL_WORKERS
 
+    @pytest.mark.real_threads
     def test_lowest_failing_id_raises_after_the_calls_in_flight_finish(self, tmp_path, journal):
         # Roots 1-6 are asked together; 7 depends on 1. Question 1 answers at
         # once, so 7 is asked while 3 and 5 are in flight. Both then fail with
@@ -499,6 +503,7 @@ class TestFanOut:
             (request_digest(asked[0]), False), (request_digest(asked[1]), True)
         ]
 
+    @pytest.mark.real_threads
     def test_a_child_is_asked_while_an_unrelated_root_is_unanswered(self, tmp_path, journal):
         # Root A (1) is held until C (3), whose only parent is root B (2), has
         # started. D (4) depends on A. A level barrier would hold C until A
@@ -529,7 +534,7 @@ class TestFanOut:
         asked = [VqaRequest(image=img, question=f"Is there thing {i}?") for i in range(1, 5)]
         assert [r.digest for r in journal.records()] == [request_digest(q) for q in asked]
 
-    @pytest.mark.parametrize("pool", ["scheduled", "threads"])
+    @pytest.mark.parametrize("pool", ["scheduled", pytest.param("threads", marks=pytest.mark.real_threads)])
     @settings(max_examples=40, deadline=None)
     @given(
         rng=st.randoms(use_true_random=False),
@@ -569,6 +574,7 @@ class TestFanOut:
         assert [r.digest for r in flowing_journal.records()] == want_journal
         assert [r.digest for r in serial_journal.records()] == want_journal
 
+    @pytest.mark.real_threads
     def test_join_journals_tasks_in_task_order(self, journal):
         # Each task waits for the next one to finish, so they finish in
         # reverse order; tasks 1 and 2 fail, 2 first.
@@ -615,6 +621,7 @@ class TestFanOut:
                 assert evaluate_image(img, g, vqa).vqa_call_count == 12
         assert vqa.last_latency_s("answer_binary") == pytest.approx(reflection.FAN_OUT_MIN_S / 2)
 
+    @pytest.mark.real_threads
     def test_a_backend_that_has_answered_asks_a_first_level_together(self, tmp_path):
         # Every root waits until all of them are in flight; asked one at a time
         # they break the barrier.
@@ -635,6 +642,7 @@ class TestFanOut:
         report = evaluate_image(img, chain_graph("p", roots, set()), vqa)
         assert report.score == 1.0 and report.vqa_call_count == roots
 
+    @pytest.mark.real_threads
     def test_a_backend_that_never_answered_asks_its_first_level_together(self, tmp_path):
         # Every root waits until all of them are in flight; asked one at a time
         # they break the barrier.
@@ -652,6 +660,7 @@ class TestFanOut:
         assert report.score == 1.0 and report.vqa_call_count == roots
         assert vqa.gauge.peak["answer_binary"] == roots
 
+    @pytest.mark.real_threads
     def test_a_pooled_task_is_journaled_where_it_was_submitted(self, journal):
         # The task's call returns after a later call on this thread; it is
         # still journaled first, in the slot that its submit took.
