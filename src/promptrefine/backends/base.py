@@ -333,8 +333,8 @@ class BackendConfig:
     supports_embedding: bool = False
 
     def __post_init__(self):
-        if self.timeout <= 0:
-            raise ValueError("timeout must be > 0")
+        if not 0 < self.timeout < math.inf:  # NaN compares false too
+            raise ValueError("timeout must be a finite number > 0")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         # not ``<= 0``: NaN compares false to everything
@@ -453,6 +453,7 @@ def _short_text_digest(text: str) -> str:
 _FIRST_WORD = re.compile(r"[A-Za-z]+")
 _STRICT_SUFFIX = ' Answer strictly with the single word "yes" or "no".'
 MIN_IMAGE_DIM, MAX_IMAGE_DIM = 16, 4096
+MAX_BACKOFF_S = 30.0  # the longest wait between two attempts, bar a Retry-After
 
 
 class Backend:
@@ -489,7 +490,7 @@ class Backend:
         """Run one operation with retry/backoff and journal it; return (response, its digest)."""
         start = time.monotonic()
         attempts = 0
-        delay = self.config.backoff_base
+        delay = min(self.config.backoff_base, MAX_BACKOFF_S)
         error = result = rdigest = None
         while True:
             attempts += 1
@@ -508,7 +509,7 @@ class Backend:
                 logger.debug("%s failed (attempt %d), retrying in %.2fs: %s", op, attempts, wait, exc)
                 if wait > 0:
                     time.sleep(wait)
-                delay = min(delay * 2 if delay else 0.0, 30.0)
+                delay = min(delay * 2, MAX_BACKOFF_S)
         if error is None and isinstance(result, str) and len(result) <= SHORT_RESPONSE:
             rdigest = _short_text_digest(result)
         elif error is None:

@@ -24,6 +24,8 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from promptrefine import scene_graph as sg
 from promptrefine.backends.base import (
+    MAX_IMAGE_DIM,
+    MIN_IMAGE_DIM,
     Backend,
     BackendError,
     CallJournal,
@@ -87,6 +89,9 @@ class PipelineConfig:
             raise ValueError("rounds must be >= 1")
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
+        for name in ("width", "height"):
+            if not MIN_IMAGE_DIM <= getattr(self, name) <= MAX_IMAGE_DIM:
+                raise ValueError(f"{name} must be from {MIN_IMAGE_DIM} to {MAX_IMAGE_DIM}")
 
     def template_set(self) -> TemplateSet:
         return self.templates if self.templates is not None else default_template_set()
@@ -331,7 +336,7 @@ _REPORT = sg.Schema(
 )
 _EXPANSION = sg.Schema(
     ExpansionResult,
-    sg.Field("new_tuples", [sg.TUPLE], convert=tuple, emit=lambda ts: list(map(sg.tuple_to_doc, ts))),
+    sg.Field("new_tuples", [sg.TUPLE], convert=tuple),
     sg.Field("targeted_ids", [int], convert=frozenset, emit=sorted),
     sg.Field("raw_transcript", str),
 )
@@ -366,8 +371,7 @@ RECORD = sg.Schema(
     sg.Field("converged", bool, False),
     sg.Field("prompt_history", [(str, str)]),
     sg.Field("image_refs", [(str, _IMAGE_REF, int)]),
-    # sg.graph_to_doc is looked up at each write, so a wrapper put on it sees the call.
-    sg.Field("graph", sg.GRAPH, None, emit=lambda graph: sg.graph_to_doc(graph)),
+    sg.Field("graph", sg.GRAPH, None),
     sg.Field("reports", list, emit=lambda reports: [sg.write(r, _REPORT) for r in reports]),
     sg.Field("outcome", _OUTCOME, None),
     sg.Field("backend_journal", [dict], []),

@@ -8,11 +8,12 @@ are the canonical interchange format emitted by the text-model stages:
     questions:     <id> | <question text>
     dependencies:  <child_id> | <parent_id>[, <parent_id>...]   (0 = no parents)
 
-Tuples and graphs are persisted as the JSON documents of ``tuple_to_doc`` and
-``graph_to_doc``. ``read`` is the one reader of every JSON document the
+Tuples and graphs are persisted as the JSON documents of the Schemas
+``TUPLE`` and ``GRAPH``. ``read`` is the one reader of every JSON document the
 program reads back (records, graphs, datasets, mock scripts): it checks each
 field against a ``Schema`` and names the field of the first fault. ``write``
-is its inverse, so a document written through a Schema reads back through it.
+is its inverse, and the one writer: a document written through a Schema reads
+back through it.
 ``declared`` gives the Fields of a dataclass, for a Schema that builds one.
 """
 
@@ -441,27 +442,6 @@ def descendants(graph: SceneGraph, qid: int) -> Set[int]:
     return out
 
 
-def tuple_to_doc(t: ConceptTuple) -> dict:
-    return {"id": t.id, "category": t.category.value, "detail": t.detail, "content": t.content}
-
-
-def graph_to_doc(graph: SceneGraph) -> dict:
-    return {
-        "source_prompt": graph.source_prompt,
-        "tuples": [tuple_to_doc(t) for t in sorted(graph.tuples, key=lambda t: t.id)],
-        "questions": [
-            {"id": q.id, "text": q.text} for q in sorted(graph.questions, key=lambda q: q.id)
-        ],
-        "edges": [[e.parent, e.child] for e in sorted(graph.edges)],
-    }
-
-
-def serialize_graph(graph: SceneGraph) -> str:
-    """Canonical, byte-stable JSON document for a graph: one line of UTF-8
-    JSON, compact so that CPython's C encoder writes it."""
-    return json.dumps(graph_to_doc(graph), ensure_ascii=False) + "\n"
-
-
 REQUIRED = object()  # the default of a Field that must be present
 
 
@@ -588,10 +568,15 @@ def write(value, kind):
         doc = {}
         for f in kind.fields:
             v = getattr(value, f.name)
-            doc[f.name] = None if v is None else f.emit(v) if f.emit is not None else write(v, f.kind)
+            # A plain type writes the value as it is, without a call per value:
+            # a record's graph holds hundreds of them.
+            if v is None or f.emit is None and isinstance(f.kind, type):
+                doc[f.name] = v
+            else:
+                doc[f.name] = f.emit(v) if f.emit is not None else write(v, f.kind)
         return doc
     if isinstance(kind, list):
-        return [write(v, kind[0]) for v in value]
+        return list(value) if isinstance(kind[0], type) else [write(v, kind[0]) for v in value]
     if isinstance(kind, tuple):
         return [write(v, k) for v, k in zip(value, kind)]
     if isinstance(kind, dict):
@@ -602,7 +587,7 @@ def write(value, kind):
 TUPLE = Schema(
     ConceptTuple,
     Field("id", int),
-    Field("category", str, convert=_category),
+    Field("category", str, convert=_category, emit=lambda category: category.value),
     Field("detail", str),
     Field("content", str),
 )
@@ -617,8 +602,14 @@ GRAPH = Schema(
     Field("source_prompt", str),
     Field("tuples", [TUPLE]),
     Field("questions", [Schema(Question, *declared(Question))]),
-    Field("edges", [(int, int)]),
+    Field("edges", [(int, int)], emit=lambda edges: [[e.parent, e.child] for e in sorted(edges)]),
 )
+
+
+def serialize_graph(graph: SceneGraph) -> str:
+    """Canonical, byte-stable JSON document for a graph: one line of UTF-8
+    JSON, compact so that CPython's C encoder writes it."""
+    return json.dumps(write(graph, GRAPH), ensure_ascii=False) + "\n"
 
 
 def parse_graph(text: str) -> SceneGraph:

@@ -352,6 +352,18 @@ class TestMockScripting:
         assert backend.complete(text_req("x")) == "ok"
         assert sleeps == [0.5]
 
+    @pytest.mark.parametrize(
+        "backoff_base, waits",
+        [(0.5, [0.5, 1.0, 2.0]), (10.0, [10.0, 20.0, 30.0]), (40.0, [30.0] * 3), (float("inf"), [30.0] * 3)],
+    )
+    def test_every_backoff_wait_is_at_most_30_s(self, monkeypatch, backoff_base, waits):
+        sleeps = []
+        monkeypatch.setattr(backends_base, "time", SimpleNamespace(monotonic=time.monotonic, sleep=sleeps.append))
+        backend = MockBackend(BackendConfig(model="mock", max_retries=3, backoff_base=backoff_base))
+        backend.script_text("*", [TransportError("down")] * 3 + ["ok"])
+        assert backend.complete(text_req("x")) == "ok"
+        assert sleeps == waits
+
     def test_a_scripted_transport_error_keeps_its_status(self):
         backend = MockBackend(BackendConfig(model="mock", max_retries=0, backoff_base=0.0))
         backend.script_text("*", TransportError("boom", status=503))
@@ -397,6 +409,10 @@ class TestBackendConfig:
             ("backoff_base", -1.0),
             ("backoff_base", float("nan")),
             ("embed_dim", 0),
+            ("timeout", 0.0),
+            ("timeout", -1.0),
+            ("timeout", float("nan")),
+            ("timeout", float("inf")),
         ],
     )
     def test_out_of_range_values_are_rejected(self, key, value):

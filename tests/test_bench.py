@@ -36,11 +36,12 @@ from promptrefine.bench import (
 )
 from promptrefine.pipeline import Backends, PipelineConfig
 from promptrefine.scene_graph import (
+    GRAPH,
     SchemaViolation,
     build_graph,
-    graph_to_doc,
     parse_questions,
     parse_tuples,
+    write,
 )
 
 from fixtures import (
@@ -109,7 +110,7 @@ class TestLoadDataset:
     def test_inline_graphs(self, tmp_path):
         g = tagged_graph("p one", "x", 2)
         lines = [
-            json.dumps({"item_id": "1", "category": "c", "prompt": "p one", "graph": graph_to_doc(g)}),
+            json.dumps({"item_id": "1", "category": "c", "prompt": "p one", "graph": write(g, GRAPH)}),
             json.dumps({"item_id": "2", "category": "c", "prompt": "p two"}),
         ]
         items = load_dataset(self._write(tmp_path, lines))
@@ -150,7 +151,7 @@ class TestLoadDataset:
         [([[1, 2], [2, 1]], "dependency cycle: 1 -> 2 -> 1"), ([[1, 9]], "unknown question id 9")],
     )
     def test_invalid_inline_graph_names_its_line(self, tmp_path, edges, reason):
-        doc = graph_to_doc(tagged_graph("p two", "x", 2))
+        doc = write(tagged_graph("p two", "x", 2), GRAPH)
         doc["edges"] = edges
         lines = [
             json.dumps({"item_id": "1", "category": "c", "prompt": "p one"}),

@@ -10,7 +10,7 @@ import yaml
 
 from promptrefine.cli import main
 from promptrefine.config import ConfigError, load_config
-from promptrefine.scene_graph import graph_to_doc, parse_graph, serialize_graph
+from promptrefine.scene_graph import GRAPH, parse_graph, serialize_graph, write
 
 from fixtures import (
     DECORATED_MOTORCYCLE,
@@ -230,7 +230,16 @@ class TestLoadConfig:
         assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "key, value", [("rate_limit", -1), ("rate_limit", 0), ("backoff_base", -1), ("embed_dim", 0)]
+        "key, value",
+        [
+            ("rate_limit", -1),
+            ("rate_limit", 0),
+            ("backoff_base", -1),
+            ("embed_dim", 0),
+            ("timeout", 0),
+            ("timeout", float("nan")),  # written as .nan
+            ("timeout", float("inf")),  # written as .inf
+        ],
     )
     def test_an_out_of_range_backend_value_exits_2(self, tmp_path, capsys, key, value):
         write_script(tmp_path)
@@ -242,6 +251,20 @@ class TestLoadConfig:
             load_config(path)
         assert str(exc.value).startswith(f"backends.vqa: {key} must be ")
         assert main(["dsg", "--prompt", MOTORCYCLE_PROMPT, "--config", str(path)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("width", 8), ("width", 15), ("height", 4097)])
+    def test_an_out_of_range_image_size_exits_2(self, tmp_path, capsys, key, value):
+        # refused when the config loads, before any backend is called
+        write_script(tmp_path)
+        doc = yaml.safe_load(write_config(tmp_path).read_text())
+        doc["pipeline"][key] = value
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        assert str(exc.value) == f"pipeline: {key} must be from 16 to 4096"
+        assert main(["optimize", "--prompt", MOTORCYCLE_PROMPT, "--config", str(path)]) == 2
         assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize(
@@ -515,7 +538,7 @@ class TestCliRunBench:
                         "item_id": f"item-{tag}",
                         "category": "desk",
                         "prompt": MOTORCYCLE_PROMPT,
-                        "graph": graph_to_doc(graph),
+                        "graph": write(graph, GRAPH),
                     }
                 )
             )

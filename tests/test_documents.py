@@ -23,7 +23,7 @@ from promptrefine.pipeline import (
     record_to_doc,
     run_single,
 )
-from promptrefine.scene_graph import REQUIRED, Field, SchemaViolation, declared, graph_to_doc
+from promptrefine.scene_graph import GRAPH, REQUIRED, Field, SchemaViolation, declared, write
 
 from fixtures import MOTORCYCLE_PROMPT, motorcycle_backends, motorcycle_graph
 
@@ -182,6 +182,27 @@ class TestRecord:
         assert (loaded.created_at, loaded.converged, loaded.backend_journal, loaded.timings) == ("", False, [], {})
         assert load_record(write_json(tmp_path / "record.json", doc)).timings is not loaded.timings
 
+    def test_every_value_written_has_a_plain_json_type(self, record_doc):
+        # A Category is a str, so json.dumps would write it with the same
+        # bytes; the writer must still hand over plain values, which an
+        # isinstance check would not tell apart.
+        record = record_from_doc(record_doc)
+        assert record.outcome.expansion.new_tuples and record.graph.tuples
+        leaves = []
+
+        def walk(value):
+            if type(value) is dict:
+                assert all(type(k) is str for k in value)
+                value = value.values()
+            elif type(value) is not list:
+                leaves.append(value)
+                return
+            for v in value:
+                walk(v)
+
+        walk(record_to_doc(record))
+        assert [v for v in leaves if type(v) not in (str, int, float, bool, type(None))] == []
+
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_any_value_at_any_field_loads_or_is_a_schema_violation(self, tmp_path, record_doc, data):
@@ -211,7 +232,7 @@ class TestRecord:
 class TestDatasetLine:
     @pytest.fixture
     def line(self):
-        graph = graph_to_doc(motorcycle_graph())
+        graph = write(motorcycle_graph(), GRAPH)
         return {"item_id": "1", "category": "c", "prompt": MOTORCYCLE_PROMPT, "graph": graph}
 
     @pytest.mark.parametrize(

@@ -600,8 +600,14 @@ class TestPersistence:
         record = self._record(tmp_path)
         record = dataclasses.replace(record, graph=dataclasses.replace(record.graph, source_prompt="une clôture 🏍"))
         built = []
-        graph_to_doc = scene_graph.graph_to_doc
-        monkeypatch.setattr(scene_graph, "graph_to_doc", lambda graph: built.append(graph) or graph_to_doc(graph))
+        write = scene_graph.write
+
+        def counting_write(value, kind):
+            if kind is scene_graph.GRAPH:
+                built.append(value)
+            return write(value, kind)
+
+        monkeypatch.setattr(scene_graph, "write", counting_write)
         path = persist_record(record, tmp_path / "runs")
         assert built == [record.graph]  # one document, for record.json and graph.json
         monkeypatch.undo()
@@ -704,3 +710,12 @@ class TestConfigValidation:
     def test_bad_parallelism(self, tmp_path):
         with pytest.raises(ValueError):
             pipeline_cfg(tmp_path, parallelism=0)
+
+    @pytest.mark.parametrize("key, value", [("width", 15), ("height", 15), ("width", 4097), ("height", 4097)])
+    def test_an_image_size_the_backend_refuses(self, tmp_path, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be from 16 to 4096$"):
+            pipeline_cfg(tmp_path, **{key: value})
+
+    def test_the_image_size_bounds_are_accepted(self, tmp_path):
+        cfg = pipeline_cfg(tmp_path, width=16, height=4096)
+        assert (cfg.width, cfg.height) == (16, 4096)
