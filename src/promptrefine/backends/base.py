@@ -284,8 +284,13 @@ class ImageGenRequest:
 
 def request_digest(req) -> str:
     """Stable digest of a canonicalized request: sha256 of
-    ``canonical_json(req.canonical())``, which ``req.canonical_text()`` builds."""
-    return sha256_hex(req.canonical_text())
+    ``canonical_json(req.canonical())``, which ``req.canonical_text()`` builds.
+    It is kept in the frozen request's instance __dict__, as ImageRef keeps
+    its canonical text, so an op and its transport hook hash it once."""
+    digest = req.__dict__.get("_digest")
+    if digest is None:
+        digest = req.__dict__["_digest"] = sha256_hex(req.canonical_text())
+    return digest
 
 
 def embed_digest(payload: Union[str, ImageRef]) -> str:

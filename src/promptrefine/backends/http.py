@@ -15,6 +15,7 @@ from __future__ import annotations
 import base64
 import json
 import threading
+from contextvars import ContextVar
 from typing import List, Optional, Tuple, Union
 
 from promptrefine.backends.base import (
@@ -40,34 +41,37 @@ def _image_url(image: ImageRef) -> str:
     return image.remote_id if image.path is None else _URL_SLOT
 
 
-# The latest image and its JSON-escaped ``data:`` URL prefix and base64 bytes.
-# A run evaluates one image at a time, so only that image's questions reuse
-# its encoding; 1 MiB is ~1.4 MB of base64. A generate empties the slot before
-# its request goes out, so the old copy is not alive while the new image's
-# response is parsed.
-_latest: Optional[Tuple[ImageRef, Tuple[bytes, bytes]]] = None
-_LATEST_LOCK = threading.Lock()
-
 _HEADERS = {"Content-Type": "application/json"}
 
 
-def _keep(image: ImageRef, b64: bytes) -> Tuple[bytes, bytes]:
-    """Make ``b64`` the encoding every request about ``image`` sends; the
-    caller holds _LATEST_LOCK."""
-    global _latest
-    prefix = json.dumps(f"data:{image.media_type};base64,")[1:-1].encode("ascii")
-    _latest = image, (prefix, b64)
-    return _latest[1]
+class _ImageSlot:
+    """A local image and its base64 bytes: the one encoding that every
+    question about the image sends. 1 MiB is ~1.4 MB of base64. ``lock`` is
+    held while the fields are read or changed, so questions that arrive
+    together wait for one encoding rather than each making their own."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.image: Optional[ImageRef] = None
+        self.b64 = b""
 
 
-def _encoded(image: ImageRef) -> Tuple[bytes, bytes]:
-    """A local image's JSON-escaped ``data:`` URL prefix and base64 bytes,
-    shared by every request that sends it. Callers that arrive together wait
-    for one encoding rather than each making their own."""
-    with _LATEST_LOCK:
-        if _latest is not None and _latest[0] == image:
-            return _latest[1]
-        return _keep(image, base64.b64encode(image.read_bytes()))
+# The slot of the image that this context generated last. generate_image sets
+# a fresh one in its caller's context, and pooled work runs in a copy of its
+# submitter's context, so a run's questions find its image's encoding and
+# concurrent runs keep their own. Work outside any generate, such as questions
+# about a file image, shares the default slot.
+_image_slot: ContextVar[_ImageSlot] = ContextVar("promptrefine_image_slot", default=_ImageSlot())
+
+
+def _encoded(image: ImageRef) -> bytes:
+    """A local image's base64 bytes, from this context's slot, which is
+    filled from the file on a miss."""
+    slot = _image_slot.get()
+    with slot.lock:
+        if slot.image != image:
+            slot.image, slot.b64 = image, base64.b64encode(image.read_bytes())
+        return slot.b64
 
 
 def _is_canonical(b64: bytes, data: bytes) -> bool:
@@ -105,9 +109,10 @@ class _ImageBody:
     concurrent requests share one encoded copy. ``len()`` lets requests set
     Content-Length; each iteration yields the whole body again."""
 
-    def __init__(self, payload: dict, encoded: Tuple[bytes, bytes]):
+    def __init__(self, payload: dict, image: ImageRef, b64: bytes):
         head, _, tail = json.dumps(payload).partition(json.dumps(_URL_SLOT))
-        self._parts = (head.encode("ascii") + b'"', *encoded, b'"' + tail.encode("ascii"))
+        head += json.dumps(f"data:{image.media_type};base64,")[:-1]  # the URL up to its base64
+        self._parts = (head.encode("ascii"), b64, b'"' + tail.encode("ascii"))
 
     def __len__(self) -> int:
         return sum(len(part) for part in self._parts)
@@ -125,27 +130,23 @@ class HttpBackend(Backend):
         super().__init__(config, image_dir=image_dir)
         self._session = session or requests.Session()
         self._auth = _Bearer(config.auth_token) if config.auth_token else None
-        # _send_image leaves the image's base64 here for generate_image, which
-        # runs on the same thread, so concurrent generates keep their own.
-        self._generated = threading.local()
 
     def generate_image(self, req: ImageGenRequest) -> ImageRef:
-        global _latest
-        # Every question about the previous image has been asked by now; one
-        # that comes later re-reads the image's file.
-        with _LATEST_LOCK:
-            _latest = None
-        try:
-            image = super().generate_image(req)
-            b64 = self._generated.b64
-        finally:
-            self._generated.b64 = None
-        # Kept on the calling thread: the questions about the new image may
-        # all go out at once from pool threads, which would hold the copy in
-        # their own malloc arenas.
-        with _LATEST_LOCK:
-            _keep(image, b64)
-        return image
+        # Before the request goes out, this context's previous image's copy
+        # is dropped, also where pooled work submitted earlier (such as the
+        # graph build beside a run's first generate) still holds the old
+        # slot, and a fresh slot is set; _send_image leaves the new image's
+        # base64 in it. Only this thread sees the new slot until the generate
+        # returns. The copy is made here, on the calling thread: the
+        # questions about the new image may all go out at once from pool
+        # threads, which would hold it in their own malloc arenas.
+        old = _image_slot.get()
+        with old.lock:
+            old.image, old.b64 = None, b""
+        slot = _ImageSlot()
+        _image_slot.set(slot)
+        slot.image = super().generate_image(req)
+        return slot.image
 
     def _post(self, path: str, payload: dict, image: Optional[ImageRef] = None) -> dict:
         """POST ``payload`` as JSON; a local ``image`` fills its _URL_SLOT."""
@@ -153,7 +154,7 @@ class HttpBackend(Backend):
 
         url = self.config.endpoint.rstrip("/") + path
         if image is not None and image.path is not None:
-            body = {"data": _ImageBody(payload, _encoded(image))}
+            body = {"data": _ImageBody(payload, image, _encoded(image))}
         else:
             body = {"json": payload}
         try:
@@ -253,8 +254,9 @@ class HttpBackend(Backend):
         if not data:
             raise TransportError("image payload is empty")
         # The service's text is what the questions about this image send,
-        # unless a decode that skipped or dropped something made it differ.
-        self._generated.b64 = b64 if _is_canonical(b64, data) else base64.b64encode(data)
+        # unless a decode that skipped or dropped something made it differ;
+        # it goes to the slot that generate_image set.
+        _image_slot.get().b64 = b64 if _is_canonical(b64, data) else base64.b64encode(data)
         return data
 
     def _send_embed(self, payload: Union[str, ImageRef]) -> List[float]:

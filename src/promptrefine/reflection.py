@@ -3,6 +3,7 @@ generated image against it with entailment-based pruning."""
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import heapq
 import logging
@@ -164,6 +165,8 @@ FAN_OUT_MIN_S = 0.001
 # A task on it may wait only on a task that it can take back and run itself
 # (``settle``), so sharing cannot deadlock: the build settles its questions
 # stage. Threads start on the first submit, so an unused pool costs nothing.
+# Each task runs in a copy of its submitter's context (see ``submit``), so a
+# worker thread carries no context from one task to the next.
 # Pooled work meets the rest of the program at three scheduling points only:
 # ``POOL.submit``, this module's ``wait`` and ``Future.cancel``. Whoever owns
 # those three (the pool, or a test's scheduler) decides every interleaving.
@@ -179,17 +182,21 @@ Task = Tuple[Future, Callable[[], Any]]  # a pooled task's future, and the closu
 
 def submit(fn, *args, slot: Optional[CallJournal] = None) -> Task:
     """Start ``fn(*args)`` on POOL (the ``POOL.submit`` scheduling point);
-    collect it with ``join``. Its calls are journaled where it was submitted:
-    in ``slot``, a slot reserved earlier, or else in a new slot of the
-    current journal."""
+    collect it with ``join``. It runs in a copy of the submitter's context,
+    on a worker or, taken back by ``settle``, wherever it is settled, so it
+    sees the context variables set where it was submitted (such as the HTTP
+    backend's image slot), and those it sets stay its own. Its calls are
+    journaled where it was submitted: in ``slot``, a slot reserved earlier,
+    or else in a new slot of the current journal."""
     journal = current_journal()
     if slot is None and journal is not None:
         slot = journal.slot()
 
     def run():
-        with recording(slot):  # set inside the task: pool threads start outside
+        with recording(slot):
             return fn(*args)
 
+    run = functools.partial(contextvars.copy_context().run, run)
     return POOL.submit(run), run
 
 
@@ -239,13 +246,10 @@ def evaluate_image(image: ImageRef, graph: sg.SceneGraph, vqa: Backend) -> Refle
     question's error in (level, id) order is raised.
     """
     pooled = _fan_out(vqa, "answer_binary")
-    order = sg.topological_order(graph)
-    rank = {qid: i for i, qid in enumerate(order)}
+    order, rank = graph.order, graph.rank
     journal = current_journal()
     slots = {qid: journal.slot() for qid in order} if pooled and journal is not None else {}
-    waiting = dict.fromkeys(order, 0)  # parents not yet answered yes
-    for edge in graph.edges:
-        waiting[edge.child] += 1
+    waiting = dict(graph.parent_counts)  # parents not yet answered yes
     ready = [i for i, qid in enumerate(order) if not waiting[qid]]  # a heap of ranks
     in_flight: Dict[Future, int] = {}
     asked: Dict[int, bool] = {}

@@ -188,10 +188,26 @@ class SceneGraph:
         return {qid: tuple(kids) for qid, kids in adj.items()}
 
     @cached_property
-    def _levels(self) -> Tuple[Tuple[int, ...], ...]:
-        indegree = {q.id: 0 for q in self.questions}
+    def parent_counts(self) -> Dict[int, int]:
+        """How many parents each question has. Shared: copy it to change it."""
+        counts = {q.id: 0 for q in self.questions}
         for e in self.edges:
-            indegree[e.child] += 1
+            counts[e.child] += 1
+        return counts
+
+    @cached_property
+    def order(self) -> Tuple[int, ...]:
+        """Question ids in (level, id) order: each Kahn generation in turn."""
+        return tuple(qid for level in self._levels for qid in level)
+
+    @cached_property
+    def rank(self) -> Dict[int, int]:
+        """Each question id's position in ``order``. Shared: do not change it."""
+        return {qid: i for i, qid in enumerate(self.order)}
+
+    @cached_property
+    def _levels(self) -> Tuple[Tuple[int, ...], ...]:
+        indegree = dict(self.parent_counts)
         levels: List[Tuple[int, ...]] = []
         ready = sorted(i for i, n in indegree.items() if n == 0)
         while ready:
@@ -423,7 +439,7 @@ def topological_levels(graph: SceneGraph) -> List[List[int]]:
 def topological_order(graph: SceneGraph) -> List[int]:
     """Question ids with every parent before its children: the generations of
     ``topological_levels`` in turn."""
-    return [qid for level in topological_levels(graph) for qid in level]
+    return list(graph.order)
 
 
 def descendants(graph: SceneGraph, qid: int) -> Set[int]:

@@ -1,6 +1,7 @@
 """Wire-format tests for the HTTP backend, driven through a stub session."""
 
 import base64
+import dataclasses
 import gc
 import json
 import json as _json  # StubSession.post's parameter `json` shadows the module name
@@ -24,6 +25,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import promptrefine
+from promptrefine import reflection
 from promptrefine.backends import (
     AuthFailure,
     BackendConfig,
@@ -44,10 +46,18 @@ from promptrefine.backends import (
 from promptrefine.backends import base as backends_base
 from promptrefine.backends import http
 from promptrefine.backends.base import sha256_hex
-from promptrefine.pipeline import Backends, PipelineConfig, _error_kind, run_single
+from promptrefine.pipeline import Backends, PipelineConfig, _error_kind, run_batch, run_single
 from promptrefine.reflection import POOL_WORKERS, evaluate_image
 
-from fixtures import MOTORCYCLE_PROMPT, PNG_BLACK, PNG_WHITE, chain_graph, journal, motorcycle_graph
+from fixtures import (
+    MOTORCYCLE_PROMPT,
+    PNG_BLACK,
+    PNG_WHITE,
+    chain_graph,
+    journal,
+    motorcycle_backends,
+    motorcycle_graph,
+)
 
 # Loopback servers and pooled calls run on real threads.
 pytestmark = pytest.mark.real_threads
@@ -120,6 +130,12 @@ def counting(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, wrapper)
     return lambda: count[0]
+
+
+def blanked(record):
+    """``record`` without its run id, timestamp, timings and call latencies."""
+    journal = [dict(entry, latency_s=None) for entry in record.backend_journal]
+    return dataclasses.replace(record, run_id="", created_at="", timings={}, backend_journal=journal)
 
 
 def chat_payload(content):
@@ -487,6 +503,23 @@ class TestImagesWire:
             tracemalloc.stop()
         assert peak - before <= 1.5 * len(texts[1])
 
+    def test_a_generate_drops_the_copy_that_earlier_pooled_work_holds(self, tmp_path):
+        # As a run's graph build, submitted before its first generate, holds
+        # the slot of the image that the context generated before.
+        texts = [base64.b64encode(png).decode() for png in (PNG_BLACK, PNG_WHITE)]
+        be, _ = backend([FakeResponse(payload={"data": [{"b64_json": text}]}) for text in texts], image_dir=tmp_path)
+        be.generate_image(ImageGenRequest(prompt="a fox", width=64, height=64))
+        generated = threading.Event()
+
+        def held_copy():
+            assert generated.wait(timeout=10)
+            return http._image_slot.get().b64
+
+        task = reflection.submit(held_copy)
+        be.generate_image(ImageGenRequest(prompt="a cat", width=64, height=64))
+        generated.set()
+        assert reflection.join([task]) == [b""]
+
     def test_a_question_about_an_earlier_image_rereads_its_file(self, tmp_path, journal, monkeypatch):
         texts = {"a fox": base64.b64encode(PNG_BLACK).decode(), "a cat": base64.b64encode(PNG_WHITE).decode()}
         cached_in_flight = []
@@ -495,7 +528,7 @@ class TestImagesWire:
             def post(self, url, **kwargs):
                 super().post(url, **kwargs)
                 if url.endswith("/images/generations"):
-                    cached_in_flight.append(http._latest is not None)
+                    cached_in_flight.append(bool(http._image_slot.get().b64))
                     return FakeResponse(payload={"data": [{"b64_json": texts[kwargs["json"]["prompt"]]}]})
                 return FakeResponse(payload=chat_payload("yes"))
 
@@ -646,6 +679,40 @@ class TestImagesWire:
         questions = [c["json"]["messages"][0]["content"] for c in session.calls if "chat" in c["url"]]
         sent = {question[1]["text"]: question[0]["image_url"]["url"] for question in questions}
         assert sent == {name: "data:image/png;base64," + base64.b64encode(images[name]).decode() for name in images}
+
+    def test_batched_runs_each_send_their_own_image_without_reading_it_back(self, tmp_path, monkeypatch):
+        # Each request takes a few ms, so the four runs' generates and
+        # questions interleave. A VQA reply names the digest of the image it
+        # was sent, which the journal's response digest keeps.
+        prompts = [f"{MOTORCYCLE_PROMPT} #{i}" for i in range(8)]
+
+        class ImageSession:
+            def post(self, url, **kwargs):
+                time.sleep(0.003)
+                if url.endswith("/images/generations"):
+                    image = b"\x89PNG\r\n\x1a\n" + kwargs["json"]["prompt"].encode()
+                    return FakeResponse(payload={"data": [{"b64_json": base64.b64encode(image).decode()}]})
+                content = _json.loads(b"".join(kwargs["data"]))["messages"][0]["content"]
+                image = base64.b64decode(content[0]["image_url"]["url"].partition(",")[2])
+                # the fence is missing from every image of a user prompt
+                fence = content[1]["text"] == "Is there a fence?" and image[8:].decode() in prompts
+                return FakeResponse(payload=chat_payload(f"{'no' if fence else 'yes'} {sha256_hex(image)}"))
+
+        config = BackendConfig(endpoint="http://models.test/v1", model="m")
+        vqa = HttpBackend(config, session=ImageSession())
+        t2i = HttpBackend(config, image_dir=tmp_path, session=ImageSession())
+        llm = motorcycle_backends(tmp_path / "unused").llm
+        cfg = PipelineConfig(backends=Backends(llm=llm, vqa=vqa, t2i=t2i), width=64, height=64, parallelism=4)
+        serial = run_batch(prompts, dataclasses.replace(cfg, parallelism=1))
+        reads = counting(monkeypatch, ImageRef, "read_bytes")
+        batched = run_batch(prompts, cfg)
+        assert reads() == 0
+        for record in batched:
+            assert record.status == "completed" and len(record.image_refs) == 2
+            sent = {sha256_hex(f"{a} {ref.digest}") for _, ref, _ in record.image_refs for a in ("yes", "no")}
+            asked = [e["response_digest"] for e in record.backend_journal if e["op"] == "answer_binary"]
+            assert len(asked) == 3 + 5 and set(asked) <= sent  # round 1 prunes two
+        assert list(map(blanked, batched)) == list(map(blanked, serial))
 
     @pytest.mark.parametrize("max_retries", [0, 1])
     def test_an_empty_image_is_a_retryable_transport_error(self, tmp_path, journal, max_retries):

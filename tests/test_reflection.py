@@ -1,3 +1,4 @@
+import contextvars
 import functools
 import itertools
 import random
@@ -52,6 +53,7 @@ from fixtures import (
     SlowMock,
     chain_graph,
     drawn,
+    inline,
     journal,
     motorcycle_graph,
     random_dag,
@@ -677,6 +679,44 @@ class TestFanOut:
         asked_later.set()
         assert reflection.join([task]) == ["ok"]
         assert [r.digest for r in journal.records()] == [request_digest(first), request_digest(later)]
+
+
+# A context variable that pooled tasks read and set.
+SEEN = contextvars.ContextVar("seen", default="unset")
+
+
+class TestSubmitContext:
+    """A pooled task runs in a copy of its submitter's context."""
+
+    @staticmethod
+    def read_then_set():
+        seen = SEEN.get()
+        SEEN.set("set by the task")
+        return seen
+
+    @pytest.mark.parametrize("dispatch", [pytest.param("threads", marks=pytest.mark.real_threads), "scheduled"])
+    def test_a_task_sees_its_submitters_value_and_keeps_its_own(self, dispatch):
+        # Submitted one after another, the tasks share workers: a value one
+        # task set stays out of the next task on its worker, and out of here.
+        token = SEEN.set("submitter")
+        try:
+            with scheduled(inline) if dispatch == "scheduled" else nullcontext():
+                for _ in range(2 * reflection.POOL_WORKERS):
+                    assert reflection.join([reflection.submit(self.read_then_set)]) == ["submitter"]
+            assert SEEN.get() == "submitter"
+        finally:
+            SEEN.reset(token)
+
+    def test_a_task_taken_back_by_settle_sees_its_submitters_value(self):
+        token = SEEN.set("submitter")
+        try:
+            with scheduled(replay([1])):  # the submit goes on with its task queued
+                queued = reflection.submit(self.read_then_set)
+                SEEN.set("settler")
+                assert reflection.join([reflection.settle(queued)]) == ["submitter"]
+            assert queued[0].cancelled() and SEEN.get() == "settler"
+        finally:
+            SEEN.reset(token)
 
 
 class TestAlignmentScore:

@@ -7,7 +7,8 @@ token other than a comment, and are not part of a docstring.
 It may be run from any directory. Blank lines, comments and
 docstrings do not count, and neither does how a statement is split, so
 reformatting moves the count only where it adds or removes a line holding
-tokens.
+tokens. A tracked file deleted from the working tree counts as 0 lines. An
+unknown revision exits with status 2.
 """
 
 import ast
@@ -42,22 +43,36 @@ def git(*args: str) -> str:
 def counts(rev=None) -> dict:
     if rev is None:
         names = git("ls-files", "--cached", "--others", "--exclude-standard", "src/*.py").split()
-        return {name: code_lines((ROOT / name).read_text(encoding="utf-8")) for name in names}
+        paths = {name: ROOT / name for name in names}
+        return {name: code_lines(p.read_text(encoding="utf-8")) if p.exists() else 0 for name, p in paths.items()}
     names = git("ls-tree", "-r", "--name-only", rev, "src").split()
     return {name: code_lines(git("show", f"{rev}:{name}")) for name in names if name.endswith(".py")}
 
 
-if __name__ == "__main__":
+def main(args) -> int:
+    if args[:1] in (["-h"], ["--help"]):
+        print(__doc__)
+        return 0
     now = counts()
-    if len(sys.argv) < 2:
+    if not args:
         for name, n in sorted(now.items()):
             print(f"{n:6d}  {name}")
         print(f"{sum(now.values()):6d}  total")
-    else:
-        before = counts(sys.argv[1])
-        for name in sorted(set(before) | set(now)):
-            a, b = before.get(name, 0), now.get(name, 0)
-            if a != b:
-                print(f"{a:6d} -> {b:6d}  {name}")
-        a, b = sum(before.values()), sum(now.values())
-        print(f"{a:6d} -> {b:6d}  total ({b - a:+d})")
+        return 0
+    rev = args[0]
+    if subprocess.run(["git", "rev-parse", "--verify", "--quiet", f"{rev}^{{commit}}"], cwd=ROOT,
+                      capture_output=True).returncode:
+        print(f"code_lines.py: unknown revision {rev!r}", file=sys.stderr)
+        return 2
+    before = counts(rev)
+    for name in sorted(set(before) | set(now)):
+        a, b = before.get(name, 0), now.get(name, 0)
+        if a != b:
+            print(f"{a:6d} -> {b:6d}  {name}")
+    a, b = sum(before.values()), sum(now.values())
+    print(f"{a:6d} -> {b:6d}  total ({b - a:+d})")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
