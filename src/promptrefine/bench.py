@@ -14,7 +14,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 
 from promptrefine import scene_graph as sg
 from promptrefine.pipeline import PipelineConfig, RunRecord, _error_kind, run_single
-from promptrefine.reflection import join, submit
+from promptrefine.reflection import submit
 
 logger = logging.getLogger(__name__)
 
@@ -129,7 +129,7 @@ def _clip_pairings(result: ItemResult, item: DatasetItem, record: RunRecord,
     tasks = [submit(_try_embed, embedder, payload) for payload in payloads]
 
     def collect() -> None:
-        embeds = join(tasks)
+        embeds = [task.result() for task in tasks]
         errors = [error for _, error in embeds if error is not None]
         for name, (text, image) in pairings.items():
             (text_vec, _), (image_vec, _) = embeds[text], embeds[image]
@@ -156,12 +156,6 @@ def _item_errors(result: ItemResult) -> Iterator[None]:
         logger.warning("item %s failed: %s", result.item_id, result.error)
 
 
-def _collect_scores(scoring: List[Tuple[ItemResult, Callable[[], None]]]) -> None:
-    for result, collect in scoring:
-        with _item_errors(result):
-            collect()
-
-
 def run_benchmark(
     dataset: Sequence[DatasetItem],
     cfg: PipelineConfig,
@@ -174,18 +168,17 @@ def run_benchmark(
     also scores the final image. Items with embedded graphs skip graph
     construction. With ``cfg.out_dir`` set, each item's run directory is
     written there, in either mode. An item's relevance embeds are in flight
-    while the next item runs; they are collected, in item order, before the
-    report is made.
+    while the next items run; they are collected, in item order, once the
+    last item has run, before the report is made.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     optimized = mode != "baseline"
     results: List[ItemResult] = []
-    scoring: List[Tuple[ItemResult, Callable[[], None]]] = []  # the last item's, in flight
+    scoring: List[Tuple[ItemResult, Callable[[], None]]] = []  # each item's, in flight
     for item in dataset:
         result = ItemResult(item_id=item.item_id, category=item.category)
         results.append(result)
-        in_flight, scoring = scoring, []
         with _item_errors(result):
             record = run_single(item.prompt, cfg, graph=item.graph, evaluate_only=not optimized)
             if record.status != "completed":
@@ -195,8 +188,9 @@ def run_benchmark(
             if optimized:
                 result.optimized_score = record.reports[-1].score
             scoring.append((result, _clip_pairings(result, item, record, cfg, optimized)))
-        _collect_scores(in_flight)
-    _collect_scores(scoring)
+    for result, collect in scoring:
+        with _item_errors(result):
+            collect()
     return aggregate(results, mode)
 
 

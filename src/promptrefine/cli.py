@@ -9,6 +9,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import os
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -95,9 +96,7 @@ def cmd_run_bench(args) -> int:
         dataset = dataset[: args.limit]
     report = bench_mod.run_benchmark(dataset, cfg, mode=args.mode)
     table = bench_mod.render_report(report, format=args.format)
-    print(table, end="")
-    print(f"failed items: {report.failed_count}", file=sys.stderr)
-    if out_dir is not None:
+    if out_dir is not None:  # written first, so a closed stdout does not lose them
         out_dir.mkdir(parents=True, exist_ok=True)
         ext = "md" if args.format == "markdown" else "csv"
         write_file_atomic(out_dir / f"bench-report.{ext}", table.encode("utf-8"))
@@ -106,6 +105,8 @@ def cmd_run_bench(args) -> int:
             out_dir / "bench-items.json",
             (json.dumps(rows, indent=2, ensure_ascii=False) + "\n").encode("utf-8"),
         )
+    print(table, end="")
+    print(f"failed items: {report.failed_count}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -159,7 +160,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here rather than at exit
+        return code
+    except BrokenPipeError:
+        # Whoever read stdout has gone. Point it at devnull so that the
+        # interpreter's last flush is quiet, and exit as any other error.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OTHER
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -49,7 +49,6 @@ from promptrefine.reflection import (
     ReflectionReport,
     build_dsg,
     evaluate_image,
-    join,
     submit,
 )
 from promptrefine.templates import StageExhausted, TemplateSet, default_template_set
@@ -165,11 +164,13 @@ def run_single(
     evaluation.
 
     The concept graph depends only on the user prompt, so it is built on the
-    shared pool while the round-1 image generates, and reused; pass ``graph``
-    to skip construction entirely. The build's calls are journaled before the
-    generate's, where the build was submitted. If the generate fails, its
-    error is the run's, and the build's calls are still journaled. The run's
-    journal is its own: an enclosing ``recording`` sees none of its calls.
+    shared pool while the round-1 image generates (or here, once the
+    generate is done, if no worker has started it), and reused; pass
+    ``graph`` to skip construction entirely. The build's calls are journaled
+    before the generate's, where the build was submitted. If the generate
+    fails, its error is the run's, and the build's calls are still
+    journaled. The run's journal is its own: an enclosing ``recording`` sees
+    none of its calls.
 
     With ``cfg.out_dir`` set, the record is persisted there. The run never
     raises for a stage's error or for a record it cannot write (only for an
@@ -224,7 +225,7 @@ def run_single(
                 finally:
                     if build is not None:
                         try:
-                            [graph] = join([build])
+                            graph = build.result()
                         except Exception as exc:  # noqa: BLE001 - raised once the generate is done
                             build_error = exc
                         build = None

@@ -10,12 +10,11 @@ import logging
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, Sequence
 
 from promptrefine import scene_graph as sg
 from promptrefine.backends.base import (
     Backend,
-    CallJournal,
     ImageRef,
     VqaRequest,
     current_journal,
@@ -140,18 +139,12 @@ def build_dsg(
         return ask_dependencies(lambda: questions)
 
     task = submit(ask_questions)  # its slot comes before every dependencies call
-
-    def asked_questions():
-        nonlocal task
-        task = settle(task)
-        return task[0].result()  # a failed questions stage ends the dependencies stage
-
     try:
-        return ask_dependencies(asked_questions)
+        return ask_dependencies(task.result)  # a failed questions stage ends the dependencies stage
     finally:
         # A failed questions stage raises its own error, as it would have
         # before the dependencies.
-        join([settle(task)])
+        task.result()
 
 
 # At most 8 pooled requests in flight per process; one run's evaluation thus
@@ -162,9 +155,12 @@ FAN_OUT_MIN_S = 0.001
 
 # Shared by the VQA fan-out, the question-graph build that run_single starts
 # beside the first generate, the build's questions stage and bench embeds.
-# A task on it may wait only on a task that it can take back and run itself
-# (``settle``), so sharing cannot deadlock: the build settles its questions
-# stage. Threads start on the first submit, so an unused pool costs nothing.
+# Every collect (``Task.result``) takes back a task that no worker has
+# started and runs it itself, so a task that collects another cannot hold a
+# worker that the other needs, and sharing cannot deadlock.
+# evaluate_image's FIRST_COMPLETED wait is the one wait that takes nothing
+# back, so an evaluation must run off the pool. Threads start on the first
+# submit, so an unused pool costs nothing.
 # Each task runs in a copy of its submitter's context (see ``submit``), so a
 # worker thread carries no context from one task to the next.
 # Pooled work meets the rest of the program at three scheduling points only:
@@ -177,52 +173,49 @@ def _ask(vqa: Backend, image: ImageRef, graph: sg.SceneGraph, qid: int) -> bool:
     return vqa.answer_binary(VqaRequest(image=image, question=graph.question_by_id(qid).text))
 
 
-Task = Tuple[Future, Callable[[], Any]]  # a pooled task's future, and the closure the pool runs
+@dataclass
+class Task:
+    """A pooled call: its ``future``, and ``run``, the closure the pool runs."""
+
+    future: Future
+    run: Callable[[], Any]
+
+    def result(self) -> Any:
+        """The call's result, or its error raised. If no worker has started
+        it (the ``Future.cancel`` scheduling point succeeds), it is taken
+        back and run on this thread: a pool task waiting on a queued task
+        could otherwise hold a worker that the queued task needs. Else this
+        waits for the worker (the ``wait`` scheduling point). A taken-back
+        call runs once: ``future`` then holds whatever it returned or
+        raised, so a second ``result`` gives the same."""
+        if self.future.cancel():
+            self.future = Future()
+            try:
+                self.future.set_result(self.run())
+            except BaseException as exc:  # noqa: BLE001 - re-raised below, and by every later result()
+                self.future.set_exception(exc)
+        else:
+            wait([self.future])
+        return self.future.result()
 
 
-def submit(fn, *args, slot: Optional[CallJournal] = None) -> Task:
+def submit(fn, *args) -> Task:
     """Start ``fn(*args)`` on POOL (the ``POOL.submit`` scheduling point);
-    collect it with ``join``. It runs in a copy of the submitter's context,
-    on a worker or, taken back by ``settle``, wherever it is settled, so it
-    sees the context variables set where it was submitted (such as the HTTP
-    backend's image slot), and those it sets stay its own. Its calls are
-    journaled where it was submitted: in ``slot``, a slot reserved earlier,
-    or else in a new slot of the current journal."""
+    collect it with ``Task.result``. It runs in a copy of the submitter's
+    context, on a worker or, taken back, on the thread that collects it, so
+    it sees the context variables set where it was submitted (such as the
+    HTTP backend's image slot), and those it sets stay its own. Its calls
+    are journaled where it was submitted, in a new slot of the current
+    journal."""
     journal = current_journal()
-    if slot is None and journal is not None:
-        slot = journal.slot()
+    slot = journal.slot() if journal is not None else None
 
     def run():
         with recording(slot):
             return fn(*args)
 
     run = functools.partial(contextvars.copy_context().run, run)
-    return POOL.submit(run), run
-
-
-def join(tasks: Sequence[Task]) -> list:
-    """Wait for every task (the ``wait`` scheduling point) and return their
-    results; the first failing task in order raises its error."""
-    wait([future for future, _ in tasks])
-    return [future.result() for future, _ in tasks]
-
-
-def settle(task: Task) -> Task:
-    """``task`` once it is done. If no worker has started it (the
-    ``Future.cancel`` scheduling point succeeds), it is taken back and run on
-    this thread: a pool task waiting on a queued task could otherwise hold a
-    worker that the queued task needs. Else it waits for the worker (the
-    ``wait`` scheduling point). Collect the result with ``join``."""
-    future, run = task
-    if not future.cancel():
-        wait([future])
-        return task
-    done: Future = Future()
-    try:
-        done.set_result(run())
-    except Exception as exc:  # noqa: BLE001 - kept for join, as a pool keeps it
-        done.set_exception(exc)
-    return done, run
+    return Task(POOL.submit(run), run)
 
 
 def _fan_out(backend: Backend, op: str) -> bool:
@@ -265,8 +258,8 @@ def evaluate_image(image: ImageRef, graph: sg.SceneGraph, vqa: Backend) -> Refle
         else:
             for i in sorted(ready):
                 qid = order[i]
-                future, _ = submit(_ask, vqa, image, graph, qid, slot=slots.get(qid))
-                in_flight[future] = qid
+                with recording(slots.get(qid)):
+                    in_flight[submit(_ask, vqa, image, graph, qid).future] = qid
             ready = []
             done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
             future = min(done, key=lambda f: rank[in_flight[f]])

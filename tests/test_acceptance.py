@@ -24,7 +24,7 @@ from promptrefine.backends import (
     recording,
     request_digest,
 )
-from promptrefine.bench import clip_relevance, render_report, run_benchmark
+from promptrefine.bench import DatasetItem, clip_relevance, render_report, run_benchmark
 from promptrefine.optimizer import (
     decorate_prompt,
     default_keyword_table,
@@ -236,7 +236,7 @@ def test_overlap_changes_timing_only(overlap_images, serial_runs):
     generates, and fanning VQA out, give the same records as running every
     call one after another, whichever order the pool starts its tasks in
     and however few workers it has. With one worker the build holds it, so
-    the build must take its questions stage back (``settle``) to finish."""
+    the build must take its questions stage back (``Task.result``) to finish."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -265,6 +265,39 @@ def test_overlap_changes_timing_only_on_threads(overlap_images, serial_runs):
     assert frozenset({"complete", "generate_image"}) in gauge.together
     assert gauge.peak["answer_binary"] > 1
     done("graph build beside the first generate on threads keeps records over 6 runs")
+
+
+def motorcycle_run(cfg):
+    record = run_single(MOTORCYCLE_PROMPT, cfg)
+    assert record.status == "completed" and len(record.backend_journal) == 16
+    return normalized(record)
+
+
+def motorcycle_bench(cfg):
+    """The report of a one-item benchmark and its embeds' journal."""
+    with recording(CallJournal()) as journal:
+        report = run_benchmark([DatasetItem("motorcycle", "vehicles", MOTORCYCLE_PROMPT)], cfg)
+    assert report.failed_count == 0 and len(report.items[0].clip) == 3
+    return report, [(r.op, r.digest, r.ok) for r in journal.records()]
+
+
+@pytest.mark.parametrize("run", [motorcycle_run, motorcycle_bench], ids=["run_single", "run_benchmark"])
+def test_a_run_on_a_one_worker_pool_takes_its_pooled_work_back(tmp_path, img, run):
+    """Deadlock freedom: a run made as a task on a pool of one worker holds
+    that worker, so each of its collects (the graph build, bench embeds)
+    must run the queued task itself. The run finishes with the record of
+    the same run made off the pool."""
+
+    def cfg():
+        backends = motorcycle_backends(tmp_path / "images")
+        backends.embed = MockBackend(name="embed").script_embed("*", [1.0, 0.0])
+        warmed(backends.vqa, img)  # its evaluations stay off the pool
+        return PipelineConfig(backends=backends, width=64, height=64, seed=1234)
+
+    with scheduled(inline, workers=1, fan_out_min_s=float("inf")):
+        pooled = reflection.submit(run, cfg()).result()
+        assert pooled == run(cfg())
+    done(f"{run.__name__} as a task on a one-worker pool takes its pooled work back")
 
 
 def test_score_arithmetic():

@@ -2,12 +2,15 @@ import base64
 import json
 import os
 import shutil
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
 import pytest
 import yaml
 
+import promptrefine
 from promptrefine.cli import main
 from promptrefine.config import ConfigError, load_config
 from promptrefine.scene_graph import GRAPH, parse_graph, serialize_graph, write
@@ -24,6 +27,8 @@ from fixtures import (
     REGENERATED_MOTORCYCLE,
     motorcycle_graph,
 )
+
+SRC = Path(promptrefine.__file__).resolve().parents[1]
 
 
 def write_script(tmp_path, *, t2i_error=False, llm_garbage=False):
@@ -670,6 +675,30 @@ class TestCliRunBench:
 
         rows = json.loads((out / "bench-items.json").read_text(), parse_constant=refuse)
         assert [row["clip"] for row in rows] == [{}, {}]
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_a_closed_stdout_keeps_the_report_files(self, tmp_path, unbuffered):
+        # as in `promptrefine run-bench ... | true`: the table's reader has gone
+        write_script(tmp_path)
+        config = write_config(tmp_path)
+        out = tmp_path / "bench-out"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "promptrefine.cli", "run-bench", "--dataset",
+                 str(self._dataset(tmp_path)), "--config", str(config), "--mode", "baseline", "--out", str(out)],
+                stdout=write, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+            )
+        finally:
+            os.close(write)
+        assert done.returncode == 1, done.stderr
+        assert "Exception ignored" not in done.stderr
+        assert (out / "bench-report.md").is_file() and (out / "bench-items.json").is_file()
 
     @pytest.mark.parametrize("limit", ["-1", "0", "two"])
     def test_limit_must_be_a_positive_integer(self, tmp_path, capsys, limit):

@@ -251,7 +251,7 @@ class TestConcurrentBuildDsg:
 
     # The laws below hold whichever schedule the pool follows: the questions
     # stage may run at its submit, before the dependencies stage is asked, or
-    # be taken back by settle once the dependencies stage has parsed.
+    # be taken back by Task.result once the dependencies stage has parsed.
 
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
@@ -305,32 +305,51 @@ class TestConcurrentBuildDsg:
             MOTORCYCLE_TUPLES, *["garbage"] * 3, *[deps] * dependency_calls
         )
 
-    def test_settle_runs_a_task_no_worker_has_started_here(self, journal):
+    def test_result_runs_a_task_no_worker_has_started_here(self, journal):
         llm = MockBackend(name="llm").script_text("*", "ok")
         req = TextGenRequest(preamble="p", exemplars=(), input="x")
         # the first submit goes on with its task queued; the second starts its task
         with scheduled(replay([1, 0])) as pool:
             queued = reflection.submit(llm.complete, req)
-            assert reflection.join([reflection.settle(queued)]) == ["ok"]
-            assert queued[0].cancelled()  # taken back: no worker will run it again
+            submitted = queued.future
+            assert queued.result() == "ok"
+            assert submitted.cancelled()  # taken back: no worker will run it again
             started = reflection.submit(llm.complete, req)
-            assert started[0].done()
-            assert reflection.join([reflection.settle(started)]) == ["ok"]
-            assert not started[0].cancelled()
+            assert started.future.done()
+            assert started.result() == "ok"
+            assert not started.future.cancelled()
         assert pool.schedule == [1, 0]
         assert [r.digest for r in journal.records()] == [request_digest(req)] * 2
 
-    def test_a_task_taken_back_by_settle_journals_in_its_own_slot(self, journal):
+    def test_a_task_taken_back_by_result_journals_in_its_own_slot(self, journal):
         llm = MockBackend(name="llm").script_text("*", "ok")
         queued_req, later_req = (TextGenRequest(preamble="p", exemplars=(), input=x) for x in ("queued", "later"))
         with scheduled(replay([1])):
             queued = reflection.submit(llm.complete, queued_req)
+            submitted = queued.future
             llm.complete(later_req)
             # taken back under another recording, it still journals where it was submitted
             with recording(CallJournal()) as elsewhere:
-                assert reflection.join([reflection.settle(queued)]) == ["ok"]
-        assert queued[0].cancelled() and len(elsewhere) == 0
+                assert queued.result() == "ok"
+        assert submitted.cancelled() and len(elsewhere) == 0
         assert [r.digest for r in journal.records()] == [request_digest(queued_req), request_digest(later_req)]
+
+    def test_an_interrupted_task_taken_back_runs_once(self, templates):
+        # The dependencies stage takes the queued questions stage back, which
+        # is interrupted; the build's final collect re-raises the interrupt
+        # instead of sending the questions stage again.
+        sent = []
+
+        class Interrupted(MockBackend):
+            def _send_text(self, req):
+                if QUESTIONS_MARK in req.preamble:
+                    sent.append(req)
+                    raise KeyboardInterrupt
+                return super()._send_text(req)
+
+        with scheduled(replay([1]), fan_out_min_s=0.0), pytest.raises(KeyboardInterrupt):
+            build_dsg(MOTORCYCLE_PROMPT, scripted_llm(cls=Interrupted), templates)
+        assert len(sent) == 1
 
 
 class TestEvaluateImage:
@@ -577,7 +596,7 @@ class TestFanOut:
         assert [r.digest for r in serial_journal.records()] == want_journal
 
     @pytest.mark.real_threads
-    def test_join_journals_tasks_in_task_order(self, journal):
+    def test_results_journal_tasks_in_task_order(self, journal):
         # Each task waits for the next one to finish, so they finish in
         # reverse order; tasks 1 and 2 fail, 2 first.
         llm = (
@@ -601,7 +620,7 @@ class TestFanOut:
 
         tasks = [reflection.submit(complete, i) for i in range(len(requests))]
         with pytest.raises(ContentRejected, match="one"):
-            reflection.join(tasks)
+            [task.result() for task in tasks]
         assert order == [3, 2, 1, 0]
         assert [r.digest for r in journal.records()] == [request_digest(r) for r in requests]
         assert [r.ok for r in journal.records()] == [True, False, False, True]
@@ -677,7 +696,7 @@ class TestFanOut:
         task = reflection.submit(ask_first)
         llm.complete(later)
         asked_later.set()
-        assert reflection.join([task]) == ["ok"]
+        assert task.result() == "ok"
         assert [r.digest for r in journal.records()] == [request_digest(first), request_digest(later)]
 
 
@@ -702,19 +721,20 @@ class TestSubmitContext:
         try:
             with scheduled(inline) if dispatch == "scheduled" else nullcontext():
                 for _ in range(2 * reflection.POOL_WORKERS):
-                    assert reflection.join([reflection.submit(self.read_then_set)]) == ["submitter"]
+                    assert reflection.submit(self.read_then_set).result() == "submitter"
             assert SEEN.get() == "submitter"
         finally:
             SEEN.reset(token)
 
-    def test_a_task_taken_back_by_settle_sees_its_submitters_value(self):
+    def test_a_task_taken_back_by_result_sees_its_submitters_value(self):
         token = SEEN.set("submitter")
         try:
             with scheduled(replay([1])):  # the submit goes on with its task queued
                 queued = reflection.submit(self.read_then_set)
+                submitted = queued.future
                 SEEN.set("settler")
-                assert reflection.join([reflection.settle(queued)]) == ["submitter"]
-            assert queued[0].cancelled() and SEEN.get() == "settler"
+                assert queued.result() == "submitter"
+            assert submitted.cancelled() and SEEN.get() == "settler"
         finally:
             SEEN.reset(token)
 

@@ -3,6 +3,7 @@ line counts if it holds a token other than a comment and is not part of a
 docstring."""
 
 import importlib.util
+import os
 import shutil
 import subprocess
 import sys
@@ -95,3 +96,17 @@ def test_a_tracked_file_deleted_from_the_working_tree_counts_zero(checkout):
     assert (since.returncode, since.stdout.splitlines()) == (
         0, ["     2 ->      0  src/a.py", "     2 ->      0  total (-2)"]
     )
+
+
+@pytest.mark.parametrize("args", [[], ["-h"]], ids=["count", "help"])
+def test_a_closed_stdout_exits_1_without_a_traceback(checkout, args):
+    read, write = os.pipe()
+    os.close(read)  # as in `python tools/code_lines.py | true`
+    try:
+        done = subprocess.run(
+            [sys.executable, str(checkout / "tools" / "code_lines.py"), *args],
+            stdout=write, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (1, "")

@@ -8,11 +8,13 @@ It may be run from any directory. Blank lines, comments and
 docstrings do not count, and neither does how a statement is split, so
 reformatting moves the count only where it adds or removes a line holding
 tokens. A tracked file deleted from the working tree counts as 0 lines. An
-unknown revision exits with status 2.
+unknown revision exits with status 2, and a closed stdout (as in
+``... | head -1``) with status 1.
 """
 
 import ast
 import io
+import os
 import subprocess
 import sys
 import tokenize
@@ -75,4 +77,12 @@ def main(args) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    try:
+        status = main(sys.argv[1:])
+        sys.stdout.flush()  # a closed stdout fails here rather than at exit
+    except BrokenPipeError:
+        # Whoever read stdout has gone: point it at devnull so that the
+        # interpreter's last flush is quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    sys.exit(status)
