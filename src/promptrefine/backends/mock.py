@@ -21,8 +21,8 @@ the backend shares its cursor. Under ``pipeline.run_batch`` concurrent runs
 consume one list in the order their requests arrive, so which run gets which
 response changes from batch to batch. An evaluation asks each VQA question
 as soon as its parents are answered yes; unless the backend's last answer
-took under 1 ms, the ready questions are asked concurrently on the shared
-pool rather than one at a time on the evaluating thread (see
+took under 1 ms, the ready questions are asked concurrently on the
+evaluating thread's executor rather than one at a time on that thread (see
 ``reflection.evaluate_image``). A fresh mock has no last answer, so its
 first evaluation is concurrent, and so are a bench item's embeds. Under
 such fan-out a list is consumed in schedule order: a list under a glob that

@@ -116,8 +116,9 @@ def _clip_pairings(result: ItemResult, item: DatasetItem, record: RunRecord,
                    cfg: PipelineConfig, optimized: bool) -> Callable[[], None]:
     """Send the embeds that score the relevance of the user prompt to the
     round-1 image and, for an optimized run, of both prompts to the final
-    image, together on the shared pool. Returns the step that collects them:
-    it records a pairing when both of its embeds succeed."""
+    image, together on this thread's executor (``reflection.submit``).
+    Returns the step that collects them, to be called on this thread: it
+    records a pairing when both of its embeds succeed."""
     embedder = cfg.backends.embed
     if embedder is None:
         return lambda: None

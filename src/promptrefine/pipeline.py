@@ -163,14 +163,13 @@ def run_single(
     optimized prompt. With ``evaluate_only`` the run stops after the round-1
     evaluation.
 
-    The concept graph depends only on the user prompt, so it is built on the
-    shared pool while the round-1 image generates (or here, once the
-    generate is done, if no worker has started it), and reused; pass
-    ``graph`` to skip construction entirely. The build's calls are journaled
-    before the generate's, where the build was submitted. If the generate
-    fails, its error is the run's, and the build's calls are still
-    journaled. The run's journal is its own: an enclosing ``recording`` sees
-    none of its calls.
+    The concept graph depends only on the user prompt, so it is built on
+    this thread's executor (``reflection.submit``) while the round-1 image
+    generates, and reused; pass ``graph`` to skip construction entirely.
+    The build's calls are journaled before the generate's, where the build
+    was submitted. If the generate fails, its error is the run's, and the
+    build's calls are still journaled. The run's journal is its own: an
+    enclosing ``recording`` sees none of its calls.
 
     With ``cfg.out_dir`` set, the record is persisted there. The run never
     raises for a stage's error or for a record it cannot write (only for an
@@ -282,7 +281,10 @@ def run_single(
 
 
 def run_batch(prompts: List[str], cfg: PipelineConfig) -> List[RunRecord]:
-    """Run many prompts with a worker pool; output order matches input order."""
+    """Run many prompts with a worker pool; output order matches input order.
+
+    Each of the ``cfg.parallelism`` workers fans its run's work out on
+    executor threads of its own (``reflection.submit``)."""
     if not prompts:
         raise ValueError("prompts must be non-empty")
 

@@ -7,10 +7,11 @@ import contextvars
 import functools
 import heapq
 import logging
+import threading
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Dict, FrozenSet, Iterable, Sequence
+from typing import Callable, Dict, FrozenSet, Iterable, Sequence
 
 from promptrefine import scene_graph as sg
 from promptrefine.backends.base import (
@@ -102,8 +103,8 @@ def build_dsg(
     Each stage's output is parsed and validated; invalid output re-invokes that
     stage up to STAGE_ATTEMPTS times before StageExhausted. The questions and
     the dependencies stages both take the prompt and the tuples. If the llm's
-    last call took at least FAN_OUT_MIN_S, the questions stage is asked on the
-    shared pool while the dependencies stage is asked here; otherwise they are
+    last call took at least FAN_OUT_MIN_S, the questions stage is submitted
+    while the dependencies stage is asked here; otherwise they are
     asked one after the other. The graph, the journal order and the error
     raised are the same either way, but when the questions stage fails the
     dependencies stage has been asked too.
@@ -147,66 +148,43 @@ def build_dsg(
         task.result()
 
 
-# At most 8 pooled requests in flight per process; one run's evaluation thus
-# stays under urllib3's 10 pooled connections per host.
+# At most 8 pooled requests in flight per submitting thread; one run's
+# evaluation thus stays under urllib3's 10 pooled connections per host.
 POOL_WORKERS = 8
 # A thread handoff costs ~50 us of CPU per question; only slower calls gain from overlap.
 FAN_OUT_MIN_S = 0.001
 
-# Shared by the VQA fan-out, the question-graph build that run_single starts
-# beside the first generate, the build's questions stage and bench embeds.
-# Every collect (``Task.result``) takes back a task that no worker has
-# started and runs it itself, so a task that collects another cannot hold a
-# worker that the other needs, and sharing cannot deadlock.
-# evaluate_image's FIRST_COMPLETED wait is the one wait that takes nothing
-# back, so an evaluation must run off the pool. Threads start on the first
-# submit, so an unused pool costs nothing.
-# Each task runs in a copy of its submitter's context (see ``submit``), so a
-# worker thread carries no context from one task to the next.
+# Pooled work (the VQA fan-out, the graph build beside run_single's first
+# generate, the build's questions stage, bench embeds) runs on an executor
+# of the submitting thread's own, started on its first submit; its workers
+# exit once that thread has ended.
+# Invariant: a task is collected only by the thread that submitted it. A
+# waiting thread thus never holds a worker that its own tasks need, and
+# pooled work cannot deadlock at any bound.
 # Pooled work meets the rest of the program at three scheduling points only:
-# ``POOL.submit``, this module's ``wait`` and ``Future.cancel``. Whoever owns
-# those three (the pool, or a test's scheduler) decides every interleaving.
-POOL = ThreadPoolExecutor(max_workers=POOL_WORKERS, thread_name_prefix="promptrefine-io")
+# ``submit``, this module's ``wait`` and ``Future.result``. Whoever owns them
+# (the executors, or a test's scheduler through ``_pool``) decides every
+# interleaving.
+_pools = threading.local()
+
+
+def _pool() -> ThreadPoolExecutor:
+    """This thread's executor, started on its first call."""
+    if not hasattr(_pools, "executor"):
+        _pools.executor = ThreadPoolExecutor(max_workers=POOL_WORKERS, thread_name_prefix="promptrefine-io")
+    return _pools.executor
 
 
 def _ask(vqa: Backend, image: ImageRef, graph: sg.SceneGraph, qid: int) -> bool:
     return vqa.answer_binary(VqaRequest(image=image, question=graph.question_by_id(qid).text))
 
 
-@dataclass
-class Task:
-    """A pooled call: its ``future``, and ``run``, the closure the pool runs."""
-
-    future: Future
-    run: Callable[[], Any]
-
-    def result(self) -> Any:
-        """The call's result, or its error raised. If no worker has started
-        it (the ``Future.cancel`` scheduling point succeeds), it is taken
-        back and run on this thread: a pool task waiting on a queued task
-        could otherwise hold a worker that the queued task needs. Else this
-        waits for the worker (the ``wait`` scheduling point). A taken-back
-        call runs once: ``future`` then holds whatever it returned or
-        raised, so a second ``result`` gives the same."""
-        if self.future.cancel():
-            self.future = Future()
-            try:
-                self.future.set_result(self.run())
-            except BaseException as exc:  # noqa: BLE001 - re-raised below, and by every later result()
-                self.future.set_exception(exc)
-        else:
-            wait([self.future])
-        return self.future.result()
-
-
-def submit(fn, *args) -> Task:
-    """Start ``fn(*args)`` on POOL (the ``POOL.submit`` scheduling point);
-    collect it with ``Task.result``. It runs in a copy of the submitter's
-    context, on a worker or, taken back, on the thread that collects it, so
-    it sees the context variables set where it was submitted (such as the
-    HTTP backend's image slot), and those it sets stay its own. Its calls
-    are journaled where it was submitted, in a new slot of the current
-    journal."""
+def submit(fn, *args) -> Future:
+    """Start ``fn(*args)`` on this thread's executor; collect it here with
+    ``Future.result``. It runs in a copy of the submitter's context, so it
+    sees the context variables set where it was submitted (such as the HTTP
+    backend's image slot), and those it sets stay its own. Its calls are
+    journaled where it was submitted, in a new slot of the current journal."""
     journal = current_journal()
     slot = journal.slot() if journal is not None else None
 
@@ -214,8 +192,7 @@ def submit(fn, *args) -> Task:
         with recording(slot):
             return fn(*args)
 
-    run = functools.partial(contextvars.copy_context().run, run)
-    return Task(POOL.submit(run), run)
+    return _pool().submit(contextvars.copy_context().run, run)
 
 
 def _fan_out(backend: Backend, op: str) -> bool:
@@ -231,7 +208,7 @@ def evaluate_image(image: ImageRef, graph: sg.SceneGraph, vqa: Backend) -> Refle
     answer marks every dependent question as missing without querying it.
     If the backend's last answer took under FAN_OUT_MIN_S, the ready
     questions are asked here, one at a time, lowest (level, id) first.
-    Otherwise they go to the shared pool as they become ready, unless one is
+    Otherwise they are submitted as they become ready, unless one is
     ready and none is in flight: that one is asked here. Pooled calls are
     journaled in slots reserved in (level, id) order, so answers, pruning,
     the call count and the journal are the same either way. After a failure
@@ -259,7 +236,7 @@ def evaluate_image(image: ImageRef, graph: sg.SceneGraph, vqa: Backend) -> Refle
             for i in sorted(ready):
                 qid = order[i]
                 with recording(slots.get(qid)):
-                    in_flight[submit(_ask, vqa, image, graph, qid).future] = qid
+                    in_flight[submit(_ask, vqa, image, graph, qid)] = qid
             ready = []
             done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
             future = min(done, key=lambda f: rank[in_flight[f]])

@@ -1,10 +1,11 @@
 """Shared fixture data: the motorcycle/fence graph, tiny PNG payloads, and a
-scheduled stand-in for the shared pool."""
+scheduled stand-in for the pooled-work executors."""
 
 import base64
 import collections
 import contextvars
 import functools
+import itertools
 import random
 import threading
 import time
@@ -109,25 +110,41 @@ class Deadlock(AssertionError):
     """A wait on pooled work that no startable task can bring closer."""
 
 
+class ScheduledFuture(Future):
+    """A pooled task's future, whose ``result`` is a scheduling point."""
+
+    def __init__(self, pool):
+        super().__init__()
+        self.pool = pool
+
+    def result(self, timeout=None):
+        self.pool._point(self.done)
+        return super().result(timeout)
+
+
 class ScheduledPool:
-    """Stands in for ``reflection.POOL`` and ``reflection.wait`` on the test's
-    one thread, so that the test chooses how pooled work interleaves instead
-    of sampling it with sleeps (systematic concurrency testing, as in CHESS).
+    """Stands in for ``reflection._pool`` and ``reflection.wait`` on the
+    test's one thread, so that the test chooses how pooled work interleaves
+    instead of sampling it with sleeps (systematic concurrency testing, as
+    in CHESS).
 
-    ``submit`` queues a plain ``Future``; no task starts until a scheduling
-    point. Every ``submit`` and every ``wait`` is one. At a point with more
-    than one option, ``choose(n)`` picks one of n: option i < k starts the
-    i-th oldest of the k queued tasks, and option k, offered once the caller
-    may go on, returns to it. A ``wait`` goes on only when its condition
-    holds. A task starts with ``set_running_or_notify_cancel``, so
-    ``Future.cancel`` (``Task.result``'s take-back) succeeds exactly until then,
-    and runs to completion on the waiting thread in a fresh context, as on a
-    pool thread; its own submits and waits are scheduling points too.
+    It models one lane per logical thread: the test thread, or a task now
+    running. ``submit`` queues a ``ScheduledFuture`` in the current lane; no
+    task starts until a scheduling point. Every ``submit``, every ``wait``
+    and every ``ScheduledFuture.result`` is one. At a point with more than one
+    option, ``choose(n)`` picks one of n: option i < k starts the i-th
+    oldest of the k startable tasks, and option k, offered once the caller
+    may go on, returns to it. A ``wait`` or a ``result`` goes on only when
+    its condition holds. A task runs to completion on the test's thread, in
+    a fresh context and a lane of its own, as on a worker thread; its own
+    submits, waits and results are scheduling points too, and whatever it
+    raises goes to its future, as on an executor.
 
-    At most ``workers`` tasks run at once, as on a pool of that many
-    threads: a task started while others wait counts until it returns. A
-    wait whose condition no startable task can bring about raises
-    ``Deadlock`` naming the schedule so far, instead of hanging.
+    At most ``workers`` tasks of each lane run at once, as on an executor of
+    that many threads per submitting thread: a task started while others
+    wait counts until it returns. A wait whose condition no startable task
+    can bring about raises ``Deadlock`` naming the schedule so far, instead
+    of hanging.
 
     ``schedule`` lists the choices made; ``inline`` (always 0) starts each
     task at its submit. Under ``drawn``, a failing test prints its falsifying
@@ -141,14 +158,16 @@ class ScheduledPool:
 
     def __init__(self, choose, workers=reflection.POOL_WORKERS):
         self.choose, self.workers = choose, workers
-        self.queued = []  # (future, task) submitted and not started, oldest first
-        self.running = 0
+        self.queued = []  # (future, task, lane) submitted and not started, oldest first
+        self.running = collections.Counter()  # tasks running per lane
+        self.lanes = itertools.count(1)
+        self.lane = 0  # the test's thread
         self.schedule = []
         self.deadlock = None
 
     def submit(self, fn, *args):
-        future = Future()
-        self.queued.append((future, functools.partial(fn, *args)))
+        future = ScheduledFuture(self)
+        self.queued.append((future, functools.partial(fn, *args), self.lane))
         self._point(lambda: True)
         return future
 
@@ -165,15 +184,14 @@ class ScheduledPool:
         return done, fs - done
 
     def _point(self, may_go_on):
-        """Start queued tasks, as chosen, until the caller goes on."""
+        """Start startable tasks, as chosen, until the caller goes on."""
         while True:
-            self.queued = [(f, task) for f, task in self.queued if not f.cancelled()]
-            startable = len(self.queued) if self.running < self.workers else 0
-            options = startable + may_go_on()
+            startable = [i for i, (_, _, lane) in enumerate(self.queued) if self.running[lane] < self.workers]
+            options = len(startable) + may_go_on()
             if not options:
                 self.deadlock = self.deadlock or Deadlock(
-                    f"a wait cannot finish: {self.running} of {self.workers} workers busy, "
-                    f"{len(self.queued)} tasks queued; schedule so far: {self.schedule}"
+                    f"a wait cannot finish: {len(self.queued)} tasks queued, each in a lane whose "
+                    f"{self.workers} workers are busy; schedule so far: {self.schedule}"
                 )
                 raise self.deadlock
             choice = 0
@@ -181,21 +199,23 @@ class ScheduledPool:
                 choice = self.choose(options)
                 assert 0 <= choice < options, (choice, options)
                 self.schedule.append(choice)
-            if choice == startable:
+            if choice == len(startable):
                 return
-            self._start(*self.queued.pop(choice))
+            self._start(*self.queued.pop(startable[choice]))
 
-    def _start(self, future, task):
-        future.set_running_or_notify_cancel()  # a cancelled task left the queue
-        self.running += 1
+    def _start(self, future, task, lane):
+        future.set_running_or_notify_cancel()
+        self.running[lane] += 1
+        submitter, self.lane = self.lane, next(self.lanes)
         try:
             result = contextvars.Context().run(task)
-        except Exception as exc:  # noqa: BLE001 - a pool hands errors to the future
+        except BaseException as exc:  # noqa: BLE001 - an executor hands every error to the future
             future.set_exception(exc)
         else:
             future.set_result(result)
         finally:
-            self.running -= 1
+            self.lane = submitter
+            self.running[lane] -= 1
 
 
 def inline(options):
@@ -216,13 +236,13 @@ def drawn(data):
 
 @contextmanager
 def scheduled(choose, workers=reflection.POOL_WORKERS, fan_out_min_s=0.0):
-    """Install a ScheduledPool as ``reflection.POOL`` and ``reflection.wait``,
+    """Install a ScheduledPool as ``reflection._pool`` and ``reflection.wait``,
     with ``FAN_OUT_MIN_S`` at ``fan_out_min_s`` (0: every gate pools). A
     Deadlock fails the block even where the program caught it as a run's
     failure; a block that ends with a task never started fails too."""
     pool = ScheduledPool(choose, workers)
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(reflection, "POOL", pool)
+        m.setattr(reflection, "_pool", lambda: pool)
         m.setattr(reflection, "wait", pool.wait)
         m.setattr(reflection, "FAN_OUT_MIN_S", fan_out_min_s)
         try:
@@ -232,9 +252,7 @@ def scheduled(choose, workers=reflection.POOL_WORKERS, fan_out_min_s=0.0):
                 note(f"schedule: {pool.schedule}")
             if pool.deadlock is not None:
                 raise pool.deadlock
-        # a task taken back after the last scheduling point left its cancelled future queued
-        never_started = [future for future, _ in pool.queued if not future.cancelled()]
-        assert not never_started, f"{len(never_started)} pooled tasks never started; schedule: {pool.schedule}"
+        assert not pool.queued, f"{len(pool.queued)} pooled tasks never started; schedule: {pool.schedule}"
 
 
 @pytest.fixture

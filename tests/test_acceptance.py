@@ -9,6 +9,7 @@ import functools
 import io
 import random
 import string
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -235,8 +236,8 @@ def test_overlap_changes_timing_only(overlap_images, serial_runs):
     """Concurrency law: building the question graph while the first image
     generates, and fanning VQA out, give the same records as running every
     call one after another, whichever order the pool starts its tasks in
-    and however few workers it has. With one worker the build holds it, so
-    the build must take its questions stage back (``Task.result``) to finish."""
+    and however few workers it has. With one worker the build holds it, and
+    asks its questions stage on a worker of its own."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -282,22 +283,47 @@ def motorcycle_bench(cfg):
 
 
 @pytest.mark.parametrize("run", [motorcycle_run, motorcycle_bench], ids=["run_single", "run_benchmark"])
-def test_a_run_on_a_one_worker_pool_takes_its_pooled_work_back(tmp_path, img, run):
+def test_a_run_made_as_a_task_on_a_one_worker_pool_finishes(tmp_path, run):
     """Deadlock freedom: a run made as a task on a pool of one worker holds
-    that worker, so each of its collects (the graph build, bench embeds)
-    must run the queued task itself. The run finishes with the record of
-    the same run made off the pool."""
+    that worker, and fans its own work out (the graph build, the first
+    evaluation's questions, bench embeds) on workers of its own. The run
+    finishes with the record of the same run made off the pool."""
 
     def cfg():
         backends = motorcycle_backends(tmp_path / "images")
         backends.embed = MockBackend(name="embed").script_embed("*", [1.0, 0.0])
-        warmed(backends.vqa, img)  # its evaluations stay off the pool
         return PipelineConfig(backends=backends, width=64, height=64, seed=1234)
 
     with scheduled(inline, workers=1, fan_out_min_s=float("inf")):
         pooled = reflection.submit(run, cfg()).result()
         assert pooled == run(cfg())
-    done(f"{run.__name__} as a task on a one-worker pool takes its pooled work back")
+    done(f"{run.__name__} as a task on a one-worker pool finishes")
+
+
+@pytest.mark.real_threads
+def test_runs_made_as_tasks_that_fill_the_pool_finish(tmp_path):
+    """Deadlock freedom on threads: POOL_WORKERS runs submitted at once hold
+    every worker of the submitting thread's executor, and each still fans its
+    build and its evaluations out, on workers of its own."""
+    slow = functools.partial(SlowMock, delays={q.text: 0.01 for q in sg.parse_questions(MOTORCYCLE_QUESTIONS)})
+
+    def cfg():
+        backends = motorcycle_backends(tmp_path / "images", cls=slow)
+        return PipelineConfig(backends=backends, width=64, height=64, seed=1234)
+
+    reference = motorcycle_run(cfg())
+    records = []
+
+    def submit_runs():
+        tasks = [reflection.submit(motorcycle_run, cfg()) for _ in range(reflection.POOL_WORKERS)]
+        records.extend(task.result() for task in tasks)
+
+    submitter = threading.Thread(target=submit_runs, daemon=True)
+    submitter.start()
+    submitter.join(timeout=60)
+    assert not submitter.is_alive(), "the pooled runs did not finish"
+    assert records == [reference] * reflection.POOL_WORKERS
+    done(f"{reflection.POOL_WORKERS} runs as tasks that fill the pool finish on threads")
 
 
 def test_score_arithmetic():

@@ -5,7 +5,7 @@ import json
 import os
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
+import time
 
 import pytest
 
@@ -363,7 +363,7 @@ class TestRunBatch:
 
     def test_concurrent_runs_keep_their_own_journals(self, tmp_path):
         # more runs in flight than cores, each building its graph and fanning
-        # VQA out on the shared pool, with frequent thread switches
+        # VQA out on executor threads of its own, with frequent thread switches
         slow = functools.partial(SlowMock, op_delays={"complete": 0.001, "generate_image": 0.003})
         backends = motorcycle_backends(tmp_path / "images", fence_answers=("yes",), cls=slow)
         cfg = pipeline_cfg(tmp_path, backends=backends, parallelism=6)
@@ -382,28 +382,17 @@ class TestRunBatch:
         assert not worker.is_alive()
         assert [normalized(r) for r in batches[0]] == [reference] * 24
 
-    def test_a_batch_wider_than_the_pool_finishes(self, tmp_path, monkeypatch):
-        # More runs than pool workers, so builds fill the pool and their
-        # questions stages queue behind other builds; a build that only
-        # waited for its questions stage would hang here. The runs get a pool
-        # of POOL_WORKERS of their own, so that a hung batch can be ended:
-        # shutting it down dequeues and cancels the waiting tasks, and since
-        # a dequeued future never tells its waiters, the test does.
+    def test_a_batch_wider_than_the_pool_finishes(self, tmp_path):
+        # Each batch thread fans its run out on executor threads of its own,
+        # so the batch asks more questions at once than one executor has
+        # workers, and those executors' threads end with the batch's.
         assert 16 > reflection.POOL_WORKERS
-        submitted = []
-
-        class Pool(ThreadPoolExecutor):
-            def submit(self, fn, *args):
-                submitted.append(super().submit(fn, *args))
-                return submitted[-1]
-
-        pool = Pool(max_workers=reflection.POOL_WORKERS)
-        monkeypatch.setattr(reflection, "POOL", pool)
         slow = functools.partial(SlowMock, op_delays={"complete": 0.002, "generate_image": 0.003})
         backends = motorcycle_backends(tmp_path / "images", fence_answers=("yes",), cls=slow)
         cfg = pipeline_cfg(tmp_path, backends=backends, parallelism=16)
         reference = normalized(run_single(MOTORCYCLE_PROMPT, cfg))
         batches = []
+        before = set(threading.enumerate())
         worker = threading.Thread(
             target=lambda: batches.append(run_batch([MOTORCYCLE_PROMPT] * 32, cfg)), daemon=True
         )
@@ -412,17 +401,19 @@ class TestRunBatch:
         try:
             worker.start()
             worker.join(timeout=60)
-            finished = not worker.is_alive()
         finally:
             sys.setswitchinterval(interval)
-            waiting = [future for future in submitted if not future.done()]
-            pool.shutdown(wait=False, cancel_futures=True)
-            for future in waiting:
-                if future.cancelled():
-                    future.set_running_or_notify_cancel()
-            worker.join(timeout=60)  # a hung batch ends before the real POOL is back
-        assert finished
+        assert not worker.is_alive()
         assert [normalized(r) for r in batches[0]] == [reference] * 32
+        assert backends.vqa.gauge.peak["answer_binary"] > reflection.POOL_WORKERS
+
+        def left_alive():
+            return [t for t in set(threading.enumerate()) - before if t.name.startswith("promptrefine-io")]
+
+        deadline = time.monotonic() + 5
+        while left_alive() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not left_alive()
 
     def test_empty_batch_rejected(self, tmp_path):
         cfg = pipeline_cfg(tmp_path)

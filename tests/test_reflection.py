@@ -1,3 +1,4 @@
+import collections
 import contextvars
 import functools
 import itertools
@@ -251,7 +252,7 @@ class TestConcurrentBuildDsg:
 
     # The laws below hold whichever schedule the pool follows: the questions
     # stage may run at its submit, before the dependencies stage is asked, or
-    # be taken back by Task.result once the dependencies stage has parsed.
+    # at any later point, as late as the dependencies stage's collect of it.
 
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
@@ -305,51 +306,25 @@ class TestConcurrentBuildDsg:
             MOTORCYCLE_TUPLES, *["garbage"] * 3, *[deps] * dependency_calls
         )
 
-    def test_result_runs_a_task_no_worker_has_started_here(self, journal):
-        llm = MockBackend(name="llm").script_text("*", "ok")
-        req = TextGenRequest(preamble="p", exemplars=(), input="x")
-        # the first submit goes on with its task queued; the second starts its task
-        with scheduled(replay([1, 0])) as pool:
-            queued = reflection.submit(llm.complete, req)
-            submitted = queued.future
-            assert queued.result() == "ok"
-            assert submitted.cancelled()  # taken back: no worker will run it again
-            started = reflection.submit(llm.complete, req)
-            assert started.future.done()
-            assert started.result() == "ok"
-            assert not started.future.cancelled()
-        assert pool.schedule == [1, 0]
-        assert [r.digest for r in journal.records()] == [request_digest(req)] * 2
-
-    def test_a_task_taken_back_by_result_journals_in_its_own_slot(self, journal):
-        llm = MockBackend(name="llm").script_text("*", "ok")
-        queued_req, later_req = (TextGenRequest(preamble="p", exemplars=(), input=x) for x in ("queued", "later"))
-        with scheduled(replay([1])):
-            queued = reflection.submit(llm.complete, queued_req)
-            submitted = queued.future
-            llm.complete(later_req)
-            # taken back under another recording, it still journals where it was submitted
-            with recording(CallJournal()) as elsewhere:
-                assert queued.result() == "ok"
-        assert submitted.cancelled() and len(elsewhere) == 0
-        assert [r.digest for r in journal.records()] == [request_digest(queued_req), request_digest(later_req)]
-
-    def test_an_interrupted_task_taken_back_runs_once(self, templates):
-        # The dependencies stage takes the queued questions stage back, which
-        # is interrupted; the build's final collect re-raises the interrupt
-        # instead of sending the questions stage again.
-        sent = []
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_an_interrupt_in_the_pooled_questions_stage_reaches_the_caller(self, templates, data):
+        # As on a worker thread, the interrupt goes to the questions stage's
+        # future, whichever point starts it: the dependencies stage is still
+        # asked, and its collect of the questions raises the interrupt.
+        sent = collections.Counter()
 
         class Interrupted(MockBackend):
             def _send_text(self, req):
+                for mark in QUESTIONS_MARK, DEPENDENCIES_MARK:
+                    sent[mark] += mark in req.preamble
                 if QUESTIONS_MARK in req.preamble:
-                    sent.append(req)
                     raise KeyboardInterrupt
                 return super()._send_text(req)
 
-        with scheduled(replay([1]), fan_out_min_s=0.0), pytest.raises(KeyboardInterrupt):
+        with scheduled(drawn(data)), pytest.raises(KeyboardInterrupt):
             build_dsg(MOTORCYCLE_PROMPT, scripted_llm(cls=Interrupted), templates)
-        assert len(sent) == 1
+        assert sent == {QUESTIONS_MARK: 1, DEPENDENCIES_MARK: 1}
 
 
 class TestEvaluateImage:
@@ -723,18 +698,6 @@ class TestSubmitContext:
                 for _ in range(2 * reflection.POOL_WORKERS):
                     assert reflection.submit(self.read_then_set).result() == "submitter"
             assert SEEN.get() == "submitter"
-        finally:
-            SEEN.reset(token)
-
-    def test_a_task_taken_back_by_result_sees_its_submitters_value(self):
-        token = SEEN.set("submitter")
-        try:
-            with scheduled(replay([1])):  # the submit goes on with its task queued
-                queued = reflection.submit(self.read_then_set)
-                submitted = queued.future
-                SEEN.set("settler")
-                assert queued.result() == "submitter"
-            assert submitted.cancelled() and SEEN.get() == "settler"
         finally:
             SEEN.reset(token)
 
