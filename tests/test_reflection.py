@@ -1,4 +1,5 @@
 import collections
+import concurrent.futures
 import contextvars
 import functools
 import itertools
@@ -674,6 +675,40 @@ class TestFanOut:
         assert task.result() == "ok"
         assert [r.digest for r in journal.records()] == [request_digest(first), request_digest(later)]
 
+    def test_a_task_started_at_its_collect_journals_where_it_was_submitted(self, journal):
+        # The submit goes on with its task queued; the collect, made under
+        # another recording, starts it. Its call still takes the slot that
+        # its submit took, before the later call.
+        llm = MockBackend(name="llm").script_text("*", "ok")
+        queued_req, later_req = (TextGenRequest(preamble="p", exemplars=(), input=x) for x in ("queued", "later"))
+        with scheduled(replay([1])) as pool:
+            queued = reflection.submit(llm.complete, queued_req)
+            llm.complete(later_req)
+            assert not queued.done()
+            with recording(CallJournal()) as elsewhere:
+                assert queued.result() == "ok"
+        assert pool.schedule == [1] and len(elsewhere) == 0
+        assert [r.digest for r in journal.records()] == [request_digest(queued_req), request_digest(later_req)]
+
+    @pytest.mark.real_threads
+    def test_each_submitting_thread_fans_out_on_executors_of_its_own(self):
+        # A thread's submits share one executor; another thread, and a
+        # pooled task that submits in turn, each get a different one.
+        def executor_and_nested():
+            return reflection._pool(), reflection.submit(reflection._pool).result()
+
+        here = reflection._pool()
+        assert reflection._pool() is here
+        worker_pool, nested_pool = reflection.submit(executor_and_nested).result()
+        other = concurrent.futures.ThreadPoolExecutor(max_workers=1)
+        try:
+            other_pool = other.submit(reflection._pool).result(timeout=10)
+        finally:
+            other.shutdown()
+        pools = [here, worker_pool, nested_pool, other_pool]
+        assert len({id(p) for p in pools}) == len(pools)
+        assert all(p._max_workers == reflection.POOL_WORKERS for p in pools)
+
 
 # A context variable that pooled tasks read and set.
 SEEN = contextvars.ContextVar("seen", default="unset")
@@ -698,6 +733,27 @@ class TestSubmitContext:
                 for _ in range(2 * reflection.POOL_WORKERS):
                     assert reflection.submit(self.read_then_set).result() == "submitter"
             assert SEEN.get() == "submitter"
+        finally:
+            SEEN.reset(token)
+
+    @pytest.mark.parametrize("dispatch", [pytest.param("threads", marks=pytest.mark.real_threads), "scheduled"])
+    def test_a_task_started_after_its_submitter_moved_on_sees_the_value_at_submit(self, dispatch):
+        # The task starts only once its submitter has set another value: on
+        # a worker held back by an event, or at its collect under replay([1]).
+        go = threading.Event()
+
+        def read_when_let_go():
+            assert go.wait(timeout=10)
+            return self.read_then_set()
+
+        token = SEEN.set("submitter")
+        try:
+            with scheduled(replay([1])) if dispatch == "scheduled" else nullcontext():
+                task = reflection.submit(read_when_let_go)
+                SEEN.set("collector")
+                go.set()
+                assert task.result() == "submitter"
+            assert SEEN.get() == "collector"
         finally:
             SEEN.reset(token)
 
