@@ -255,7 +255,9 @@ def _cell(value: Optional[float]) -> str:
 
 
 def render_report(report: BenchReport, format: str = "markdown") -> str:
-    """Deterministic table: one row per mode, one column per category plus average."""
+    """Deterministic table: one row per mode, one column per category plus average.
+
+    A ``|`` in a markdown cell is escaped as ``\\|``; CSV quotes as it needs."""
     if format not in ("markdown", "csv"):
         raise ValueError("format must be 'markdown' or 'csv'")
     categories = list(report.category_means)
@@ -277,10 +279,8 @@ def render_report(report: BenchReport, format: str = "markdown") -> str:
         writer.writerows(rows)
         return buf.getvalue()
 
-    lines = [
-        "| " + " | ".join(header) + " |",
-        "| " + " | ".join("---" for _ in header) + " |",
-    ]
-    for row in rows:
-        lines.append("| " + " | ".join(row) + " |")
+    def markdown_row(cells):
+        return "| " + " | ".join(cell.replace("|", "\\|") for cell in cells) + " |"
+
+    lines = [markdown_row(header), markdown_row("---" for _ in header)] + [markdown_row(row) for row in rows]
     return "\n".join(lines) + "\n"

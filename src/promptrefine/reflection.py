@@ -4,14 +4,13 @@ generated image against it with entailment-based pruning."""
 from __future__ import annotations
 
 import contextvars
-import functools
 import heapq
 import logging
 import threading
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, FrozenSet, Iterable, Sequence
+from typing import Dict, FrozenSet, Iterable
 
 from promptrefine import scene_graph as sg
 from promptrefine.backends.base import (
@@ -101,18 +100,25 @@ def build_dsg(
     """Three staged text-model calls: tuples, then questions and dependencies.
 
     Each stage's output is parsed and validated; invalid output re-invokes that
-    stage up to STAGE_ATTEMPTS times before StageExhausted. The questions and
-    the dependencies stages both take the prompt and the tuples. If the llm's
-    last call took at least FAN_OUT_MIN_S, the questions stage is submitted
-    while the dependencies stage is asked here; otherwise they are
-    asked one after the other. The graph, the journal order and the error
-    raised are the same either way, but when the questions stage fails the
-    dependencies stage has been asked too.
+    stage up to STAGE_ATTEMPTS times before StageExhausted. The tuples stage
+    must give at least one tuple line. The questions and the dependencies
+    stages both take the prompt and the tuples: the questions stage is
+    submitted while the dependencies stage is asked here, on every backend.
+    The journal keeps the order tuples, questions, dependencies, and a failed
+    questions stage raises its own error; by then the dependencies stage has
+    been asked too, once if its output parsed, else until it ran out of
+    attempts, and those calls stay in the journal.
     """
     if not prompt.strip():
         raise ValueError("prompt must be non-empty")
 
-    tuples = run_stage(llm, templates.stage("tuples"), prompt, sg.parse_tuples)
+    def parse_some_tuples(raw: str):
+        tuples = sg.parse_tuples(raw)
+        if not tuples:
+            raise sg.CountMismatch("no tuple lines")
+        return tuples
+
+    tuples = run_stage(llm, templates.stage("tuples"), prompt, parse_some_tuples)
 
     def parse_matching_questions(raw: str):
         questions = sg.parse_questions(raw)
@@ -123,39 +129,31 @@ def build_dsg(
             )
         return questions
 
+    def parse_and_assemble(raw: str):
+        edges = sg.parse_dependencies(raw)  # invalid syntax re-asks without waiting for questions
+        return sg.build_graph(prompt, tuples, questions.result(), edges)  # a failed questions stage ends this one
+
     prompt_and_tuples = render_prompt_tuples_input(prompt, tuples)
-    ask_questions = functools.partial(
-        run_stage, llm, templates.stage("questions"), prompt_and_tuples, parse_matching_questions
-    )
-
-    def ask_dependencies(questions: Callable[[], Sequence[sg.Question]]) -> sg.SceneGraph:
-        def parse_and_assemble(raw: str):
-            edges = sg.parse_dependencies(raw)  # invalid syntax re-asks without waiting for questions
-            return sg.build_graph(prompt, tuples, questions(), edges)
-
-        return run_stage(llm, templates.stage("dependencies"), prompt_and_tuples, parse_and_assemble)
-
-    if not _fan_out(llm, "complete"):
-        questions = ask_questions()
-        return ask_dependencies(lambda: questions)
-
-    task = submit(ask_questions)  # its slot comes before every dependencies call
+    # its slot comes before every dependencies call
+    questions = submit(run_stage, llm, templates.stage("questions"), prompt_and_tuples, parse_matching_questions)
     try:
-        return ask_dependencies(task.result)  # a failed questions stage ends the dependencies stage
+        return run_stage(llm, templates.stage("dependencies"), prompt_and_tuples, parse_and_assemble)
     finally:
         # A failed questions stage raises its own error, as it would have
         # before the dependencies.
-        task.result()
+        questions.result()
 
 
 # At most 8 pooled requests in flight per submitting thread; one run's
 # evaluation thus stays under urllib3's 10 pooled connections per host.
 POOL_WORKERS = 8
-# A thread handoff costs ~50 us of CPU per question; only slower calls gain from overlap.
+# A thread handoff costs ~50 us of CPU per question; only slower answers gain from overlap.
 FAN_OUT_MIN_S = 0.001
 
 # Pooled work (the VQA fan-out, the graph build beside run_single's first
-# generate, the build's questions stage, bench embeds) runs on an executor
+# generate, the build's questions stage, bench embeds) has one schedule per
+# step: only an evaluation chooses, by FAN_OUT_MIN_S, whether its questions
+# go to the pool. Pooled work runs on an executor
 # of the submitting thread's own, started on its first submit; its workers
 # exit once that thread has ended.
 # Invariant: a task is collected only by the thread that submitted it. A
@@ -195,12 +193,6 @@ def submit(fn, *args) -> Future:
     return _pool().submit(contextvars.copy_context().run, run)
 
 
-def _fan_out(backend: Backend, op: str) -> bool:
-    """Whether ``op`` calls may overlap: unless the last one took under FAN_OUT_MIN_S."""
-    latency = backend.last_latency_s(op)
-    return latency is None or latency >= FAN_OUT_MIN_S
-
-
 def evaluate_image(image: ImageRef, graph: sg.SceneGraph, vqa: Backend) -> ReflectionReport:
     """Answer the graph's questions about an image.
 
@@ -208,14 +200,15 @@ def evaluate_image(image: ImageRef, graph: sg.SceneGraph, vqa: Backend) -> Refle
     answer marks every dependent question as missing without querying it.
     If the backend's last answer took under FAN_OUT_MIN_S, the ready
     questions are asked here, one at a time, lowest (level, id) first.
-    Otherwise they are submitted as they become ready, unless one is
-    ready and none is in flight: that one is asked here. Pooled calls are
-    journaled in slots reserved in (level, id) order, so answers, pruning,
-    the call count and the journal are the same either way. After a failure
-    nothing new is asked; the calls in flight finish, and the first failing
-    question's error in (level, id) order is raised.
+    Otherwise (a backend that has never answered included) every question
+    is submitted as it becomes ready. Pooled calls are journaled in slots
+    reserved in (level, id) order, so answers, pruning, the call count and
+    the journal are the same either way. After a failure nothing new is
+    asked; the calls in flight finish, and the first failing question's
+    error in (level, id) order is raised.
     """
-    pooled = _fan_out(vqa, "answer_binary")
+    latency = vqa.last_latency_s("answer_binary")
+    pooled = latency is None or latency >= FAN_OUT_MIN_S
     order, rank = graph.order, graph.rank
     journal = current_journal()
     slots = {qid: journal.slot() for qid in order} if pooled and journal is not None else {}
@@ -228,10 +221,6 @@ def evaluate_image(image: ImageRef, graph: sg.SceneGraph, vqa: Backend) -> Refle
         if not pooled:
             qid = order[heapq.heappop(ready)]
             is_yes = _ask(vqa, image, graph, qid)
-        elif len(ready) == 1 and not in_flight:
-            qid = order[ready.pop()]
-            with recording(slots.get(qid)):  # nothing else in flight: its error is the first
-                is_yes = _ask(vqa, image, graph, qid)
         else:
             for i in sorted(ready):
                 qid = order[i]

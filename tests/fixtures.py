@@ -99,6 +99,13 @@ def random_dag(rng: random.Random, max_nodes: int = 12):
     return ids, edges
 
 
+def pools(vqa):
+    """Whether an evaluation on ``vqa`` sends its questions to the pool:
+    unless its last answer took under FAN_OUT_MIN_S."""
+    latency = vqa.last_latency_s("answer_binary")
+    return latency is None or latency >= reflection.FAN_OUT_MIN_S
+
+
 def warmed(vqa, image):
     """``vqa`` once it has answered: under an infinite FAN_OUT_MIN_S its
     evaluations then ask one question at a time."""

@@ -68,6 +68,7 @@ from fixtures import (
     drawn,
     inline,
     motorcycle_backends,
+    pools,
     random_dag,
     scheduled,
     stage_llm,
@@ -114,7 +115,7 @@ def test_pruning_oracle_equivalence_and_call_count_law(tmp_path, monkeypatch, po
         graph = chain_graph(f"case {case}", len(ids), pairs)
         script = {i: rng.choice(["yes", "no"]) for i in ids}
         vqa = vqa_for(script) if pooled else warmed(vqa_for(script), img)
-        assert reflection._fan_out(vqa, "answer_binary") == pooled
+        assert pools(vqa) == pooled
         with recording(CallJournal()) as journal:
             report = evaluate_image(img, graph, vqa)
 
@@ -147,7 +148,7 @@ def serial_evaluation(img, graph, script):
     vqa = warmed(vqa_for(script), img)
     with pytest.MonkeyPatch.context() as m, recording(CallJournal()) as journal:
         m.setattr(reflection, "FAN_OUT_MIN_S", float("inf"))
-        assert not reflection._fan_out(vqa, "answer_binary")
+        assert not pools(vqa)
         return evaluate_image(img, graph, vqa), journal
 
 
@@ -189,7 +190,7 @@ def test_fan_out_changes_timing_only_on_threads(img):
         script = {i: rng.choice(["yes", "no"]) for i in ids}
         slow_vqa = vqa_for(script, SlowMock)
         with recording(CallJournal()) as journal:
-            assert reflection._fan_out(slow_vqa, "answer_binary")
+            assert pools(slow_vqa)
             report = evaluate_image(img, graph, slow_vqa)
         assert_same_evaluation(report, journal, *serial_evaluation(img, graph, script))
         peaks.append(slow_vqa.gauge.peak["answer_binary"])

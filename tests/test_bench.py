@@ -4,6 +4,7 @@ import json
 import logging
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -533,6 +534,15 @@ class TestRenderReport:
         assert "n/a" in table
         lines = table.strip().splitlines()
         assert lines[0] == "| method | average |"
+
+    def test_a_pipe_in_a_category_stays_in_its_markdown_cell(self):
+        items = [ItemResult("1", "a|b", baseline_score=0.5), ItemResult("2", "c", baseline_score=1.0)]
+        report = aggregate(items, mode="baseline")
+        lines = render_report(report, "markdown").splitlines()
+        assert lines[0] == r"| method | a\|b | c | average |"
+        # an unescaped | splits a cell: every line has the header's 4 cells
+        assert {len(re.split(r"(?<!\\)\|", line)) for line in lines} == {6}
+        assert list(csv.reader(io.StringIO(render_report(report, "csv"))))[0] == ["method", "a|b", "c", "average"]
 
     def test_markdown_and_csv_agree(self):
         report = self._single_category_report(0.75)

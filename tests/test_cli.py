@@ -31,7 +31,7 @@ from fixtures import (
 SRC = Path(promptrefine.__file__).resolve().parents[1]
 
 
-def write_script(tmp_path, *, t2i_error=False, llm_garbage=False):
+def write_script(tmp_path, *, t2i_error=False, llm_answer=None):
     text = [
         {"match": "*", "preamble": "*Decompose*", "response": MOTORCYCLE_TUPLES},
         {
@@ -48,8 +48,8 @@ def write_script(tmp_path, *, t2i_error=False, llm_garbage=False):
             "response": "best quality, soft lighting",
         },
     ]
-    if llm_garbage:
-        text = [{"match": "*", "response": "garbage"}]
+    if llm_answer is not None:  # every text stage gives this
+        text = [{"match": "*", "response": llm_answer}]
     doc = {
         "text": text,
         "vqa": [
@@ -407,10 +407,17 @@ class TestCliOptimize:
         assert code == 3
 
     def test_stage_exhausted_exit_code(self, tmp_path):
-        write_script(tmp_path, llm_garbage=True)
+        write_script(tmp_path, llm_answer="garbage")
         config = write_config(tmp_path)
         code = main(["optimize", "--prompt", MOTORCYCLE_PROMPT, "--config", str(config)])
         assert code == 4
+
+    def test_a_blank_graph_answer_exits_4(self, tmp_path, capsys):
+        write_script(tmp_path, llm_answer="")
+        config = write_config(tmp_path)
+        code = main(["optimize", "--prompt", MOTORCYCLE_PROMPT, "--config", str(config)])
+        assert code == 4
+        assert "no tuple lines" in capsys.readouterr().out
 
     @pytest.mark.parametrize("rounds", ["0", "-1", "two"])
     def test_rounds_flag_must_be_a_positive_integer(self, tmp_path, capsys, rounds):
@@ -500,7 +507,7 @@ class TestCliExceptionExits:
     """Failures that reach ``main`` as exceptions, not through a run record."""
 
     def test_dsg_with_garbage_llm_output_exits_4(self, tmp_path, capsys):
-        write_script(tmp_path, llm_garbage=True)
+        write_script(tmp_path, llm_answer="garbage")
         config = write_config(tmp_path)
         code = main(["dsg", "--prompt", MOTORCYCLE_PROMPT, "--config", str(config)])
         assert code == 4
@@ -633,7 +640,7 @@ class TestCliRunBench:
     def test_failed_items_carry_their_error_kind(self, tmp_path, capsys):
         # the motorcycle's generate fails on the transport; the kite's graph
         # build gets garbage from every stage attempt
-        write_script(tmp_path, t2i_error=True, llm_garbage=True)
+        write_script(tmp_path, t2i_error=True, llm_answer="garbage")
         config = write_config(tmp_path)
         dataset = self._dataset(tmp_path)
         with dataset.open("a", encoding="utf-8") as fh:

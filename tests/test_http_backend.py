@@ -162,6 +162,19 @@ class TestChatCompletions:
         assert roles == ["system", "user", "assistant", "user", "assistant", "user"]
         assert call["json"]["messages"][-1]["content"] == "the input"
 
+    def test_a_run_whose_graph_answers_are_null_fails_its_build(self, tmp_path):
+        # ``content: null`` reads as "", which gives no tuple lines
+        llm, session = backend([FakeResponse(payload=chat_payload(None))])
+        backends = motorcycle_backends(tmp_path / "images")
+        backends.llm = llm
+        record = run_single(MOTORCYCLE_PROMPT, PipelineConfig(backends=backends, width=64, height=64))
+        assert (record.status, record.failed_stage, record.error_kind) == ("failed", "build_dsg", "stage_exhausted")
+        assert record.error.endswith("stage 'tuples' still invalid after 3 attempts: no tuple lines")
+        assert len(session.calls) == 3
+        assert [(e["op"], e["ok"]) for e in record.backend_journal] == [("complete", True)] * 3 + [
+            ("generate_image", True)
+        ]
+
     def test_bearer_token_sent_and_never_journaled(self, journal):
         be, session = backend(
             [FakeResponse(payload=chat_payload("ok"))], auth_token="top-secret"

@@ -179,6 +179,17 @@ class TestRunSingle:
         assert [label for label, _, _ in record.image_refs] == ["round-1"]
         assert "build_dsg" in record.timings
 
+    def test_a_blank_graph_answer_fails_the_build(self, tmp_path):
+        # an empty graph would score 1.0 and converge without asking anything
+        backends = motorcycle_backends(tmp_path / "images")
+        backends.llm = MockBackend(name="llm").script_text("*", "")
+        record = run_single(MOTORCYCLE_PROMPT, pipeline_cfg(tmp_path, backends=backends))
+        assert (record.status, record.failed_stage, record.error_kind) == ("failed", "build_dsg", "stage_exhausted")
+        assert record.error == "StageExhausted: stage 'tuples' still invalid after 3 attempts: no tuple lines"
+        calls = [(e["op"], e["ok"]) for e in record.backend_journal]
+        assert calls == [("complete", True)] * 3 + [("generate_image", True)]
+        assert record.graph is None and record.reports == []
+
     def test_generate_error_wins_over_build_error(self, tmp_path):
         backends = motorcycle_backends(tmp_path / "images")
         backends.t2i = MockBackend(name="t2i").script_image("*", TransportError("down"))

@@ -1,7 +1,6 @@
 import collections
 import concurrent.futures
 import contextvars
-import functools
 import itertools
 import random
 import threading
@@ -58,6 +57,7 @@ from fixtures import (
     inline,
     journal,
     motorcycle_graph,
+    pools,
     random_dag,
     replay,
     scheduled,
@@ -175,6 +175,17 @@ class TestBuildDsg:
         assert exc.value.stage == "tuples"
         assert exc.value.attempts == 3
 
+    @pytest.mark.parametrize("blank", ["", "\n  \n"])
+    def test_a_tuples_answer_without_lines_is_reasked(self, templates, journal, blank):
+        # parse_tuples itself accepts it: an inline graph may be empty
+        assert parse_tuples(blank) == []
+        llm = MockBackend(name="llm").script_text("*", blank)
+        with pytest.raises(StageExhausted) as exc:
+            build_dsg(MOTORCYCLE_PROMPT, llm, templates)
+        assert (exc.value.stage, exc.value.attempts) == ("tuples", 3)
+        assert str(exc.value.last_error) == "no tuple lines"
+        assert len(journal) == 3
+
     def test_question_id_mismatch_retries_question_stage(self, templates):
         llm = scripted_llm()
         llm._entries["complete"][1].responses = ["1 | Only one question?", MOTORCYCLE_QUESTIONS]
@@ -199,17 +210,12 @@ QUESTIONS_MARK = "yes/no verification questions"
 DEPENDENCIES_MARK = "presume"
 
 
-def slow_llm(cls=SlowMock, **stages):
-    """scripted_llm on a mock whose text calls take twice FAN_OUT_MIN_S."""
-    return scripted_llm(cls=functools.partial(cls, op_delays={"complete": 2 * reflection.FAN_OUT_MIN_S}), **stages)
-
-
 def response_digests(*blocks):
     return [backends_base.sha256_hex(b) for b in blocks]
 
 
 class TestConcurrentBuildDsg:
-    """A slow llm is asked the questions and dependencies stages together."""
+    """The questions and dependencies stages are asked together, on every llm."""
 
     @pytest.mark.real_threads
     def test_both_stages_are_in_flight_at_once(self, templates, journal):
@@ -217,25 +223,53 @@ class TestConcurrentBuildDsg:
         # other they break the barrier.
         barrier = threading.Barrier(2)
 
-        class BarrierLlm(SlowMock):
+        class BarrierLlm(MockBackend):
             def _send_text(self, req):
                 if QUESTIONS_MARK in req.preamble or DEPENDENCIES_MARK in req.preamble:
                     barrier.wait(timeout=5)
                 return super()._send_text(req)
 
-        graph = build_dsg(MOTORCYCLE_PROMPT, slow_llm(BarrierLlm), templates)
+        graph = build_dsg(MOTORCYCLE_PROMPT, scripted_llm(cls=BarrierLlm), templates)
         assert graph == motorcycle_graph() and len(journal) == 3
 
-    def test_a_fast_llm_stays_serial(self, templates, journal):
-        with scheduled(unpooled, fan_out_min_s=reflection.FAN_OUT_MIN_S):
-            assert build_dsg(MOTORCYCLE_PROMPT, scripted_llm(), templates) == motorcycle_graph()
-        assert len(journal) == 3
+    @settings(max_examples=40, deadline=None)
+    @given(
+        questions=st.sampled_from([MOTORCYCLE_QUESTIONS, "garbage"]),
+        deps=st.sampled_from([MOTORCYCLE_DEPENDENCIES, "garbage"]),
+        data=st.data(),
+    )
+    def test_a_warm_fast_llm_makes_the_calls_of_a_cold_one(self, templates, questions, deps, data):
+        # A fake clock makes each call of the cold llm take twice
+        # FAN_OUT_MIN_S, as a fresh process's first calls may, and each call
+        # of the warm one half of it, as an in-process mock's do.
+        def build(llm, step, warm_up=False):
+            clock = itertools.count(0.0, step)
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(backends_base, "time", SimpleNamespace(monotonic=lambda: next(clock), sleep=time.sleep))
+                if warm_up:
+                    llm.complete(TextGenRequest(preamble="p", exemplars=(), input="warm up"))
+                with scheduled(drawn(data), fan_out_min_s=reflection.FAN_OUT_MIN_S), \
+                        recording(CallJournal()) as calls:
+                    try:
+                        outcome = build_dsg(MOTORCYCLE_PROMPT, llm, templates)
+                    except StageExhausted as exc:
+                        outcome = (exc.stage, exc.attempts)
+            return outcome, [(r.op, r.digest, r.response_digest) for r in calls.records()]
+
+        cold = scripted_llm(questions=questions, deps=deps).script_text("warm up", "ok")
+        warm = scripted_llm(questions=questions, deps=deps).script_text("warm up", "ok")
+        got_cold = build(cold, 2 * reflection.FAN_OUT_MIN_S)
+        got_warm = build(warm, reflection.FAN_OUT_MIN_S / 2, warm_up=True)
+        assert warm.last_latency_s("complete") < reflection.FAN_OUT_MIN_S
+        assert got_warm == got_cold
+        if questions == "garbage":  # the dependencies calls are made either way
+            assert len(got_warm[1]) == 1 + 3 + (1 if deps == MOTORCYCLE_DEPENDENCIES else 3)
 
     @pytest.mark.real_threads
     def test_journal_keeps_the_serial_order_when_dependencies_answer_first(self, templates, journal):
         answered = threading.Event()
 
-        class DependenciesFirst(SlowMock):
+        class DependenciesFirst(MockBackend):
             def _send_text(self, req):
                 if QUESTIONS_MARK in req.preamble:
                     assert answered.wait(timeout=5)
@@ -245,7 +279,7 @@ class TestConcurrentBuildDsg:
                     if DEPENDENCIES_MARK in req.preamble:
                         answered.set()
 
-        graph = build_dsg(MOTORCYCLE_PROMPT, slow_llm(DependenciesFirst), templates)
+        graph = build_dsg(MOTORCYCLE_PROMPT, scripted_llm(cls=DependenciesFirst), templates)
         assert graph == motorcycle_graph()
         assert [r.response_digest for r in journal.records()] == response_digests(
             MOTORCYCLE_TUPLES, MOTORCYCLE_QUESTIONS, MOTORCYCLE_DEPENDENCIES
@@ -281,28 +315,23 @@ class TestConcurrentBuildDsg:
     @pytest.mark.parametrize(
         "dispatch, deps, dependency_calls",
         [
-            ("serial", MOTORCYCLE_DEPENDENCIES, 0),  # never asked
             ("scheduled", MOTORCYCLE_DEPENDENCIES, 1),  # parses, then waits for the questions
             ("scheduled", "garbage", 3),  # runs out of attempts on its own
             pytest.param("threads", MOTORCYCLE_DEPENDENCIES, 1, marks=pytest.mark.real_threads),
             pytest.param("threads", "garbage", 3, marks=pytest.mark.real_threads),
         ],
-        ids=["serial", "dependencies-valid", "dependencies-invalid", "threads-valid", "threads-invalid"],
+        ids=["dependencies-valid", "dependencies-invalid", "threads-valid", "threads-invalid"],
     )
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
     def test_an_exhausted_questions_stage_raises_its_own_error(
         self, templates, dispatch, deps, dependency_calls, data
     ):
-        if dispatch == "threads":
-            llm, pool = slow_llm(questions="garbage", deps=deps), nullcontext()
-        else:
-            llm = scripted_llm(questions="garbage", deps=deps)
-            pool = scheduled(drawn(data), fan_out_min_s=0.0 if dispatch == "scheduled" else float("inf"))
-        with pool, recording(CallJournal()) as journal, pytest.raises(StageExhausted) as exc:
+        llm = scripted_llm(questions="garbage", deps=deps)
+        with scheduled(drawn(data)) if dispatch == "scheduled" else nullcontext(), recording(CallJournal()) as journal, pytest.raises(StageExhausted) as exc:
             build_dsg(MOTORCYCLE_PROMPT, llm, templates)
         assert (exc.value.stage, exc.value.attempts) == ("questions", 3)
-        # the dependencies calls an overlapping build made stay in the journal, after the questions
+        # the dependencies calls made beside the questions stage stay in the journal, after it
         assert [r.response_digest for r in journal.records()] == response_digests(
             MOTORCYCLE_TUPLES, *["garbage"] * 3, *[deps] * dependency_calls
         )
@@ -555,11 +584,11 @@ class TestFanOut:
             flowing.script_vqa(texts[i], answers[i - 1])
             serial_vqa.script_vqa(texts[i], answers[i - 1])
         with dispatch, recording(CallJournal()) as flowing_journal:
-            assert reflection._fan_out(flowing, "answer_binary")
+            assert pools(flowing)
             got = evaluate_image(png, g, flowing)
         with pytest.MonkeyPatch.context() as m, recording(CallJournal()) as serial_journal:
             m.setattr(reflection, "FAN_OUT_MIN_S", float("inf"))
-            assert not reflection._fan_out(serial_vqa, "answer_binary")
+            assert not pools(serial_vqa)
             want = evaluate_image(png, g, serial_vqa)
         assert list(got.answers.items()) == list(want.answers.items())
         assert (got.missing_ids, got.score, got.vqa_call_count) == (
@@ -570,6 +599,31 @@ class TestFanOut:
                         for i in bf_ask_order(ids, pairs, queried)]
         assert [r.digest for r in flowing_journal.records()] == want_journal
         assert [r.digest for r in serial_journal.records()] == want_journal
+
+    @settings(max_examples=40, deadline=None)
+    @given(length=st.integers(1, 6), first_no=st.integers(1, 7), data=st.data())
+    def test_a_pooled_chain_submits_every_question_in_level_order(self, png, length, first_no, data):
+        # In a chain each question is the only one ready, with nothing in
+        # flight; it still goes to the pool, and is asked in a task's lane.
+        lanes = {}
+
+        class Lanes(MockBackend):
+            def _send_vqa(self, req):
+                lanes[req.question] = pool.lane  # 0 is the evaluating thread's
+                return super()._send_vqa(req)
+
+        vqa = Lanes(name="vqa")
+        for i in range(1, length + 1):
+            vqa.script_vqa(f"Is there thing {i}?", "no" if i == first_no else "yes")
+        g = chain_graph("p", length, {(i, i + 1) for i in range(1, length)})
+        with scheduled(drawn(data)) as pool, recording(CallJournal()) as calls:
+            report = evaluate_image(png, g, vqa)
+        asked = [f"Is there thing {i}?" for i in range(1, min(length, first_no) + 1)]
+        assert report.vqa_call_count == len(asked) and sorted(lanes) == sorted(asked)
+        assert all(lanes.values())
+        assert [r.digest for r in calls.records()] == [
+            request_digest(VqaRequest(image=png, question=q)) for q in asked
+        ]
 
     @pytest.mark.real_threads
     def test_results_journal_tasks_in_task_order(self, journal):
@@ -705,9 +759,9 @@ class TestFanOut:
             other_pool = other.submit(reflection._pool).result(timeout=10)
         finally:
             other.shutdown()
-        pools = [here, worker_pool, nested_pool, other_pool]
-        assert len({id(p) for p in pools}) == len(pools)
-        assert all(p._max_workers == reflection.POOL_WORKERS for p in pools)
+        executors = [here, worker_pool, nested_pool, other_pool]
+        assert len({id(p) for p in executors}) == len(executors)
+        assert all(p._max_workers == reflection.POOL_WORKERS for p in executors)
 
 
 # A context variable that pooled tasks read and set.
