@@ -152,10 +152,9 @@ FAN_OUT_MIN_S = 0.001
 
 # Pooled work (the VQA fan-out, the graph build beside run_single's first
 # generate, the build's questions stage, bench embeds) has one schedule per
-# step: only an evaluation chooses, by FAN_OUT_MIN_S, whether its questions
-# go to the pool. Pooled work runs on an executor
-# of the submitting thread's own, started on its first submit; its workers
-# exit once that thread has ended.
+# step; only an evaluation chooses, by FAN_OUT_MIN_S, whether to pool. It
+# runs on an executor of the submitting thread's own, started on its first
+# submit; its workers exit once that thread has ended.
 # Invariant: a task is collected only by the thread that submitted it. A
 # waiting thread thus never holds a worker that its own tasks need, and
 # pooled work cannot deadlock at any bound.

@@ -328,7 +328,8 @@ class TestConcurrentBuildDsg:
         self, templates, dispatch, deps, dependency_calls, data
     ):
         llm = scripted_llm(questions="garbage", deps=deps)
-        with scheduled(drawn(data)) if dispatch == "scheduled" else nullcontext(), recording(CallJournal()) as journal, pytest.raises(StageExhausted) as exc:
+        pool = scheduled(drawn(data)) if dispatch == "scheduled" else nullcontext()
+        with pool, recording(CallJournal()) as journal, pytest.raises(StageExhausted) as exc:
             build_dsg(MOTORCYCLE_PROMPT, llm, templates)
         assert (exc.value.stage, exc.value.attempts) == ("questions", 3)
         # the dependencies calls made beside the questions stage stay in the journal, after it

@@ -3,6 +3,7 @@ line counts if it holds a token other than a comment and is not part of a
 docstring."""
 
 import importlib.util
+import json
 import os
 import shutil
 import subprocess
@@ -110,3 +111,147 @@ def test_a_closed_stdout_exits_1_without_a_traceback(checkout, args):
     finally:
         os.close(write)
     assert (done.returncode, done.stderr) == (1, "")
+
+
+# -- tools/bench_pairs.py -----------------------------------------------------
+
+PAIRS_TOOL = TOOL.parent / "bench_pairs.py"
+_PAIRS_SPEC = importlib.util.spec_from_file_location("bench_pairs", PAIRS_TOOL)
+bench_pairs = importlib.util.module_from_spec(_PAIRS_SPEC)
+_PAIRS_SPEC.loader.exec_module(bench_pairs)
+
+# Stands in for perfbench/run.py: prints a report line, then one result line
+# whose metric values are those of its own tree's canned.json plus the seed.
+CANNED_RUN = '''\
+import json, os, sys
+from pathlib import Path
+
+args = sys.argv[1:]
+seed = int(args[args.index("--seed") + 1])
+canned = json.loads((Path(__file__).resolve().parent / "canned.json").read_text())
+with open(os.environ["CANNED_LOG"], "a") as log:
+    log.write(f"{canned['side']} {args[args.index('--workload') + 1]} {seed}\\n")
+print("workload report")
+metrics = {name: {"value": value + seed, "unit": "s"} for name, value in canned["metrics"].items()}
+print(json.dumps({"correct": canned["correct"], "attempted": 1, "failed": 0, "metrics": metrics}))
+sys.exit(0 if canned["correct"] else 1)
+'''
+PAIRS_BENCHMARK = {
+    "run_seconds": 30,
+    "workloads": [{"name": "w1"}, {"name": "w2"}],
+    "end_to_end": [{"name": "latency_s", "better": "lower", "bound": 0.25},
+                   {"name": "throughput", "better": "higher", "bound": 0.25}],
+}
+
+
+def canned(side, correct=True, **metrics):
+    return json.dumps({"side": side, "correct": correct, "metrics": metrics or {"latency_s": 10, "throughput": 5}})
+
+
+@pytest.fixture
+def pairs_checkout(tmp_path, monkeypatch):
+    """A git repository holding the tool, a BENCHMARK.json and a canned
+    perfbench/run.py, committed as the base; each run logs its side."""
+    repo = tmp_path / "repo"
+    (repo / "tools").mkdir(parents=True)
+    shutil.copy(PAIRS_TOOL, repo / "tools")
+    (repo / "perfbench").mkdir()
+    (repo / "perfbench" / "run.py").write_text(CANNED_RUN, encoding="utf-8")
+    (repo / "perfbench" / "canned.json").write_text(canned("base"), encoding="utf-8")
+    (repo / "BENCHMARK.json").write_text(json.dumps(PAIRS_BENCHMARK), encoding="utf-8")
+    for args in (["init", "-q"], ["add", "."], ["commit", "-q", "-m", "base"]):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.com", *args], cwd=repo, check=True)
+    monkeypatch.setenv("CANNED_LOG", str(tmp_path / "log"))
+    return repo
+
+
+def run_pairs(repo, change, *args):
+    """Run the tool on ``repo`` with ``change`` as the checkout's canned.json."""
+    (repo / "perfbench" / "canned.json").write_text(change, encoding="utf-8")
+    done = subprocess.run([sys.executable, str(repo / "tools" / "bench_pairs.py"), "HEAD", "--pairs", "3",
+                           "--seconds", "1", "--out", str(repo / "out.json"), *args],
+                          capture_output=True, text=True, timeout=120)
+    out = repo / "out.json"
+    return done, json.loads(out.read_text(encoding="utf-8")) if out.exists() else None
+
+
+def test_pairs_alternate_on_the_same_seeds_and_each_tree_runs_its_own_benchmark(pairs_checkout):
+    done, doc = run_pairs(pairs_checkout, canned("change", latency_s=9, throughput=6))
+    assert done.returncode == 0, done.stderr
+    log = (pairs_checkout.parent / "log").read_text().split("\n")[:-1]
+    assert log == [f"{side} {w} {seed}" for w in ("w1", "w2") for seed, order in
+                   ((1, ("base", "change")), (2, ("change", "base")), (3, ("base", "change"))) for side in order]
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=pairs_checkout, capture_output=True, text=True).stdout
+    assert doc["base"] == head.strip() and doc["change"] == head.strip() + " with uncommitted changes"
+    assert (doc["seeds"], doc["all_correct"], doc["within_bounds"]) == ([1, 2, 3], True, True)
+    assert doc["command"][1:] == ["tools/bench_pairs.py", "HEAD", "--pairs", "3", "--seconds", "1",
+                                  "--out", str(pairs_checkout / "out.json")]
+    assert {"cpus", "python"} <= set(doc["host"])
+    assert doc["workloads"]["w2"]["correct"] == {"base": [True] * 3, "change": [True] * 3}
+    latency = doc["workloads"]["w1"]["metrics"]["latency_s"]
+    assert latency == {
+        "base": {"median": 12, "quartiles": [11.5, 12, 12.5]},
+        "change": {"median": 11, "quartiles": [10.5, 11, 11.5]},
+        "better": "lower", "wins": 3, "pairs": 3,
+        "relative_change": pytest.approx(-1 / 12), "bound": 0.25, "within_bound": True,
+    }
+    assert doc["workloads"]["w1"]["metrics"]["throughput"]["wins"] == 3  # higher is better
+
+
+@pytest.mark.parametrize(
+    "latency, throughput, code",
+    [(13, 5, 0),  # median 15 against 12: +25 %, at the bound
+     (14, 5, 1),  # 16 against 12: +33 %
+     (10, 3, 1)],  # 5 against 7 per second: -29 %
+    ids=["at-the-bound", "slower", "less-throughput"],
+)
+def test_a_median_worse_than_its_bound_exits_1(pairs_checkout, latency, throughput, code):
+    done, doc = run_pairs(pairs_checkout, canned("change", latency_s=latency, throughput=throughput), "--workload", "w1")
+    assert (done.returncode, doc["within_bounds"], doc["all_correct"]) == (code, code == 0, True)
+
+
+def test_an_incorrect_run_exits_1(pairs_checkout):
+    done, doc = run_pairs(pairs_checkout, canned("change", correct=False), "--workload", "w1")
+    assert (done.returncode, doc["all_correct"], doc["within_bounds"]) == (1, False, True)
+    assert doc["workloads"]["w1"]["correct"] == {"base": [True] * 3, "change": [False] * 3}
+
+
+def test_runs_whose_metric_sets_differ_are_not_compared(pairs_checkout):
+    done, doc = run_pairs(pairs_checkout, canned("change", latency_s=10, throughput=5, rss=1))
+    assert (done.returncode, doc) == (2, None)
+    assert done.stderr.splitlines()[-1] == "bench_pairs.py: metric sets differ: ['rss']"
+    # the first pair's change run is refused at once
+    assert (pairs_checkout.parent / "log").read_text().split() == ["base", "w1", "1", "change", "w1", "1"]
+
+
+def test_an_unknown_base_is_named_on_one_line(pairs_checkout):
+    done = subprocess.run([sys.executable, str(pairs_checkout / "tools" / "bench_pairs.py"), "no-such-rev"],
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (2, "bench_pairs.py: unknown revision 'no-such-rev'\n")
+
+
+def test_the_export_holds_the_committed_tree_only(pairs_checkout, tmp_path):
+    (pairs_checkout / "untracked.txt").write_text("not committed", encoding="utf-8")
+    (pairs_checkout / "perfbench" / "canned.json").write_text("edited", encoding="utf-8")
+    dest = tmp_path / "export"
+    dest.mkdir()
+    monkey = pytest.MonkeyPatch()
+    monkey.setattr(bench_pairs, "ROOT", pairs_checkout)
+    try:
+        bench_pairs.export("HEAD", dest)
+    finally:
+        monkey.undo()
+    files = sorted(str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file())
+    assert files == ["BENCHMARK.json", "perfbench/canned.json", "perfbench/run.py", "tools/bench_pairs.py"]
+    assert json.loads((dest / "perfbench" / "canned.json").read_text())["side"] == "base"
+
+
+def test_a_zero_base_median_is_worse_only_if_the_change_moved_the_wrong_way():
+    spec = {"failed": {"better": "lower", "bound": 0.05}}
+    runs = lambda *values: [{"metrics": {"failed": v}} for v in values]  # noqa: E731
+    same = bench_pairs.compare(runs(0, 0), runs(0, 0), spec)["failed"]
+    assert (same["relative_change"], same["within_bound"], same["wins"]) == (0.0, True, 0)
+    worse = bench_pairs.compare(runs(0, 0), runs(1, 1), spec)["failed"]
+    assert (worse["relative_change"], worse["within_bound"]) == (None, False)
+    unjudged = bench_pairs.compare(runs(1, 2), runs(9, 9), {})["failed"]
+    assert (unjudged["better"], unjudged["wins"], unjudged["bound"], unjudged["within_bound"]) == (None, None, None, True)

@@ -88,7 +88,7 @@ def compare(base: list, change: list, spec: dict) -> dict:
     for name in sorted(metric_names(base + change)):
         b = [r["metrics"][name] for r in base]
         c = [r["metrics"][name] for r in change]
-        better, bound = spec.get(name, {}).get("better"), spec.get(name, {}).get("bound")
+        better, bound = map(spec.get(name, {}).get, ("better", "bound"))
         b_med, c_med = statistics.median(b), statistics.median(c)
         relative = (c_med - b_med) / b_med if b_med else (0.0 if c_med == b_med else None)
         sign = {"lower": 1, "higher": -1}.get(better, 0)
