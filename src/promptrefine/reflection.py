@@ -106,8 +106,8 @@ def build_dsg(
     submitted while the dependencies stage is asked here, on every backend.
     The journal keeps the order tuples, questions, dependencies, and a failed
     questions stage raises its own error; by then the dependencies stage has
-    been asked too, once if its output parsed, else until it ran out of
-    attempts, and those calls stay in the journal.
+    been asked too, 1 to 3 times (until its answer parsed or its attempts ran
+    out), and those calls stay in the journal.
     """
     if not prompt.strip():
         raise ValueError("prompt must be non-empty")

@@ -99,11 +99,21 @@ def random_dag(rng: random.Random, max_nodes: int = 12):
     return ids, edges
 
 
-def pools(vqa):
-    """Whether an evaluation on ``vqa`` sends its questions to the pool:
-    unless its last answer took under FAN_OUT_MIN_S."""
-    latency = vqa.last_latency_s("answer_binary")
-    return latency is None or latency >= reflection.FAN_OUT_MIN_S
+@contextmanager
+def submits():
+    """The names of the functions submitted to the pool within the block:
+    how a test sees whether a step sent its work to the pool, whatever in
+    the program decided it."""
+    names = []
+    real = reflection.submit
+
+    def counting(fn, *args):
+        names.append(fn.__name__)
+        return real(fn, *args)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(reflection, "submit", counting)
+        yield names
 
 
 def warmed(vqa, image):

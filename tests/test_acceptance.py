@@ -68,7 +68,7 @@ from fixtures import (
     drawn,
     inline,
     motorcycle_backends,
-    pools,
+    submits,
     random_dag,
     scheduled,
     stage_llm,
@@ -115,9 +115,9 @@ def test_pruning_oracle_equivalence_and_call_count_law(tmp_path, monkeypatch, po
         graph = chain_graph(f"case {case}", len(ids), pairs)
         script = {i: rng.choice(["yes", "no"]) for i in ids}
         vqa = vqa_for(script) if pooled else warmed(vqa_for(script), img)
-        assert pools(vqa) == pooled
-        with recording(CallJournal()) as journal:
+        with submits() as submitted, recording(CallJournal()) as journal:
             report = evaluate_image(img, graph, vqa)
+        assert len(submitted) == (report.vqa_call_count if pooled else 0)
 
         queried, pruned, missing, score = bf_prune_simulation(ids, pairs, script)
         got_queried = {
@@ -146,10 +146,11 @@ def serial_evaluation(img, graph, script):
     """The reference for the fan-out law: the report and the journal of
     asking one question at a time under the serial gate."""
     vqa = warmed(vqa_for(script), img)
-    with pytest.MonkeyPatch.context() as m, recording(CallJournal()) as journal:
+    with pytest.MonkeyPatch.context() as m, submits() as submitted, recording(CallJournal()) as journal:
         m.setattr(reflection, "FAN_OUT_MIN_S", float("inf"))
-        assert not pools(vqa)
-        return evaluate_image(img, graph, vqa), journal
+        report = evaluate_image(img, graph, vqa)
+    assert not submitted
+    return report, journal
 
 
 def assert_same_evaluation(got, got_journal, want, want_journal):
@@ -189,9 +190,9 @@ def test_fan_out_changes_timing_only_on_threads(img):
         graph = chain_graph(f"case {case}", len(ids), pairs)
         script = {i: rng.choice(["yes", "no"]) for i in ids}
         slow_vqa = vqa_for(script, SlowMock)
-        with recording(CallJournal()) as journal:
-            assert pools(slow_vqa)
+        with submits() as submitted, recording(CallJournal()) as journal:
             report = evaluate_image(img, graph, slow_vqa)
+        assert len(submitted) == report.vqa_call_count
         assert_same_evaluation(report, journal, *serial_evaluation(img, graph, script))
         peaks.append(slow_vqa.gauge.peak["answer_binary"])
     assert max(peaks) > 1  # some questions really were asked at once

@@ -57,7 +57,7 @@ from fixtures import (
     inline,
     journal,
     motorcycle_graph,
-    pools,
+    submits,
     random_dag,
     replay,
     scheduled,
@@ -584,13 +584,13 @@ class TestFanOut:
         for i in ids:
             flowing.script_vqa(texts[i], answers[i - 1])
             serial_vqa.script_vqa(texts[i], answers[i - 1])
-        with dispatch, recording(CallJournal()) as flowing_journal:
-            assert pools(flowing)
+        with dispatch, submits() as flowing_submits, recording(CallJournal()) as flowing_journal:
             got = evaluate_image(png, g, flowing)
-        with pytest.MonkeyPatch.context() as m, recording(CallJournal()) as serial_journal:
+        with pytest.MonkeyPatch.context() as m, submits() as serial_submits, \
+                recording(CallJournal()) as serial_journal:
             m.setattr(reflection, "FAN_OUT_MIN_S", float("inf"))
-            assert not pools(serial_vqa)
             want = evaluate_image(png, g, serial_vqa)
+        assert (len(flowing_submits), serial_submits) == (got.vqa_call_count, [])
         assert list(got.answers.items()) == list(want.answers.items())
         assert (got.missing_ids, got.score, got.vqa_call_count) == (
             want.missing_ids, want.score, want.vqa_call_count

@@ -120,8 +120,9 @@ _PAIRS_SPEC = importlib.util.spec_from_file_location("bench_pairs", PAIRS_TOOL)
 bench_pairs = importlib.util.module_from_spec(_PAIRS_SPEC)
 _PAIRS_SPEC.loader.exec_module(bench_pairs)
 
-# Stands in for perfbench/run.py: prints a report line, then one result line
-# whose metric values are those of its own tree's canned.json plus the seed.
+# Stands in for perfbench/run.py: logs its side, workload, seed and seconds,
+# prints a report line, then one result line whose metric values are those of
+# its own tree's canned.json plus the seed.
 CANNED_RUN = '''\
 import json, os, sys
 from pathlib import Path
@@ -130,7 +131,7 @@ args = sys.argv[1:]
 seed = int(args[args.index("--seed") + 1])
 canned = json.loads((Path(__file__).resolve().parent / "canned.json").read_text())
 with open(os.environ["CANNED_LOG"], "a") as log:
-    log.write(f"{canned['side']} {args[args.index('--workload') + 1]} {seed}\\n")
+    log.write(f"{canned['side']} {args[args.index('--workload') + 1]} {seed} {args[args.index('--seconds') + 1]}\\n")
 print("workload report")
 metrics = {name: {"value": value + seed, "unit": "s"} for name, value in canned["metrics"].items()}
 print(json.dumps({"correct": canned["correct"], "attempted": 1, "failed": 0, "metrics": metrics}))
@@ -169,7 +170,7 @@ def run_pairs(repo, change, *args):
     """Run the tool on ``repo`` with ``change`` as the checkout's canned.json."""
     (repo / "perfbench" / "canned.json").write_text(change, encoding="utf-8")
     done = subprocess.run([sys.executable, str(repo / "tools" / "bench_pairs.py"), "HEAD", "--pairs", "3",
-                           "--seconds", "1", "--out", str(repo / "out.json"), *args],
+                           "--out", str(repo / "out.json"), *args],
                           capture_output=True, text=True, timeout=120)
     out = repo / "out.json"
     return done, json.loads(out.read_text(encoding="utf-8")) if out.exists() else None
@@ -179,12 +180,12 @@ def test_pairs_alternate_on_the_same_seeds_and_each_tree_runs_its_own_benchmark(
     done, doc = run_pairs(pairs_checkout, canned("change", latency_s=9, throughput=6))
     assert done.returncode == 0, done.stderr
     log = (pairs_checkout.parent / "log").read_text().split("\n")[:-1]
-    assert log == [f"{side} {w} {seed}" for w in ("w1", "w2") for seed, order in
+    assert log == [f"{side} {w} {seed} 30" for w in ("w1", "w2") for seed, order in
                    ((1, ("base", "change")), (2, ("change", "base")), (3, ("base", "change"))) for side in order]
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=pairs_checkout, capture_output=True, text=True).stdout
     assert doc["base"] == head.strip() and doc["change"] == head.strip() + " with uncommitted changes"
     assert (doc["seeds"], doc["all_correct"], doc["within_bounds"]) == ([1, 2, 3], True, True)
-    assert doc["command"][1:] == ["tools/bench_pairs.py", "HEAD", "--pairs", "3", "--seconds", "1",
+    assert doc["command"][1:] == ["tools/bench_pairs.py", "HEAD", "--pairs", "3",
                                   "--out", str(pairs_checkout / "out.json")]
     assert {"cpus", "python"} <= set(doc["host"])
     assert doc["workloads"]["w2"]["correct"] == {"base": [True] * 3, "change": [True] * 3}
@@ -221,7 +222,7 @@ def test_runs_whose_metric_sets_differ_are_not_compared(pairs_checkout):
     assert (done.returncode, doc) == (2, None)
     assert done.stderr.splitlines()[-1] == "bench_pairs.py: metric sets differ: ['rss']"
     # the first pair's change run is refused at once
-    assert (pairs_checkout.parent / "log").read_text().split() == ["base", "w1", "1", "change", "w1", "1"]
+    assert (pairs_checkout.parent / "log").read_text().split() == ["base", "w1", "1", "30", "change", "w1", "1", "30"]
 
 
 def test_an_unknown_base_is_named_on_one_line(pairs_checkout):

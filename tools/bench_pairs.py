@@ -1,16 +1,16 @@
 """Compare the benchmark at a git revision with this checkout, in alternating
 pairs of runs.
 
-    python tools/bench_pairs.py BASE [--pairs 10] [--seconds S] [--seed 1]
-                                [--workload W ...] [--out bench_pairs.json]
+    python tools/bench_pairs.py BASE [--pairs 10] [--workload W ...]
+                                [--out bench_pairs.json]
 
 BASE is exported with ``git archive`` into a temporary directory, which is
 removed afterwards. For each workload of ``BENCHMARK.json`` (or each
-``--workload``), pair i runs both trees' own ``perfbench/run.py --workload W
---seed SEED+i --seconds S --trace 0``, the base first in even pairs and the
-checkout first in odd ones. ``--seconds`` defaults to the benchmark's
-``run_seconds``. Each run's last stdout line is its result; runs whose metric
-sets differ are not compared, and the tool exits 2.
+``--workload``), pair i (from 1) runs both trees' own ``perfbench/run.py
+--workload W --seed i --seconds S --trace 0``, with S the benchmark's
+``run_seconds``, the base first in odd pairs and the checkout first in even
+ones. Each run's last stdout line is its result; runs whose metric sets
+differ are not compared, and the tool exits 2.
 
 The output file holds, per workload and metric, each side's median and
 quartiles, the number of pairs in which the checkout was better (by the
@@ -47,7 +47,10 @@ def git(*args: str) -> bytes:
 def export(rev: str, dest: Path) -> None:
     """Write the tree of ``rev`` into ``dest``."""
     with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", rev))) as tar:
-        tar.extractall(dest, filter="data")
+        if hasattr(tarfile, "data_filter"):  # Python 3.10.12+, 3.11.4+
+            tar.extractall(dest, filter="data")
+        else:  # the archive is this repository's own
+            tar.extractall(dest)
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -114,8 +117,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", help="the git revision to compare against")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=benchmark["run_seconds"])
-    parser.add_argument("--seed", type=int, default=1, help="the first pair's seed; pair i uses SEED+i")
     parser.add_argument("--workload", action="append", help="default: every workload of BENCHMARK.json")
     parser.add_argument("--out", default="bench_pairs.json")
     args = parser.parse_args(argv)
@@ -128,7 +129,8 @@ def main(argv=None) -> int:
     except subprocess.CalledProcessError:
         print(f"bench_pairs.py: unknown revision {args.base!r}", file=sys.stderr)
         return 2
-    seeds = [args.seed + i for i in range(args.pairs)]
+    seconds = benchmark["run_seconds"]
+    seeds = list(range(1, args.pairs + 1))
     summary = {}
     correct = True
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
@@ -139,7 +141,7 @@ def main(argv=None) -> int:
                 runs = {"base": [], "change": []}
                 for i, seed in enumerate(seeds):
                     for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
-                        run = run_once(trees[side], workload, seed, args.seconds)
+                        run = run_once(trees[side], workload, seed, seconds)
                         runs[side].append(run)
                         metric_names(runs["base"] + runs["change"])
                         correct &= run["correct"]
@@ -158,7 +160,7 @@ def main(argv=None) -> int:
         "base": rev,
         "change": head + (" with uncommitted changes" if git("status", "--porcelain", "--untracked-files=no") else ""),
         "command": ["python", "tools/bench_pairs.py", *(argv if argv is not None else sys.argv[1:])],
-        "run_command": ["perfbench/run.py", "--workload", "W", "--seed", "SEED", "--seconds", f"{args.seconds:g}",
+        "run_command": ["perfbench/run.py", "--workload", "W", "--seed", "SEED", "--seconds", f"{seconds:g}",
                         "--trace", "0"],
         "seeds": seeds,
         "host": {"cpus": os.cpu_count(), "python": platform.python_version(), "platform": platform.platform()},
