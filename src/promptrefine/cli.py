@@ -77,7 +77,7 @@ def cmd_reflect(args) -> int:
     print(f"score: {report.score:.3f}  ({report.vqa_call_count} questions asked)")
     for qid in sorted(report.answers):
         question = graph.question_by_id(qid)
-        print(f"  {qid}. {question.text} -> {report.answers[qid].value.value}")
+        print(f"  {qid}. {question.text} -> {report.answers[qid].value}")
     return EXIT_OK
 
 

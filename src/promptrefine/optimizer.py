@@ -14,7 +14,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 from promptrefine import scene_graph as sg
 from promptrefine.backends.base import Backend
-from promptrefine.reflection import AnswerValue, ReflectionReport
+from promptrefine.reflection import Answer, ReflectionReport
 from promptrefine.templates import STAGE_ATTEMPTS, StageExhausted, TemplateSet, run_stage
 
 logger = logging.getLogger(__name__)
@@ -97,18 +97,14 @@ class OptimizationOutcome:
                 raise ValueError("unmodified outcome must carry the original prompt only")
 
 
-def _status_text(answer_value: AnswerValue) -> str:
-    if answer_value is AnswerValue.YES:
-        return "yes"
-    if answer_value is AnswerValue.NO:
-        return "no"
-    return "no (pruned)"
+# How the expansion input shows each answer.
+_STATUS_TEXT = {Answer.YES: "yes", Answer.NO: "no", Answer.PRUNED_NO: "no (pruned)"}
 
 
 def render_expansion_input(prompt: str, graph: sg.SceneGraph, report: ReflectionReport) -> str:
     lines = [f"Prompt: {prompt}", "Concepts:"]
     for t in sorted(graph.tuples, key=lambda t: t.id):
-        status = _status_text(report.answers[t.id].value)
+        status = _STATUS_TEXT[report.answers[t.id]]
         lines.append(f"{t.render()} => {status}")
     return "\n".join(lines)
 

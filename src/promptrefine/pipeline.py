@@ -44,8 +44,6 @@ from promptrefine.optimizer import (
 )
 from promptrefine.reflection import (
     Answer,
-    AnswerSource,
-    AnswerValue,
     ReflectionReport,
     build_dsg,
     evaluate_image,
@@ -319,19 +317,24 @@ def summarize_batch(records: List[RunRecord]) -> dict:
 # serialization
 
 
-def _answer(value: str) -> Answer:
-    v = AnswerValue(value)
-    return Answer(v, AnswerSource.PRUNED if v is AnswerValue.PRUNED_NO else AnswerSource.VQA)
+def _report(graph, answers, missing_ids, score, vqa_call_count) -> ReflectionReport:
+    """A report read from a record: what it stores beside its answers must be
+    what the answers give."""
+    report = ReflectionReport(graph, answers)
+    for name, stored in (("missing_ids", missing_ids), ("score", score), ("vqa_call_count", vqa_call_count)):
+        if stored != getattr(report, name):  # a NaN score included
+            raise sg.SchemaViolation(name, "inconsistent with answers")
+    return report
 
 
 # Reports are read by _record, which gives each one the record's graph.
 _REPORT = sg.Schema(
-    ReflectionReport,
+    _report,
     sg.Field(
         "answers",
-        {str: _answer},
+        {str: lambda value: Answer(value)},  # called, where the type itself would be an isinstance check
         convert=lambda answers: {int(k): a for k, a in answers.items()},
-        emit=lambda answers: {str(qid): a.value.value for qid, a in sorted(answers.items())},
+        emit=lambda answers: {str(qid): a.value for qid, a in sorted(answers.items())},
     ),
     sg.Field("missing_ids", [int], convert=frozenset, emit=sorted),
     sg.Field("score", float, convert=float),  # an integer too large for a float is refused here
@@ -358,7 +361,7 @@ _IMAGE_REF = sg.Schema(ImageRef, *sg.declared(ImageRef))
 def _record(graph, reports, **fields) -> RunRecord:
     if reports and graph is None:
         raise sg.SchemaViolation("reports", "reports present but graph missing")
-    report = sg.Schema(partial(ReflectionReport, graph), *_REPORT.fields)
+    report = sg.Schema(partial(_report, graph), *_REPORT.fields)
     return RunRecord(graph=graph, reports=sg.read(reports, [report], "reports"), **fields)
 
 

@@ -10,6 +10,7 @@ import threading
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable
 
 from promptrefine import scene_graph as sg
@@ -25,66 +26,52 @@ from promptrefine.templates import StageExhausted, TemplateSet, run_stage
 logger = logging.getLogger(__name__)
 
 
-class AnswerValue(str, Enum):
-    YES = "yes"
-    NO = "no"
-    PRUNED_NO = "pruned_no"
-
-
 class AnswerSource(str, Enum):
     VQA = "vqa"
     PRUNED = "pruned"
 
 
-@dataclass(frozen=True)
-class Answer:
-    value: AnswerValue
-    source: AnswerSource
+class Answer(str, Enum):
+    """A question's answer: yes or no from the VQA model, or no because an
+    ancestor was answered no, so it was never asked."""
 
-    def __post_init__(self):
-        if (self.value is AnswerValue.PRUNED_NO) != (self.source is AnswerSource.PRUNED):
-            raise ValueError(f"inconsistent answer: {self.value} from {self.source}")
+    YES = "yes"
+    NO = "no"
+    PRUNED_NO = "pruned_no"
 
-
-YES = Answer(AnswerValue.YES, AnswerSource.VQA)
-NO = Answer(AnswerValue.NO, AnswerSource.VQA)
-PRUNED_NO = Answer(AnswerValue.PRUNED_NO, AnswerSource.PRUNED)
+    @property
+    def source(self) -> AnswerSource:
+        return AnswerSource.PRUNED if self is Answer.PRUNED_NO else AnswerSource.VQA
 
 
 @dataclass(frozen=True)
 class ReflectionReport:
-    """Per-question answers for one image, the missing set, and the score."""
+    """Per-question answers for one image; the missing set, the score and the
+    call count follow from them, computed once on first use (cached_property
+    writes to the instance __dict__, so it works on a frozen dataclass)."""
 
     graph: sg.SceneGraph
     answers: Dict[int, Answer]
-    missing_ids: FrozenSet[int]
-    score: float
-    vqa_call_count: int
 
     def __post_init__(self):
-        # Each fault names its field, so a record read back reports it at
-        # reports[i].<field>.
-        ids = set(self.graph.question_ids())
-        if set(self.answers) != ids:
+        # A record read back reports the fault at reports[i].answers.
+        if set(self.answers) != set(self.graph.question_ids()):
             raise sg.SchemaViolation("answers", "must cover every question id exactly")
-        expect_missing = {
-            i for i, a in self.answers.items() if a.value is not AnswerValue.YES
-        }
-        if set(self.missing_ids) != expect_missing:
-            raise sg.SchemaViolation("missing_ids", "inconsistent with answers")
-        if self.vqa_call_count != sum(
-            1 for a in self.answers.values() if a.source is AnswerSource.VQA
-        ):
-            raise sg.SchemaViolation("vqa_call_count", "inconsistent with answers")
-        if not abs(self.score - _score(self.answers)) <= 1e-12:  # NaN included
-            raise sg.SchemaViolation("score", "inconsistent with answers")
 
+    @cached_property
+    def missing_ids(self) -> FrozenSet[int]:
+        return frozenset(i for i, a in self.answers.items() if a is not Answer.YES)
 
-def _score(answers: Dict[int, Answer]) -> float:
-    if not answers:
-        return 1.0
-    yes = sum(1 for a in answers.values() if a.value is AnswerValue.YES)
-    return yes / len(answers)
+    @cached_property
+    def score(self) -> float:
+        """The fraction of questions answered yes; 1.0 for an empty graph."""
+        if not self.answers:
+            return 1.0
+        return sum(1 for a in self.answers.values() if a is Answer.YES) / len(self.answers)
+
+    @cached_property
+    def vqa_call_count(self) -> int:
+        return sum(1 for a in self.answers.values() if a is not Answer.PRUNED_NO)
 
 
 def render_prompt_tuples_input(prompt: str, tuples: Iterable[sg.ConceptTuple]) -> str:
@@ -241,20 +228,5 @@ def evaluate_image(image: ImageRef, graph: sg.SceneGraph, vqa: Backend) -> Refle
                     heapq.heappush(ready, rank[child])
     if failures:
         raise failures[min(failures, key=rank.__getitem__)]
-    answers = {qid: (YES if asked[qid] else NO) if qid in asked else PRUNED_NO for qid in order}
-    missing = frozenset(i for i, a in answers.items() if a.value is not AnswerValue.YES)
-    return ReflectionReport(
-        graph=graph,
-        answers=answers,
-        missing_ids=missing,
-        score=_score(answers),
-        vqa_call_count=len(asked),
-    )
-
-
-def alignment_score(report: ReflectionReport) -> float:
-    """The fraction of questions answered yes; recomputed as a consistency check."""
-    recomputed = _score(report.answers)
-    if abs(recomputed - report.score) > 1e-12:
-        raise ValueError(f"report score {report.score} != recomputed {recomputed}")
-    return report.score
+    answers = {qid: (Answer.YES if asked[qid] else Answer.NO) if qid in asked else Answer.PRUNED_NO for qid in order}
+    return ReflectionReport(graph, answers)

@@ -41,12 +41,8 @@ from promptrefine.pipeline import (
     run_single,
 )
 from promptrefine.reflection import (
-    NO,
-    PRUNED_NO,
-    YES,
-    AnswerValue,
+    Answer,
     ReflectionReport,
-    alignment_score,
     build_dsg,
     evaluate_image,
 )
@@ -123,7 +119,7 @@ def test_pruning_oracle_equivalence_and_call_count_law(tmp_path, monkeypatch, po
         got_queried = {
             i for i, a in report.answers.items() if a.source.value == "vqa"
         }
-        got_pruned = {i for i, a in report.answers.items() if a is PRUNED_NO}
+        got_pruned = {i for i, a in report.answers.items() if a is Answer.PRUNED_NO}
         assert got_queried == queried
         assert got_pruned == pruned
         assert report.missing_ids == missing
@@ -332,20 +328,17 @@ def test_score_arithmetic():
     """Criterion 3: hand score cases, exact."""
     # 6 yes of 8 questions
     g8 = chain_graph("p", 8, set())
-    answers = {i: (YES if i <= 6 else NO) for i in range(1, 9)}
-    report = ReflectionReport(g8, answers, frozenset({7, 8}), 0.75, 8)
-    assert alignment_score(report) == 0.75
+    answers = {i: (Answer.YES if i <= 6 else Answer.NO) for i in range(1, 9)}
+    assert ReflectionReport(g8, answers).score == 0.75
 
     # 2 yes, 2 no, 1 pruned
     g5 = chain_graph("p", 5, {(3, 5)})
-    answers = {1: YES, 2: YES, 3: NO, 4: NO, 5: PRUNED_NO}
-    report = ReflectionReport(g5, answers, frozenset({3, 4, 5}), 0.4, 4)
-    assert alignment_score(report) == 0.4
+    answers = {1: Answer.YES, 2: Answer.YES, 3: Answer.NO, 4: Answer.NO, 5: Answer.PRUNED_NO}
+    assert ReflectionReport(g5, answers).score == 0.4
 
     # empty graph
     g0 = chain_graph("p", 0, set())
-    report = ReflectionReport(g0, {}, frozenset(), 1.0, 0)
-    assert alignment_score(report) == 1.0
+    assert ReflectionReport(g0, {}).score == 1.0
     done("score arithmetic: 6/8 = 0.75, 2Y/2N/1P = 0.4, empty = 1.0 (criterion 3)")
 
 
@@ -408,18 +401,13 @@ def _random_record(rng, graph):
         if qid in answers:
             continue
         if rng.random() < 0.3:
-            answers[qid] = NO
+            answers[qid] = Answer.NO
             for d in sg.descendants(graph, qid):
                 if d not in answers:
-                    answers[d] = PRUNED_NO
+                    answers[d] = Answer.PRUNED_NO
         else:
-            answers[qid] = YES
-    missing = frozenset(i for i, a in answers.items() if a.value is not AnswerValue.YES)
-    vqa_calls = sum(1 for a in answers.values() if a is not PRUNED_NO)
-    yes = len(answers) - len(missing)
-    report = ReflectionReport(
-        graph, answers, missing, yes / len(answers) if answers else 1.0, vqa_calls
-    )
+            answers[qid] = Answer.YES
+    report = ReflectionReport(graph, answers)
     return RunRecord(
         run_id="fixed",
         created_at="2024-06-01T00:00:00+00:00",
@@ -467,8 +455,8 @@ def test_retry_contract(tmp_path):
         sg.parse_questions(MOTORCYCLE_QUESTIONS),
         sg.parse_dependencies(MOTORCYCLE_DEPENDENCIES),
     )
-    answers = {1: YES, 2: YES, 3: NO, 4: PRUNED_NO, 5: PRUNED_NO}
-    report = ReflectionReport(graph, answers, frozenset({3, 4, 5}), 0.4, 3)
+    answers = {1: Answer.YES, 2: Answer.YES, 3: Answer.NO, 4: Answer.PRUNED_NO, 5: Answer.PRUNED_NO}
+    report = ReflectionReport(graph, answers)
 
     valid = {
         "tuples": MOTORCYCLE_TUPLES,

@@ -160,6 +160,8 @@ class TestRecord:
             (("reports", 0, "score"), 10**400, "reports[0].score"),  # too large for a float
             (("reports", 1, "vqa_call_count"), 0, "reports[1].vqa_call_count"),
             (("reports", 0, "answers", "1"), "maybe", "reports[0].answers.1"),
+            (("reports", 0, "answers", "1"), 1, "reports[0].answers.1"),  # not a string
+            (("reports", 0, "missing_ids"), [3], "reports[0].missing_ids"),  # not the answers' missing set
             (("graph", "edges"), [[1, 2], [2, 1]], "graph"),
             (
                 ("outcome", "expansion", "new_tuples", 0, "category"),

@@ -13,7 +13,7 @@ from promptrefine.optimizer import (
     regenerate_prompt,
     select_keywords,
 )
-from promptrefine.reflection import NO, PRUNED_NO, YES, ReflectionReport
+from promptrefine.reflection import Answer, ReflectionReport
 from promptrefine.templates import STAGE_ATTEMPTS, StageExhausted, default_template_set
 
 from fixtures import chain_graph, motorcycle_graph
@@ -36,25 +36,12 @@ def table():
 
 def fence_missing_report():
     g = motorcycle_graph()
-    answers = {1: YES, 2: YES, 3: NO, 4: PRUNED_NO, 5: PRUNED_NO}
-    return g, ReflectionReport(
-        graph=g,
-        answers=answers,
-        missing_ids=frozenset({3, 4, 5}),
-        score=0.4,
-        vqa_call_count=3,
-    )
+    answers = {1: Answer.YES, 2: Answer.YES, 3: Answer.NO, 4: Answer.PRUNED_NO, 5: Answer.PRUNED_NO}
+    return g, ReflectionReport(g, answers)
 
 
 def all_yes_report(g):
-    answers = {i: YES for i in g.question_ids()}
-    return ReflectionReport(
-        graph=g,
-        answers=answers,
-        missing_ids=frozenset(),
-        score=1.0,
-        vqa_call_count=len(answers),
-    )
+    return ReflectionReport(g, {i: Answer.YES for i in g.question_ids()})
 
 
 def expansion_llm(response):

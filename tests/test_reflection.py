@@ -18,6 +18,7 @@ from promptrefine.backends import (
     AuthFailure,
     CallJournal,
     ContentRejected,
+    ImageRef,
     MockBackend,
     TextGenRequest,
     UnparseableAnswer,
@@ -26,19 +27,15 @@ from promptrefine.backends import (
     request_digest,
 )
 from promptrefine.reflection import (
-    NO,
-    PRUNED_NO,
-    YES,
     Answer,
     AnswerSource,
-    AnswerValue,
     ReflectionReport,
-    alignment_score,
     build_dsg,
     evaluate_image,
     render_prompt_tuples_input,
 )
-from promptrefine.scene_graph import parse_questions, parse_tuples
+from promptrefine.pipeline import RunRecord, record_from_doc, record_to_doc
+from promptrefine.scene_graph import SchemaViolation, parse_questions, parse_tuples
 from promptrefine.templates import (
     StageExhausted,
     default_template_set,
@@ -105,33 +102,6 @@ def vqa_for(answers):
     for qid, value in answers.items():
         backend.script_vqa(f"Is there thing {qid}?", value)
     return backend
-
-
-class TestAnswerTypes:
-    def test_pruned_requires_pruned_source(self):
-        with pytest.raises(ValueError):
-            Answer(AnswerValue.PRUNED_NO, AnswerSource.VQA)
-        with pytest.raises(ValueError):
-            Answer(AnswerValue.YES, AnswerSource.PRUNED)
-
-    def test_report_invariants_enforced(self):
-        g = chain_graph("p", 2, set())
-        with pytest.raises(ValueError):
-            ReflectionReport(
-                graph=g,
-                answers={1: YES, 2: YES},
-                missing_ids=frozenset({2}),
-                score=1.0,
-                vqa_call_count=2,
-            )
-        with pytest.raises(ValueError):
-            ReflectionReport(
-                graph=g,
-                answers={1: YES},
-                missing_ids=frozenset(),
-                score=1.0,
-                vqa_call_count=1,
-            )
 
 
 class TestBuildDsg:
@@ -369,7 +339,9 @@ class TestEvaluateImage:
             .script_vqa("Is there a fence?", "no")
         )
         report = evaluate_image(image(tmp_path), g, vqa)
-        assert report.answers == {1: YES, 2: YES, 3: NO, 4: PRUNED_NO, 5: PRUNED_NO}
+        assert report.answers == {
+            1: Answer.YES, 2: Answer.YES, 3: Answer.NO, 4: Answer.PRUNED_NO, 5: Answer.PRUNED_NO
+        }
         assert report.missing_ids == {3, 4, 5}
         assert report.score == pytest.approx(0.4)
         assert report.vqa_call_count == 3
@@ -421,7 +393,7 @@ class TestEvaluateImage:
             .script_vqa("*", "yes")
         )
         report = evaluate_image(image(tmp_path), g, vqa)
-        assert report.answers[5] == PRUNED_NO
+        assert report.answers[5] == Answer.PRUNED_NO
 
     def test_matches_oracle_on_random_dags(self, tmp_path):
         rng = random.Random(42)
@@ -432,7 +404,7 @@ class TestEvaluateImage:
             script = {i: rng.choice(["yes", "no"]) for i in ids}
             report = evaluate_image(img, g, vqa_for(script))
             queried, pruned, missing, score = bf_prune_simulation(ids, pairs, script)
-            got_pruned = {i for i, a in report.answers.items() if a == PRUNED_NO}
+            got_pruned = {i for i, a in report.answers.items() if a == Answer.PRUNED_NO}
             assert got_pruned == pruned
             assert report.missing_ids == missing
             assert report.score == pytest.approx(score)
@@ -825,29 +797,63 @@ class TestAlignmentScore:
         answers = {}
         for i in range(1, n + 1):
             if i <= yes:
-                answers[i] = YES
+                answers[i] = Answer.YES
             elif i <= yes + no:
-                answers[i] = NO
+                answers[i] = Answer.NO
             else:
-                answers[i] = PRUNED_NO
+                answers[i] = Answer.PRUNED_NO
         # move the no-answered parent to id 1 when pruning is involved
         if pruned:
             answers[1], answers[yes + 1] = answers[yes + 1], answers[1]
-        missing = frozenset(i for i, a in answers.items() if a is not YES)
-        calls = sum(1 for a in answers.values() if a is not PRUNED_NO)
-        score = yes / n if n else 1.0
-        return ReflectionReport(g, answers, missing, score, calls)
+        return ReflectionReport(g, answers)
 
     def test_six_of_eight(self):
-        assert alignment_score(self._report(6, 2, 0)) == pytest.approx(0.75)
+        assert self._report(6, 2, 0).score == pytest.approx(0.75)
 
     def test_empty_graph_convention(self):
-        g = chain_graph("p", 0, set())
-        report = ReflectionReport(g, {}, frozenset(), 1.0, 0)
-        assert alignment_score(report) == 1.0
+        assert ReflectionReport(chain_graph("p", 0, set()), {}).score == 1.0
 
     def test_two_yes_two_no_one_pruned(self):
-        assert alignment_score(self._report(2, 2, 1)) == pytest.approx(0.4)
+        assert self._report(2, 2, 1).score == pytest.approx(0.4)
+
+
+class TestDerivedReport:
+    """A report holds its answers only; the rest is counted from them."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_missing_set_call_count_and_score_are_counted_from_the_answers(self, seed, data):
+        ids, pairs = random_dag(random.Random(seed))
+        g = chain_graph("p", len(ids), pairs)
+        script = dict(zip(ids, data.draw(st.lists(st.sampled_from(["yes", "no"]), min_size=len(ids),
+                                                  max_size=len(ids)))))
+        _, pruned, _, _ = bf_prune_simulation(ids, pairs, script)  # a No prunes its descendants
+        answers = {i: Answer.PRUNED_NO if i in pruned else Answer(script[i]) for i in ids}
+        report = ReflectionReport(g, answers)
+
+        yes = sum(1 for i in ids if answers[i] is Answer.YES)
+        assert report.missing_ids == {i for i in ids if answers[i] is not Answer.YES}
+        assert report.vqa_call_count == sum(1 for i in ids if answers[i].source is AnswerSource.VQA)
+        assert report.vqa_call_count == len(ids) - len(pruned)
+        assert report.score == yes / len(ids)  # exact, zero tolerance
+
+        record = RunRecord(prompt_history=[("user", "p")], image_refs=[("round-1", ImageRef(remote_id="i"), 0)],
+                           graph=g, reports=[report])
+        stored = record_to_doc(record)["reports"][0]
+        assert (stored["missing_ids"], stored["vqa_call_count"], stored["score"]) == (
+            sorted(report.missing_ids), report.vqa_call_count, report.score)
+        back = record_from_doc(record_to_doc(record)).reports[0]
+        assert (back.missing_ids, back.vqa_call_count, back.score) == (
+            report.missing_ids, report.vqa_call_count, report.score)
+
+    def test_the_answers_must_cover_every_question(self):
+        with pytest.raises(SchemaViolation) as exc:
+            ReflectionReport(chain_graph("p", 2, set()), {1: Answer.YES})
+        assert exc.value.path == "answers"
+
+    def test_only_a_pruned_answer_was_not_asked(self):
+        assert [a.source for a in Answer] == [AnswerSource.VQA, AnswerSource.VQA, AnswerSource.PRUNED]
+        assert [Answer(v) for v in ("yes", "no", "pruned_no")] == list(Answer)
 
 
 class TestTemplateData:

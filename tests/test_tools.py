@@ -256,3 +256,23 @@ def test_a_zero_base_median_is_worse_only_if_the_change_moved_the_wrong_way():
     assert (worse["relative_change"], worse["within_bound"]) == (None, False)
     unjudged = bench_pairs.compare(runs(1, 2), runs(9, 9), {})["failed"]
     assert (unjudged["better"], unjudged["wins"], unjudged["bound"], unjudged["within_bound"]) == (None, None, None, True)
+
+
+# -- the committed BENCH_*.json files -----------------------------------------
+
+REPO = TOOL.parents[1]
+
+
+@pytest.mark.parametrize("path", sorted(REPO.glob("BENCH_*.json")), ids=lambda path: path.name)
+def test_a_committed_bench_file_compares_every_end_to_end_metric_over_correct_runs(path):
+    benchmark = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
+    names = {m["name"] for m in benchmark["end_to_end"]}
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert doc["workloads"] and doc["all_correct"] is True
+    for workload, summary in doc["workloads"].items():
+        assert set(summary["metrics"]) == names, workload
+        assert summary["correct"] == {side: [True] * len(doc["seeds"]) for side in ("base", "change")}, workload
+        for name, metric in summary["metrics"].items():
+            for side in ("base", "change"):
+                low, mid, high = metric[side]["quartiles"]
+                assert low <= metric[side]["median"] == mid <= high, (workload, name, side)
