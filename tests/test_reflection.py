@@ -839,10 +839,11 @@ class TestDerivedReport:
 
         record = RunRecord(prompt_history=[("user", "p")], image_refs=[("round-1", ImageRef(remote_id="i"), 0)],
                            graph=g, reports=[report])
-        stored = record_to_doc(record)["reports"][0]
+        doc = record_to_doc(record)
+        stored = doc["reports"][0]
         assert (stored["missing_ids"], stored["vqa_call_count"], stored["score"]) == (
             sorted(report.missing_ids), report.vqa_call_count, report.score)
-        back = record_from_doc(record_to_doc(record)).reports[0]
+        back = record_from_doc(doc).reports[0]
         assert (back.missing_ids, back.vqa_call_count, back.score) == (
             report.missing_ids, report.vqa_call_count, report.score)
 
