@@ -284,13 +284,8 @@ class ImageGenRequest:
 
 def request_digest(req) -> str:
     """Stable digest of a canonicalized request: sha256 of
-    ``canonical_json(req.canonical())``, which ``req.canonical_text()`` builds.
-    It is kept in the frozen request's instance __dict__, as ImageRef keeps
-    its canonical text, so an op and its transport hook hash it once."""
-    digest = req.__dict__.get("_digest")
-    if digest is None:
-        digest = req.__dict__["_digest"] = sha256_hex(req.canonical_text())
-    return digest
+    ``canonical_json(req.canonical())``, which ``req.canonical_text()`` builds."""
+    return sha256_hex(req.canonical_text())
 
 
 def embed_digest(payload: Union[str, ImageRef]) -> str:
@@ -353,7 +348,8 @@ class BackendConfig:
 
 @dataclass
 class CallRecord:
-    """Journal entry for one operation invocation that reached the transport.
+    """Journal entry for one operation invocation that reached the transport;
+    a run's record keeps its calls as these (``RunRecord.backend_journal``).
 
     Never contains auth material; a response is kept only as its digest.
     """
@@ -366,10 +362,6 @@ class CallRecord:
     model: str = ""
     error: Optional[str] = None
     response_digest: Optional[str] = None
-
-    def summary(self) -> dict:
-        """The fields by name, in declared order (``__init__`` sets them so)."""
-        return dict(vars(self), latency_s=round(self.latency_s, 6))
 
 
 class CallJournal:
@@ -399,9 +391,6 @@ class CallJournal:
         for entry in entries:
             records += entry.records() if isinstance(entry, CallJournal) else [entry]
         return records
-
-    def summaries(self) -> List[dict]:
-        return [r.summary() for r in self.records()]
 
     def __len__(self) -> int:
         return len(self.records())
@@ -529,7 +518,7 @@ class Backend:
                 digest=digest,
                 ok=error is None,
                 attempts=attempts,
-                latency_s=latency,
+                latency_s=round(latency, 6),  # to the microsecond, as record.json keeps it
                 model=self.config.model,
                 error=None if error is None else f"{type(error).__name__}: {error}",
                 response_digest=rdigest,

@@ -1,7 +1,7 @@
 """End-to-end orchestration: generate, reflect, optimize, regenerate.
 
 One run produces a RunRecord holding every prompt, image reference, report,
-and backend call summary. A failed stage, or a record that cannot be written,
+and backend call. A failed stage, or a record that cannot be written,
 marks the record failed and keeps the partial state; run_single raises only
 for an empty prompt.
 """
@@ -29,6 +29,7 @@ from promptrefine.backends.base import (
     Backend,
     BackendError,
     CallJournal,
+    CallRecord,
     ImageGenRequest,
     ImageRef,
     image_suffix,
@@ -115,7 +116,7 @@ class RunRecord:
     graph: Optional[sg.SceneGraph] = None
     reports: List[ReflectionReport] = field(default_factory=list)
     outcome: Optional[OptimizationOutcome] = None
-    backend_journal: List[dict] = field(default_factory=list)
+    backend_journal: List[CallRecord] = field(default_factory=list)
     timings: Dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -264,7 +265,7 @@ def run_single(
         graph=graph,
         reports=reports,
         outcome=outcome,
-        backend_journal=journal.summaries(),
+        backend_journal=journal.records(),
         timings=timings,
         **failure,
     )
@@ -356,6 +357,7 @@ _OUTCOME = sg.Schema(
     sg.Field("transcripts", {str: str}, {}),
 )
 _IMAGE_REF = sg.Schema(ImageRef, *sg.declared(ImageRef))
+_CALL = sg.Schema(CallRecord, *sg.declared(CallRecord))
 
 
 def _record(graph, reports, **fields) -> RunRecord:
@@ -380,7 +382,8 @@ RECORD = sg.Schema(
     sg.Field("graph", sg.GRAPH, None),
     sg.Field("reports", list, emit=lambda reports: [sg.write(r, _REPORT) for r in reports]),
     sg.Field("outcome", _OUTCOME, None),
-    sg.Field("backend_journal", [dict], []),
+    # A call's fields are plain values, in declared order (``__init__`` sets them so).
+    sg.Field("backend_journal", [_CALL], [], emit=lambda calls: [dict(vars(c)) for c in calls]),
     sg.Field("timings", {str: float}, {}, emit=lambda timings: dict(sorted(timings.items()))),
 )
 

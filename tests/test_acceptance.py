@@ -19,6 +19,7 @@ from promptrefine import reflection
 from promptrefine import scene_graph as sg
 from promptrefine.backends import (
     CallJournal,
+    CallRecord,
     ImageRef,
     MockBackend,
     VqaRequest,
@@ -221,8 +222,8 @@ def serial_runs(overlap_images):
 
 def assert_same_run(got, want):
     assert got.status == "completed"
-    journal = [(e["op"], e["digest"], e["ok"]) for e in got.backend_journal]
-    assert journal == [(e["op"], e["digest"], e["ok"]) for e in want.backend_journal]
+    journal = [(e.op, e.digest, e.ok) for e in got.backend_journal]
+    assert journal == [(e.op, e.digest, e.ok) for e in want.backend_journal]
     assert [list(r.answers.items()) for r in got.reports] == [
         list(r.answers.items()) for r in want.reports
     ]
@@ -421,7 +422,7 @@ def _random_record(rng, graph):
         graph=graph,
         reports=[report],
         outcome=None,
-        backend_journal=[{"op": "complete", "digest": "d", "ok": True}],
+        backend_journal=[CallRecord(op="complete", digest="d", ok=True, attempts=1, latency_s=0.25)],
         timings={"round-1.generate": 0.25},
     )
 

@@ -190,15 +190,6 @@ class TestDigests:
             assert request_digest(req) == oracle_digest(req)
         assert len({request_digest(r) for r in reqs}) == len(reqs)
 
-    def test_a_scripted_complete_builds_its_canonical_text_once(self, monkeypatch):
-        # Backend.complete digests the request for the journal, and the mock's
-        # hook digests it to match its script: both take the one kept digest.
-        built, canonical_text = [], TextGenRequest.canonical_text
-        monkeypatch.setattr(TextGenRequest, "canonical_text", lambda req: built.append(req) or canonical_text(req))
-        req = TextGenRequest(preamble="p", exemplars=(), input="x")
-        assert MockBackend(name="llm").script_text("*", "ok").complete(req) == "ok"
-        assert built == [req]
-
     @pytest.mark.real_threads
     def test_concurrent_digests_meet_the_definition(self):
         # More distinct preambles than the fragment cache holds, so entries are
@@ -668,12 +659,12 @@ class TestJournal:
         assert {Path(ref.path).parent for ref in refs} <= set(dirs)
         assert [p.name for p in dirs[0].iterdir()] == [Path(refs[0].path).name]
 
-    def test_summaries_redact_response_bodies(self, journal):
+    def test_journaled_calls_redact_response_bodies(self, journal):
         backend = MockBackend().script_text("*", "secret payload")
         backend.complete(text_req("x"))
-        summary = journal.summaries()[0]
-        assert "secret payload" not in json.dumps(summary)
-        assert summary["ok"] is True
+        [call] = journal.records()
+        assert "secret payload" not in json.dumps(vars(call))
+        assert call.ok is True
 
 
 class TestScriptFile:

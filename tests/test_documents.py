@@ -53,7 +53,7 @@ def persisted_motorcycle_runs(tmp_path):
                 run_id=f"rounds-{rounds}-fence-{name}",
                 created_at="2026-01-01T00:00:00+00:00",
                 timings={label: i / 8 for i, label in enumerate(labels)},
-                backend_journal=[{**call, "latency_s": 0.001} for call in record.backend_journal],
+                backend_journal=[dataclasses.replace(call, latency_s=0.001) for call in record.backend_journal],
             )
             yield persist_record(record, tmp_path / "runs").parent
 
@@ -149,6 +149,9 @@ class TestRecord:
             (("reports",), 5, "reports"),
             (("outcome",), [1], "outcome"),
             (("backend_journal",), 5, "backend_journal"),
+            (("backend_journal", 0, "attempts"), "1", "backend_journal[0].attempts"),
+            (("backend_journal", 0, "ok"), 1, "backend_journal[0].ok"),  # not a boolean
+            (("backend_journal", 1, "op"), DELETE, "backend_journal[1].op"),
             (("timings",), [1], "timings"),
             (("graph",), 5, "graph"),
             # deeper fields

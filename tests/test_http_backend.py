@@ -134,7 +134,7 @@ def counting(monkeypatch, owner, name):
 
 def blanked(record):
     """``record`` without its run id, timestamp, timings and call latencies."""
-    journal = [dict(entry, latency_s=None) for entry in record.backend_journal]
+    journal = [dataclasses.replace(entry, latency_s=0.0) for entry in record.backend_journal]
     return dataclasses.replace(record, run_id="", created_at="", timings={}, backend_journal=journal)
 
 
@@ -171,7 +171,7 @@ class TestChatCompletions:
         assert (record.status, record.failed_stage, record.error_kind) == ("failed", "build_dsg", "stage_exhausted")
         assert record.error.endswith("stage 'tuples' still invalid after 3 attempts: no tuple lines")
         assert len(session.calls) == 3
-        assert [(e["op"], e["ok"]) for e in record.backend_journal] == [("complete", True)] * 3 + [
+        assert [(e.op, e.ok) for e in record.backend_journal] == [("complete", True)] * 3 + [
             ("generate_image", True)
         ]
 
@@ -181,7 +181,7 @@ class TestChatCompletions:
         )
         be.complete(TextGenRequest(preamble="", exemplars=(), input="x"))
         assert session.calls[0]["headers"]["Authorization"] == "Bearer top-secret"
-        assert "top-secret" not in json.dumps(journal.summaries())
+        assert "top-secret" not in json.dumps([vars(call) for call in journal.records()])
 
     def test_auth_failure_not_retried(self):
         be, session = backend([FakeResponse(status_code=401)], max_retries=3)
@@ -316,9 +316,9 @@ class TestRetryAfterCap:
         assert exc.value.retry_after == int(value)
         assert len(session.calls) == 1
         assert sleeps == []
-        [call] = journal.summaries()
-        assert (call["ok"], call["attempts"]) == (False, 1)
-        assert call["error"].startswith("RateLimited: ")
+        [call] = journal.records()
+        assert (call.ok, call.attempts) == (False, 1)
+        assert call.error.startswith("RateLimited: ")
 
     @pytest.mark.parametrize("value", ["1", "60"])
     def test_a_wait_within_the_timeout_is_waited_out_and_retried(self, sleeps, value):
@@ -557,7 +557,7 @@ class TestImagesWire:
         assert reads() == 1 and cached_in_flight == [False, False]
         urls = [c["json"]["messages"][0]["content"][0]["image_url"]["url"] for c in session.calls if "chat" in c["url"]]
         assert urls == ["data:image/png;base64," + texts["a fox"]] * 2
-        asked = [dict(r.summary(), latency_s=None) for r in journal.records() if r.op == "answer_binary"]
+        asked = [dataclasses.replace(r, latency_s=0.0) for r in journal.records() if r.op == "answer_binary"]
         assert len(asked) == 2 and asked[0] == asked[1]
 
     def test_a_generated_jpeg_is_stored_and_sent_as_a_jpeg(self, tmp_path):
@@ -723,7 +723,7 @@ class TestImagesWire:
         for record in batched:
             assert record.status == "completed" and len(record.image_refs) == 2
             sent = {sha256_hex(f"{a} {ref.digest}") for _, ref, _ in record.image_refs for a in ("yes", "no")}
-            asked = [e["response_digest"] for e in record.backend_journal if e["op"] == "answer_binary"]
+            asked = [e.response_digest for e in record.backend_journal if e.op == "answer_binary"]
             assert len(asked) == 3 + 5 and set(asked) <= sent  # round 1 prunes two
         assert list(map(blanked, batched)) == list(map(blanked, serial))
 

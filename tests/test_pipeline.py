@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import errno
 import functools
@@ -8,9 +9,11 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from promptrefine import reflection, scene_graph
-from promptrefine.backends import MockBackend, TransportError
+from promptrefine.backends import CallRecord, MockBackend, TransportError
 from promptrefine.backends.base import sha256_hex
 from promptrefine.pipeline import (
     Backends,
@@ -36,9 +39,11 @@ from fixtures import (
     PNG_WHITE,
     Gauge,
     SlowMock,
+    drawn,
     journal,
     motorcycle_backends,
     motorcycle_graph,
+    scheduled,
     stage_llm,
 )
 
@@ -54,13 +59,31 @@ def pipeline_cfg(tmp_path, backends=None, **kwargs):
 
 def normalized(record):
     """Strip run id, timestamps, and per-run timing noise for comparisons."""
-    journal = [
-        {k: v for k, v in entry.items() if k != "latency_s"}
-        for entry in record.backend_journal
-    ]
+    journal = [dataclasses.replace(entry, latency_s=0.0) for entry in record.backend_journal]
     return dataclasses.replace(
         record, run_id="", created_at="", timings={}, backend_journal=journal
     )
+
+
+# The motorcycle walkthrough for rounds 1-3 and each fence answer script:
+# converged at round 1 or 2, or never.
+RUN_CASES = [(rounds, answers) for rounds in (1, 2, 3) for answers in (("no", "yes"), ("yes",), ("no",))]
+RUN_IDS = [f"rounds-{rounds}-fence-{'-'.join(answers)}" for rounds, answers in RUN_CASES]
+
+
+def assert_call_count_law(record):
+    """The whole-run call-count law: a journal holds the graph build's three
+    stages, one generate per image, the VQA calls each report counts and
+    three optimize stages per optimized prompt, and nothing else."""
+    assert record.status == "completed"
+    optimized = len(record.prompt_history) - 1
+    vqa_calls = sum(r.vqa_call_count for r in record.reports)
+    assert len(record.backend_journal) == 3 + len(record.image_refs) + vqa_calls + 3 * optimized
+    assert collections.Counter(e.op for e in record.backend_journal) == {
+        "complete": 3 + 3 * optimized,
+        "generate_image": len(record.image_refs),
+        "answer_binary": vqa_calls,
+    }
 
 
 class TestRunSingle:
@@ -141,7 +164,7 @@ class TestRunSingle:
         cls = functools.partial(DependenciesFirst, op_delays={"complete": 2 * reflection.FAN_OUT_MIN_S})
         record = run_single(MOTORCYCLE_PROMPT, pipeline_cfg(tmp_path, motorcycle_backends(tmp_path / "images", cls=cls)))
         assert record.status == "completed" and answered.is_set()
-        responses = [e["response_digest"] for e in record.backend_journal[:4]]
+        responses = [e.response_digest for e in record.backend_journal[:4]]
         assert responses == [
             sha256_hex(MOTORCYCLE_TUPLES),
             sha256_hex(MOTORCYCLE_QUESTIONS),
@@ -162,7 +185,7 @@ class TestRunSingle:
         assert "round-1.generate" in record.timings
         # the graph built beside the failed generate is paid for, so it is kept,
         # journaled where it was submitted: before the generate
-        calls = [(e["op"], e["ok"]) for e in record.backend_journal]
+        calls = [(e.op, e.ok) for e in record.backend_journal]
         assert calls == [("complete", True)] * 3 + [("generate_image", False)]
         assert record.graph == motorcycle_graph()
 
@@ -174,7 +197,7 @@ class TestRunSingle:
         assert record.status == "failed"
         assert record.failed_stage == "build_dsg"
         assert record.error_kind == "stage_exhausted"
-        calls = [(e["op"], e["ok"]) for e in record.backend_journal]
+        calls = [(e.op, e.ok) for e in record.backend_journal]
         assert calls == [("complete", True)] * 3 + [("generate_image", True)]
         assert [label for label, _, _ in record.image_refs] == ["round-1"]
         assert "build_dsg" in record.timings
@@ -186,7 +209,7 @@ class TestRunSingle:
         record = run_single(MOTORCYCLE_PROMPT, pipeline_cfg(tmp_path, backends=backends))
         assert (record.status, record.failed_stage, record.error_kind) == ("failed", "build_dsg", "stage_exhausted")
         assert record.error == "StageExhausted: stage 'tuples' still invalid after 3 attempts: no tuple lines"
-        calls = [(e["op"], e["ok"]) for e in record.backend_journal]
+        calls = [(e.op, e.ok) for e in record.backend_journal]
         assert calls == [("complete", True)] * 3 + [("generate_image", True)]
         assert record.graph is None and record.reports == []
 
@@ -198,7 +221,7 @@ class TestRunSingle:
         record = run_single(MOTORCYCLE_PROMPT, cfg)
         assert (record.failed_stage, record.error_kind) == ("generate", "backend")
         assert record.error == "TransportError: down"
-        calls = [(e["op"], e["ok"]) for e in record.backend_journal]
+        calls = [(e.op, e.ok) for e in record.backend_journal]
         assert calls == [("complete", True)] * 3 + [("generate_image", False)]
         assert record.graph is None
 
@@ -210,18 +233,37 @@ class TestRunSingle:
         assert [r.score for r in record.reports] == [pytest.approx(0.4)]
         assert record.outcome is None
         assert record.prompt_history == [("user", MOTORCYCLE_PROMPT)]
-        ops = [e["op"] for e in record.backend_journal]
+        ops = [e.op for e in record.backend_journal]
         assert ops == ["complete"] * 3 + ["generate_image"] + ["answer_binary"] * 3
 
     def test_every_backend_call_journaled_once(self, tmp_path):
         cfg = pipeline_cfg(tmp_path)
         record = run_single(MOTORCYCLE_PROMPT, cfg)
-        ops = [entry["op"] for entry in record.backend_journal]
+        ops = [entry.op for entry in record.backend_journal]
         # 2 generations, 3 DSG stages + 3 optimization stages, 3 + 5 VQA calls
         assert ops.count("generate_image") == 2
         assert ops.count("complete") == 6
         assert ops.count("answer_binary") == 8
         assert len(ops) == 16
+
+    @pytest.mark.parametrize("rounds, answers", RUN_CASES, ids=RUN_IDS)
+    def test_the_call_count_law_holds_on_drawn_schedules(self, tmp_path, rounds, answers):
+        @settings(max_examples=10, deadline=None)
+        @given(data=st.data())
+        def law(data):
+            backends = motorcycle_backends(tmp_path / "images", fence_answers=answers)
+            with scheduled(drawn(data)):
+                record = run_single(MOTORCYCLE_PROMPT, pipeline_cfg(tmp_path, backends, rounds=rounds))
+            assert_call_count_law(record)
+
+        law()
+
+    @pytest.mark.real_threads
+    def test_the_call_count_law_holds_on_threads(self, tmp_path):
+        for rounds, answers in RUN_CASES:
+            backends = motorcycle_backends(tmp_path / "images", fence_answers=answers, cls=SlowMock)
+            record = run_single(MOTORCYCLE_PROMPT, pipeline_cfg(tmp_path, backends, rounds=rounds))
+            assert_call_count_law(record)
 
     def test_multi_round_halts_at_rounds_cap(self, tmp_path):
         # the fence never appears, so every round optimizes; the loop must
@@ -255,8 +297,8 @@ class TestRunSingle:
         assert record.status == "failed"
         assert record.failed_stage == "evaluate"
         # the transcript so far survives: generation, DSG stages, and the asks
-        assert any(e["op"] == "answer_binary" for e in record.backend_journal)
-        assert any(e["op"] == "complete" for e in record.backend_journal)
+        assert any(e.op == "answer_binary" for e in record.backend_journal)
+        assert any(e.op == "complete" for e in record.backend_journal)
 
     def test_run_keeps_its_calls_from_an_enclosing_recording(self, tmp_path, journal):
         cfg = pipeline_cfg(tmp_path)
@@ -449,6 +491,10 @@ class TestPersistence:
             )
 
         assert strip_paths(normalized(loaded)) == strip_paths(normalized(record))
+        # latencies included: a call's latency is kept to the microsecond
+        # when it is journaled, as record.json writes it
+        assert all(type(call) is CallRecord for call in loaded.backend_journal)
+        assert loaded.backend_journal == record.backend_journal
 
     def test_images_copied_relative(self, tmp_path):
         record = self._record(tmp_path)
@@ -686,7 +732,8 @@ class TestPersistence:
             record, graph=dataclasses.replace(record.graph, source_prompt="changed")
         )
 
-        bad = dataclasses.replace(changed, backend_journal=[{"op": object()}])
+        unencodable = CallRecord(op=object(), digest="d", ok=True, attempts=1, latency_s=0.0)
+        bad = dataclasses.replace(changed, backend_journal=[unencodable])
         with pytest.raises(IoFailure):
             persist_record(bad, tmp_path / "runs")
         assert path.read_bytes() == before
